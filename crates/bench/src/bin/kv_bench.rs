@@ -9,7 +9,9 @@
 //! scale the 4-shard run is ratchet-gated against its own recorded
 //! lineage (same exit conventions as `perfstat`: 1 = regression, 2 = no
 //! baseline, i.e. a vacuous pass), and the 4-vs-1 shard scaling is
-//! asserted to reach [`MIN_QUICK_SPEEDUP`].
+//! asserted to reach [`MIN_QUICK_SPEEDUP`]. Each run also records its
+//! PosMap and data paths per KV op and its PLB hit ratio, so CI can check
+//! that the warmed, map-sized PLB keeps PosMap traffic at zero.
 //!
 //! Two throughput views are reported, because they answer different
 //! questions:
@@ -155,6 +157,8 @@ struct RunResult {
     shard_ops: Vec<u64>,
     shard_busy_ns: Vec<u64>,
     reports: Vec<ShardReport>,
+    /// PLB `(hits, misses)` summed over shards.
+    plb: (u64, u64),
     mixed_ops_per_sec: f64,
 }
 
@@ -168,6 +172,25 @@ impl RunResult {
             .zip(&self.shard_busy_ns)
             .map(|(&ops, &busy)| ops as f64 / (busy as f64 / 1e9).max(1e-9))
             .sum()
+    }
+
+    /// `(PosMap paths, data paths)` per KV op over the whole run (load
+    /// and mixed phases), summed over shards.
+    fn paths_per_op(&self) -> (f64, f64) {
+        let (mut ops, mut posmap, mut data) = (0u64, 0u64, 0u64);
+        for r in &self.reports {
+            ops += r.kv.puts + r.kv.gets + r.kv.deletes;
+            posmap += r.oram.posmap_paths();
+            data += r.oram.data_paths;
+        }
+        let ops = ops.max(1) as f64;
+        (posmap as f64 / ops, data as f64 / ops)
+    }
+
+    /// Share of PLB lookups that hit.
+    fn plb_hit_ratio(&self) -> f64 {
+        let (hits, misses) = self.plb;
+        hits as f64 / (hits + misses).max(1) as f64
     }
 }
 
@@ -260,6 +283,10 @@ fn run_one(opts: &BenchOptions, shards: usize) -> RunResult {
         shard_ops,
         shard_busy_ns,
         reports: kv.reports(),
+        plb: kv.shards().iter().fold((0, 0), |(h, m), s| {
+            let (sh, sm) = s.oram().plb_counters();
+            (h + sh, m + sm)
+        }),
         mixed_ops_per_sec: total_mixed as f64 / mixed_wall.max(1e-9),
     }
 }
@@ -271,6 +298,11 @@ fn print_run(r: &RunResult) {
         r.load_seconds,
         r.mixed_ops_per_sec,
         r.capacity_ops_per_sec()
+    );
+    let (posmap, data) = r.paths_per_op();
+    println!(
+        "    per op: {posmap:.3} PosMap paths, {data:.3} data paths, PLB hit ratio {:.4}",
+        r.plb_hit_ratio()
     );
     for p in &r.phases {
         println!(
@@ -295,13 +327,18 @@ fn print_run(r: &RunResult) {
 
 fn json_run(r: &RunResult) -> String {
     let mut s = String::new();
+    // PosMap paths and the PLB hit ratio print unrounded, so CI's exact
+    // `== 0` / `== 1` checks cannot pass on a value that merely rounds.
+    let (posmap, data) = r.paths_per_op();
     s.push_str(&format!(
         "    {{\"shards\": {}, \"load_seconds\": {:.6}, \"mixed_ops_per_sec\": {:.1}, \
-         \"capacity_ops_per_sec\": {:.1},\n",
+         \"capacity_ops_per_sec\": {:.1},\n     \"posmap_paths_per_op\": {posmap}, \
+         \"data_paths_per_op\": {data:.4}, \"plb_hit_ratio\": {},\n",
         r.shards,
         r.load_seconds,
         r.mixed_ops_per_sec,
-        r.capacity_ops_per_sec()
+        r.capacity_ops_per_sec(),
+        r.plb_hit_ratio()
     ));
     s.push_str("     \"phases\": [");
     for (i, p) in r.phases.iter().enumerate() {

@@ -12,9 +12,12 @@
 //! byte-for-byte.
 
 use iroram_hash::mix64;
-use iroram_protocol::{OramConfig, RemapPolicy, TreeTopMode, ZAllocation};
+use iroram_protocol::{AddressSpace, OramConfig, RemapPolicy, TreeTopMode, ZAllocation};
 
 use crate::store::{shard_of, Clock, KvError, KvOp, KvShard, ShardReport};
+
+/// PLB associativity of every shard (the set count follows the map size).
+const PLB_WAYS: usize = 4;
 
 /// Service construction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,10 +65,16 @@ impl KvConfig {
     /// (`data_blocks = slots = 2^(levels+1)`), the top half of the levels
     /// (capped at 7) in a dedicated tree-top cache, payload encryption
     /// and integrity checking on.
+    ///
+    /// The PLB holds the shard's whole PosMap₁+₂ (`n_pm1 + n_pm2` lines,
+    /// 4 ways, rounded up to whole sets). PosMap addresses are contiguous
+    /// and index by their low bits, so no set receives more than 4 of
+    /// them: once [`KvShard::new`] has warmed it, the PLB never misses.
     pub fn oram_config(&self, shard: usize) -> OramConfig {
         let slots = self.slots_per_shard;
         assert!(slots.is_power_of_two() && slots >= 512);
         let levels = (63 - slots.leading_zeros()) as usize - 1;
+        let space = AddressSpace::new(slots);
         OramConfig {
             levels,
             data_blocks: slots,
@@ -74,8 +83,8 @@ impl KvConfig {
                 levels: (levels / 2).min(7),
             },
             stash_capacity: 200,
-            plb_sets: 16,
-            plb_ways: 4,
+            plb_sets: (space.n_pm1() + space.n_pm2()).div_ceil(PLB_WAYS as u64) as usize,
+            plb_ways: PLB_WAYS,
             remap: RemapPolicy::Immediate,
             max_bg_evicts_per_access: 8,
             encrypt_payloads: true,
@@ -344,4 +353,38 @@ fn drain_shard(
     }
     let busy = clock.map_or(0, |c| c().saturating_sub(start));
     ShardOut { replies, busy }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iroram_cache::{CacheConfig, SetAssocCache};
+
+    #[test]
+    fn plb_covers_the_whole_position_map_without_conflicts() {
+        for log_slots in 9..=21 {
+            let cfg = KvConfig {
+                slots_per_shard: 1 << log_slots,
+                ..KvConfig::for_keys(1, 1)
+            };
+            let oram = cfg.oram_config(0);
+            let space = AddressSpace::new(oram.data_blocks);
+            let pm_lines = space.n_pm1() + space.n_pm2();
+            let capacity = (oram.plb_sets * oram.plb_ways) as u64;
+            assert!(
+                (pm_lines..pm_lines + 4).contains(&capacity),
+                "2^{log_slots} slots: {capacity} PLB lines for {pm_lines} PosMap blocks"
+            );
+            let plb = SetAssocCache::new(CacheConfig::new(oram.plb_sets, oram.plb_ways));
+            let mut per_set = vec![0usize; oram.plb_sets];
+            for addr in space.n_data()..space.total_blocks() {
+                per_set[plb.set_of(addr)] += 1;
+            }
+            let fullest = per_set.iter().copied().max().unwrap_or(0);
+            assert!(
+                fullest <= oram.plb_ways,
+                "2^{log_slots} slots: a PLB set receives {fullest} PosMap blocks"
+            );
+        }
+    }
 }

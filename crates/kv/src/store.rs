@@ -185,7 +185,8 @@ pub struct KvShard {
 
 impl KvShard {
     /// Builds a shard with `slots` table slots (a power of two) backed by
-    /// an ORAM sized by [`crate::KvConfig::oram_config`].
+    /// an ORAM sized by [`crate::KvConfig::oram_config`], with its PLB
+    /// warmed ([`PathOram::warm_plb`]) and the statistics zeroed.
     pub fn new(cfg: OramConfig, slots: u64) -> Self {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
         assert!(
@@ -194,8 +195,10 @@ impl KvShard {
             cfg.data_blocks
         );
         let rng = SimRng::seed_from(mix64(cfg.seed ^ 0x4B56_5249_4E47)); // "KVRING"
+        let mut oram = PathOram::new(cfg);
+        oram.warm_plb();
         KvShard {
-            oram: PathOram::new(cfg),
+            oram,
             slot_mask: slots - 1,
             overflow: BTreeMap::new(),
             rng,

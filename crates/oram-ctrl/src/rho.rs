@@ -247,13 +247,8 @@ impl RhoController {
         };
         let mut small = PathOram::new(small_cfg);
         // Warm the small PLB so the on-chip position map never misses.
+        small.warm_plb();
         let n_small = small.config().data_blocks;
-        for a in (0..n_small).step_by(16) {
-            for pm in small.posmap_resolve(BlockAddr(a)) {
-                small.fetch_posmap_block(pm);
-            }
-        }
-        small.reset_stats();
 
         let cached = cfg.oram.treetop.cached_levels();
         let main_layout = SubtreeLayout::new(&main.layout().memory_z(cached), cfg.subtree_group);

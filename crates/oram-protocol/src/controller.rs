@@ -8,7 +8,7 @@ use iroram_cache::CacheConfig;
 use iroram_hash::FeistelCipher;
 use iroram_sim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 
-use crate::posmap::PlbStatus;
+use crate::posmap::{PlbStatus, ENTRIES_PER_BLOCK};
 use crate::treetop::{DedicatedTreeTop, IrStashTop, TreeTopStore};
 use crate::{
     AddressSpace, BlockAddr, BlockKind, Leaf, OramTree, PathList, PathRecord, PathType,
@@ -498,6 +498,19 @@ impl PathOram {
         };
         self.posmap.plb_hits = 0;
         self.posmap.plb_misses = 0;
+    }
+
+    /// Fetches every PosMap block once, in data-address order, then zeroes
+    /// the statistics. With a PLB that covers the whole position map this
+    /// leaves every translation a hit, so no later access takes a `PT_p`
+    /// path.
+    pub fn warm_plb(&mut self) {
+        for a in (0..self.cfg.data_blocks).step_by(ENTRIES_PER_BLOCK as usize) {
+            for pm in self.posmap_resolve(BlockAddr(a)) {
+                self.fetch_posmap_block(pm);
+            }
+        }
+        self.reset_stats();
     }
 
     /// Current stash occupancy.
@@ -1419,6 +1432,28 @@ impl AccessBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn warm_plb_covering_the_map_hits_every_address() {
+        let space = AddressSpace::new(OramConfig::tiny().data_blocks);
+        let lines = (space.n_pm1() + space.n_pm2()) as usize;
+        let mut oram = PathOram::new(OramConfig {
+            plb_sets: lines.div_ceil(4),
+            plb_ways: 4,
+            ..OramConfig::tiny()
+        });
+        oram.warm_plb();
+        for a in 0..space.n_data() {
+            assert_eq!(oram.posmap_status(BlockAddr(a)), PlbStatus::Hit, "addr {a}");
+        }
+        let zero = ProtocolStats {
+            served_level: vec![0; oram.config().levels],
+            ..ProtocolStats::default()
+        };
+        assert_eq!(oram.stats(), &zero);
+        assert_eq!(oram.plb_counters(), (0, 0));
+        oram.check_invariants().expect("ORAM sound after warm-up");
+    }
 
     fn tiny_with(treetop: TreeTopMode, remap: RemapPolicy) -> PathOram {
         let cfg = OramConfig {

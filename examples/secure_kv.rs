@@ -4,10 +4,10 @@
 //! untrusted cloud server whose *access pattern* must not leak. This
 //! example stores a key→value map inside ORAM shards via `iroram-kv`: keys
 //! hash to a shard and to a fixed set of candidate slots inside it, so
-//! every lookup — hit or miss, hot key or cold key — turns into the same
-//! fixed number of indistinguishable path accesses. Unlike the linear-probe
-//! toy this example used to be, a miss costs exactly as much as a hit
-//! (probe reads + one refresh write), never a scan of the table.
+//! every lookup — hit or miss — turns into the same fixed number of
+//! logical ORAM accesses. Unlike the linear-probe toy this example used to
+//! be, a miss costs exactly as much as a hit (probe reads + one refresh
+//! write), never a scan of the table.
 //!
 //! Run with: `cargo run --release -p iroram-kv --example secure_kv`
 
@@ -40,11 +40,15 @@ fn main() {
     let outcome = kv.flush();
     assert_eq!(outcome.replies.len(), 80);
 
-    // The security story: every get/put decomposed into uniform, remapped
-    // path accesses. A "hot" key and a cold key are indistinguishable, and
-    // so are a hit and a miss: each op costs the same PROBES reads plus
+    // The security story: every get/put costs the same PROBES reads plus
     // one write-phase access (a real write, or an identity "refresh" that
-    // remaps and re-encrypts just the same).
+    // remaps and re-encrypts just the same), so a hit and a miss look
+    // alike. Each shard's PLB holds its whole position map and is warmed
+    // at construction, so no op takes a PosMap path, hot key or cold.
+    // Known deviation: a probe whose slot sits in the stash or the tree
+    // top is served on-chip with no data path, so the data paths per op
+    // still drop when keys are reused — a hot key is not yet fully
+    // indistinguishable from a cold one.
     let mut accesses = 0u64;
     let mut paths = 0u64;
     for report in kv.reports() {
@@ -60,6 +64,7 @@ fn main() {
             s.posmap_paths(),
             s.bg_evict_paths,
         );
+        assert_eq!(s.posmap_paths(), 0, "the warmed PLB never misses");
         accesses += s.accesses;
         paths += s.total_paths();
     }

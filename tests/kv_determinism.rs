@@ -5,7 +5,7 @@
 //! partitioned to shards before any worker runs and each shard's state
 //! is private to it.
 
-use iroram_kv::{FlushOutcome, KvConfig, KvOp, KvService};
+use iroram_kv::{FlushOutcome, KvConfig, KvOp, KvService, PROBES};
 use iroram_sim_engine::SimRng;
 
 /// A mixed workload: load phase then skewed gets/puts/deletes.
@@ -109,4 +109,47 @@ fn shard_partition_is_submission_time_stable() {
         "directory must actually spread keys: {shard_ops:?}"
     );
     assert_eq!(seqs, (0..100).collect::<Vec<u64>>());
+}
+
+/// PosMap (`PT_p`) traffic must not depend on which keys are accessed.
+/// With a PLB that covers each shard's whole position map and is warmed
+/// at construction, a hammered hot key and a stream of uniform cold keys
+/// both take zero PosMap paths from the very first op; with a small PLB
+/// the hot key would hit and the cold keys miss, leaking 0–2 extra paths
+/// per access.
+#[test]
+fn posmap_paths_are_zero_for_hot_and_uniform_keys() {
+    const OPS: usize = 400;
+    const KEYS: u64 = 16_384;
+    let mut rng = SimRng::seed_from(0x9071_7A95);
+    let hot = vec![7u32; OPS];
+    let uniform: Vec<u32> = (0..OPS).map(|_| 1 + rng.next_below(KEYS) as u32).collect();
+    for (name, keys) in [("hot", hot), ("uniform", uniform)] {
+        let mut kv = KvService::new(KvConfig::for_keys(KEYS, 2));
+        for (i, &key) in keys.iter().enumerate() {
+            let op = if i % 2 == 0 {
+                KvOp::Put { key, value: i as u32 }
+            } else {
+                KvOp::Get { key }
+            };
+            kv.submit(op).unwrap();
+            kv.flush();
+            for r in kv.reports() {
+                assert_eq!(
+                    r.oram.pos1_paths + r.oram.pos2_paths,
+                    0,
+                    "{name} stream, op {i}, shard {}",
+                    r.shard
+                );
+            }
+        }
+        let served: u64 = kv.reports().iter().map(|r| r.oram.accesses).sum();
+        assert_eq!(served, (OPS * (PROBES + 1)) as u64, "{name}: every op reached an ORAM");
+        for s in kv.shards() {
+            let (hits, misses) = s.oram().plb_counters();
+            assert_eq!(misses, 0, "{name}: PLB never misses");
+            let translated = s.oram().stats().data_paths + s.oram().stats().treetop_hits;
+            assert!(hits >= translated, "{name}: every translation hit the PLB");
+        }
+    }
 }
