@@ -5,7 +5,9 @@
 //! Unlike the figure binaries (which report *simulated* metrics), this
 //! measures the *simulator itself* — the number it reports is how fast the
 //! experiment engine chews through work, which is what the hot-path kernels
-//! and the `--jobs` worker pool exist to improve. Typical use:
+//! and the `--jobs` worker pool exist to improve. Construction has its own
+//! line: each scheme's `PathOram::new` is timed on its own (median of
+//! [`BUILD_TRIALS`]) and reported as `build_seconds`. Typical use:
 //!
 //! ```text
 //! cargo run --release --bin perfstat -- --quick
@@ -19,11 +21,15 @@ use iroram_experiments::history::HistoryKey;
 use iroram_experiments::journal::fingerprint;
 use iroram_experiments::runner::{perf_benches, run_scheme};
 use iroram_experiments::ExpOptions;
+use iroram_protocol::{OramConfig, PathOram};
 use iroram_sim_engine::profiler;
 
 /// How much slower than the last recorded run of the same scale/jobs a
 /// `--quick` run may be before the ratchet fails the step (CI perf gate).
 const RATCHET_TOLERANCE: f64 = 0.10;
+
+/// Constructions timed per scheme; the median is reported.
+const BUILD_TRIALS: usize = 3;
 
 /// Process exit code for a ratchet regression.
 const EXIT_REGRESSION: i32 = 1;
@@ -84,6 +90,23 @@ struct SchemeStat {
     mem_ops: u64,
     wall_seconds: f64,
     ops_per_sec: f64,
+    build_seconds: f64,
+}
+
+/// Median wall time of [`BUILD_TRIALS`] `PathOram::new(cfg)` calls: the
+/// construction (random-order placement of every block) each cell pays
+/// before its first access.
+fn build_seconds(cfg: &OramConfig) -> f64 {
+    let mut times: Vec<f64> = (0..BUILD_TRIALS)
+        .map(|_| {
+            let start = Instant::now();
+            // Bound so its drop falls after the reading.
+            let _oram = PathOram::new(cfg.clone());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[BUILD_TRIALS / 2]
 }
 
 fn scale_name(opts: &ExpOptions) -> &'static str {
@@ -141,12 +164,14 @@ fn main() {
         let wall = start.elapsed().as_secs_f64();
         let mem_ops: u64 = reports.iter().map(|r| r.mem_ops).sum();
         let ops_per_sec = mem_ops as f64 / wall.max(1e-9);
+        let build = build_seconds(&opts.system(scheme).oram);
         println!(
-            "  {:<22} {:>9} mem-ops in {:>7.3}s  -> {:>12.0} ops/s",
+            "  {:<22} {:>9} mem-ops in {:>7.3}s  -> {:>12.0} ops/s   build {:>8.5}s",
             scheme.name(),
             mem_ops,
             wall,
-            ops_per_sec
+            ops_per_sec,
+            build
         );
         if opts.profile {
             for s in profiler::snapshot() {
@@ -163,13 +188,16 @@ fn main() {
             mem_ops,
             wall_seconds: wall,
             ops_per_sec,
+            build_seconds: build,
         });
     }
     let total_wall = total_start.elapsed().as_secs_f64();
     let total_ops: u64 = stats.iter().map(|s| s.mem_ops).sum();
     let total_rate = total_ops as f64 / total_wall.max(1e-9);
+    let total_build: f64 = stats.iter().map(|s| s.build_seconds).sum();
     println!(
-        "total: {total_ops} simulated mem-ops in {total_wall:.3}s -> {total_rate:.0} ops/s"
+        "total: {total_ops} simulated mem-ops in {total_wall:.3}s -> {total_rate:.0} ops/s; \
+         construction {total_build:.5}s"
     );
 
     // Hand-rolled JSON: the vendored serde shim derives are no-ops, and the
@@ -189,20 +217,20 @@ fn main() {
     json.push_str("],\n  \"schemes\": [\n");
     for (i, s) in stats.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"mem_ops\": {}, \"wall_seconds\": {:.6}, \"mem_ops_per_sec\": {:.1}}}{}\n",
+            "    {{\"scheme\": \"{}\", \"mem_ops\": {}, \"wall_seconds\": {:.6}, \"mem_ops_per_sec\": {:.1}, \"build_seconds\": {:.6}}}{}\n",
             json_escape_free(s.scheme),
             s.mem_ops,
             s.wall_seconds,
             s.ops_per_sec,
+            s.build_seconds,
             if i + 1 < stats.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"total_mem_ops\": {total_ops},\n"));
     json.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
-    json.push_str(&format!(
-        "  \"total_mem_ops_per_sec\": {total_rate:.1}\n"
-    ));
+    json.push_str(&format!("  \"total_mem_ops_per_sec\": {total_rate:.1},\n"));
+    json.push_str(&format!("  \"total_build_seconds\": {total_build:.6}\n"));
     json.push_str("}\n");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_throughput.json");
@@ -251,12 +279,18 @@ fn main() {
     let epoch_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
+    let builds: Vec<String> = stats
+        .iter()
+        .map(|s| format!("\"{}\": {:.6}", json_escape_free(s.scheme), s.build_seconds))
+        .collect();
     let line = format!(
         "{{\"epoch_secs\": {epoch_secs}, \"bench\": \"sim\", \"scale\": \"{scale}\", \
          \"jobs\": {jobs}, \
          \"total_mem_ops\": {total_ops}, \"total_wall_seconds\": {total_wall:.6}, \
          \"total_mem_ops_per_sec\": {total_rate:.1}, \
+         \"total_build_seconds\": {total_build:.6}, \"build_seconds\": {{{}}}, \
          \"note\": \"commit {}, cfg-fp {cfg_fp:016x}\"}}\n",
+        builds.join(", "),
         git_commit()
     );
     use std::io::Write as _;
@@ -370,6 +404,7 @@ mod tests {
              \"jobs\": 4, \
              \"total_mem_ops\": 936000, \"total_wall_seconds\": 12.500000, \
              \"total_mem_ops_per_sec\": 74880.0, \
+             \"total_build_seconds\": 0.021000, \"build_seconds\": {{\"Baseline\": 0.002600}}, \
              \"note\": \"commit abc, cfg-fp {:016x}\"}}",
             0xffu64
         );
@@ -381,6 +416,7 @@ mod tests {
         };
         assert!(key.matches(&line));
         assert_eq!(key.latest_rate(&line, "total_mem_ops_per_sec"), Some(74880.0));
+        assert_eq!(key.latest_rate(&line, "total_build_seconds"), Some(0.021));
         let kv = HistoryKey { bench: "kv".to_owned(), ..key };
         assert!(!kv.matches(&line), "kv ratchet must not see sim entries");
     }

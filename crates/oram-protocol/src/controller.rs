@@ -388,6 +388,20 @@ impl PathOram {
     ///
     /// Panics if the configuration is invalid (see [`OramConfig::validate`]).
     pub fn new(cfg: OramConfig) -> Self {
+        let mut oram = PathOram::unplaced(cfg);
+        oram.initialize();
+        // Checksums are derived data: enabling integrity before init would
+        // re-sum every touched bucket across the ~N initialization paths.
+        // One O(total-slots) pass over the populated tree yields the same
+        // sums (they are recomputed from slot contents; the rng stream and
+        // statistics are untouched, so reports cannot change).
+        oram.tree.set_integrity(oram.cfg.integrity);
+        oram
+    }
+
+    /// The ORAM with every block mapped to a leaf but none placed yet:
+    /// empty tree, tree top and stash.
+    fn unplaced(cfg: OramConfig) -> Self {
         cfg.validate();
         let layout = TreeLayout::new(cfg.zalloc.clone());
         let mut rng = SimRng::seed_from(cfg.seed);
@@ -408,7 +422,7 @@ impl PathOram {
             }
         };
         let tree = OramTree::new(layout.clone());
-        let mut oram = PathOram {
+        PathOram {
             cipher: FeistelCipher::new(cfg.seed ^ 0x0BAD_5EED),
             tree,
             stash: Stash::new(cfg.stash_capacity),
@@ -427,43 +441,131 @@ impl PathOram {
             },
             layout,
             cfg,
-        };
-        oram.initialize();
-        // Checksums are derived data: enabling integrity before init would
-        // re-sum every touched bucket across the ~N initialization paths.
-        // One O(total-slots) pass over the populated tree yields the same
-        // sums (they are recomputed from slot contents; the rng stream and
-        // statistics are untouched, so reports cannot change).
-        oram.tree.set_integrity(oram.cfg.integrity);
-        oram
+        }
     }
 
-    /// Paper-style initialization: place every block via one path access in
-    /// a random order.
+    /// Paper-style initialization: every block is inserted once, in a
+    /// random order, by one path access to its leaf. While the stash is
+    /// empty that access is only a greedy fill of the path's blocks plus
+    /// the new one, which [`PathOram::place_on_path`] performs without the
+    /// stash round-trip; an insert that finds the stash non-empty (after
+    /// an S-Stash rejection or a leftover) takes the general path access.
     fn initialize(&mut self) {
         let total = self.posmap.space().total_blocks();
         let mut order: Vec<u64> = (0..total).collect();
         self.rng.shuffle(&mut order);
         for addr in order {
-            let leaf = self
-                .posmap
-                .leaf_of(BlockAddr(addr))
-                .expect("all blocks mapped at init");
-            self.stash.insert(StoredBlock {
-                addr: BlockAddr(addr),
-                leaf,
-                payload: self.encrypt_at_rest(0),
-            });
-            self.path_access(leaf, None, PathType::BgEvict, RemapAction::Remap, &mut WriteOp::None);
-            let mut guard = 0;
-            // lint: allow(secret-flow, init-time background-eviction drain, before any measured access stream)
-            while self.stash.over_capacity() && guard < 32 {
-                let l = self.random_leaf();
-                self.path_access(l, None, PathType::BgEvict, RemapAction::Remap, &mut WriteOp::None);
-                guard += 1;
+            let block = self.init_block(addr);
+            if self.stash.is_empty() {
+                self.place_on_path(block);
+            } else {
+                self.stash.insert(block);
+                self.path_access(
+                    block.leaf,
+                    None,
+                    PathType::BgEvict,
+                    RemapAction::Remap,
+                    &mut WriteOp::None,
+                );
             }
+            self.drain_init_overflow();
         }
         self.reset_stats();
+    }
+
+    /// Block `addr` as initialization inserts it: at its mapped leaf,
+    /// holding plaintext 0.
+    fn init_block(&self, addr: u64) -> StoredBlock {
+        let leaf = self
+            .posmap
+            .leaf_of(BlockAddr(addr))
+            .expect("all blocks mapped at init");
+        StoredBlock {
+            addr: BlockAddr(addr),
+            leaf,
+            payload: self.encrypt_at_rest(0),
+        }
+    }
+
+    /// Init-time background eviction after one insert: up to 32 random-leaf
+    /// paths while the stash is over capacity. Returns the paths taken.
+    fn drain_init_overflow(&mut self) -> usize {
+        let mut evicts = 0;
+        // lint: allow(secret-flow, init-time background-eviction drain, before any measured access stream)
+        while self.stash.over_capacity() && evicts < 32 {
+            self.bg_evict_once();
+            evicts += 1;
+        }
+        evicts
+    }
+
+    /// One init insert into an empty stash, by the same placement as the
+    /// path access to the block's leaf: gather the path's blocks plus
+    /// `block`, plan them by the write-back rule, write back only the
+    /// buckets that receive blocks (every bucket on the path is empty once
+    /// taken), and leave leftovers and S-Stash rejections in the stash.
+    /// Tree, tree top, stash and watermark end as `path_access` leaves
+    /// them; statistics are not kept (initialization resets them).
+    fn place_on_path(&mut self, block: StoredBlock) {
+        debug_assert!(
+            self.stash.is_empty(),
+            "the init kernel needs an empty stash"
+        );
+        let leaf = block.leaf;
+        let cached = self.top.as_ref().map_or(0, |t| t.cached_levels());
+        let mut path = std::mem::take(&mut self.read_buf);
+        path.clear();
+        if let Some(top) = self.top.as_mut() {
+            for level in 0..cached {
+                top.take_bucket_into(level, self.layout.bucket_on_path(leaf, level), &mut path);
+            }
+        }
+        let from_memory = path.len();
+        for level in cached..self.cfg.levels {
+            let bucket = self.layout.bucket_on_path(leaf, level);
+            self.tree.take_bucket_into(level, bucket, &mut path);
+        }
+        if self.cfg.encrypt_payloads {
+            for b in path.iter_mut().skip(from_memory) {
+                b.payload = self.cipher.decrypt(b.payload);
+            }
+        }
+        path.push(block);
+        self.stash.raise_watermark(path.len());
+
+        let mut plan = std::mem::take(&mut self.plan);
+        let top = self.top.as_deref();
+        self.stash.plan_path_into(
+            &self.layout,
+            leaf,
+            &mut path,
+            |level, b| top_accepts(top, cached, level, b),
+            &mut plan,
+        );
+        for level in 0..plan.len() {
+            if plan.level(level).is_empty() {
+                continue;
+            }
+            let bucket = self.layout.bucket_on_path(leaf, level);
+            match self.top.as_mut() {
+                // Rejected blocks join the leftovers in `path`.
+                Some(top) if level < cached => {
+                    top.write_bucket_from(level, bucket, plan.level_mut(level), &mut path);
+                }
+                _ => {
+                    if self.cfg.encrypt_payloads {
+                        for b in plan.level_mut(level).iter_mut() {
+                            b.payload = self.cipher.encrypt(b.payload);
+                        }
+                    }
+                    self.tree
+                        .write_bucket_from(level, bucket, plan.level_mut(level));
+                }
+            }
+        }
+        self.stash.insert_batch(&mut path);
+        self.plan = plan;
+        self.read_buf = path;
     }
 
     // Payloads are stored in the clear inside the stash/top (on-chip); the
@@ -1286,25 +1388,14 @@ impl PathOram {
         // are refilled in place and drained below, so steady-state write
         // phases reallocate nothing.
         let mut plan = std::mem::take(&mut self.plan);
-        let top_ref = self.top.as_deref();
-        self.stash
-            .plan_writeback_into(
-                &self.layout,
-                leaf,
-                0,
-                |level, b| {
-                    if level < cached {
-                        // Bucket identity is irrelevant to both stores' accept
-                        // check (S-Stash keys on the block address).
-                        top_ref
-                            .expect("cached levels imply a top store")
-                            .can_accept(level, 0, b)
-                    } else {
-                        true
-                    }
-                },
-                &mut plan,
-            );
+        let top = self.top.as_deref();
+        self.stash.plan_writeback_into(
+            &self.layout,
+            leaf,
+            0,
+            |level, b| top_accepts(top, cached, level, b),
+            &mut plan,
+        );
         if self.cfg.encrypt_payloads {
             // Batch-encrypt every memory-bound payload through the slice
             // kernel before the write loop; encryption is a per-block
@@ -1348,6 +1439,23 @@ impl PathOram {
 
         (PathRecord { leaf, ptype }, served, payload_out)
     }
+}
+
+/// The write-back placement predicate: a memory level takes any block; a
+/// cached level only one its tree-top store can hold (an S-Stash set may
+/// be full).
+fn top_accepts(
+    top: Option<&(dyn TreeTopStore + Send)>,
+    cached: usize,
+    level: usize,
+    b: &StoredBlock,
+) -> bool {
+    // Bucket identity is irrelevant to both stores' accept check (S-Stash
+    // keys on the block address).
+    level >= cached
+        || top
+            .expect("cached levels imply a top store")
+            .can_accept(level, 0, b)
 }
 
 /// A batched access session over a [`PathOram`].
@@ -1432,6 +1540,152 @@ impl AccessBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AllocPreset;
+    use proptest::prelude::*;
+
+    /// What the reference initialization met on its way: S-Stash
+    /// write-back rejections, inserts that found the stash non-empty (the
+    /// kernel's fallback to a full path access) and init-time background
+    /// evictions.
+    #[derive(Debug, Default)]
+    struct InitTally {
+        sstash_rejects: u64,
+        fallback_inserts: usize,
+        bg_evicts: usize,
+    }
+
+    /// [`PathOram::new`] with the initialization loop the placement kernel
+    /// replaced: every insert goes through the stash and a full path
+    /// access. The reference the equivalence property compares against.
+    fn reference_new(cfg: OramConfig) -> (PathOram, InitTally) {
+        let mut oram = PathOram::unplaced(cfg);
+        let total = oram.posmap.space().total_blocks();
+        let mut order: Vec<u64> = (0..total).collect();
+        oram.rng.shuffle(&mut order);
+        let mut tally = InitTally::default();
+        for addr in order {
+            let block = oram.init_block(addr);
+            tally.fallback_inserts += usize::from(!oram.stash.is_empty());
+            oram.stash.insert(block);
+            oram.path_access(
+                block.leaf,
+                None,
+                PathType::BgEvict,
+                RemapAction::Remap,
+                &mut WriteOp::None,
+            );
+            tally.bg_evicts += oram.drain_init_overflow();
+        }
+        tally.sstash_rejects = oram.stats.sstash_rejects;
+        oram.reset_stats();
+        oram.tree.set_integrity(oram.cfg.integrity);
+        (oram, tally)
+    }
+
+    fn snapshot(oram: &PathOram) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        oram.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A random small configuration: `levels` high, Z uniform or an
+    /// IR-Alloc preset, up to `util_pct` of the slots holding blocks.
+    /// `pressure` 1 fills every slot plus a tenth of the tree in stash
+    /// blocks and shrinks the S-Stash to one entry, so blocks bound for
+    /// the tree top get rejected or left over and stay in the stash; 2
+    /// fills exactly the slots and drops the stash's soft capacity to
+    /// zero, so every leftover triggers background eviction.
+    fn init_config(
+        levels: usize,
+        shape: u8,
+        treetop: u8,
+        pressure: u8,
+        util_pct: u64,
+        encrypt: bool,
+        seed: u64,
+    ) -> OramConfig {
+        let cached = (levels / 3).max(1);
+        let zalloc = match shape {
+            0 => ZAllocation::uniform(levels, 4),
+            1 => ZAllocation::uniform(levels, 2),
+            2 => ZAllocation::preset(AllocPreset::IrAlloc1, levels, cached),
+            _ => ZAllocation::preset(AllocPreset::IrAlloc4, levels, cached),
+        };
+        let slots = zalloc.total_slots();
+        let util_pct = match pressure {
+            0 => util_pct,
+            1 => 110,
+            _ => 100,
+        };
+        // The most data blocks whose PosMap blocks still keep the total
+        // within the target.
+        let target = slots * util_pct / 100;
+        let mut data_blocks = target;
+        while AddressSpace::new(data_blocks).total_blocks() > target {
+            data_blocks -= 1;
+        }
+        let treetop = match (treetop, pressure) {
+            (_, 1..) => TreeTopMode::IrStash {
+                levels: cached,
+                sets: 1,
+                ways: 1,
+            },
+            (0, _) => TreeTopMode::None,
+            (1, _) => TreeTopMode::Dedicated { levels: cached },
+            _ => TreeTopMode::ir_stash_sized(cached),
+        };
+        OramConfig {
+            levels,
+            data_blocks,
+            zalloc,
+            treetop,
+            stash_capacity: if pressure == 2 {
+                0
+            } else {
+                slots as usize / 10
+            },
+            plb_sets: 4,
+            plb_ways: 2,
+            remap: RemapPolicy::Immediate,
+            max_bg_evicts_per_access: 8,
+            encrypt_payloads: encrypt,
+            integrity: seed & 1 == 1,
+            seed,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The placement kernel builds byte-for-byte the state of the
+        /// reference loop: tree, tree top, stash and watermark, PosMap,
+        /// RNG stream and statistics. Under pressure both of the kernel's
+        /// fallbacks must actually run.
+        #[test]
+        fn init_kernel_matches_the_reference_loop(
+            levels in 3usize..10,
+            shape in 0u8..4,
+            treetop in 0u8..3,
+            pressure in 0u8..3,
+            util_pct in 20u64..70,
+            encrypt in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let cfg = init_config(levels, shape, treetop, pressure, util_pct, encrypt, seed);
+            let (reference, tally) = reference_new(cfg.clone());
+            let kernel = PathOram::new(cfg.clone());
+            prop_assert!(snapshot(&kernel) == snapshot(&reference), "{cfg:?}");
+            kernel.check_invariants().expect("kernel-built ORAM is sound");
+            match pressure {
+                1 => prop_assert!(
+                    tally.sstash_rejects > 0 && tally.fallback_inserts > 0,
+                    "{cfg:?} {tally:?}"
+                ),
+                2 => prop_assert!(tally.bg_evicts > 0, "{cfg:?} {tally:?}"),
+                _ => {}
+            }
+        }
+    }
 
     #[test]
     fn warm_plb_covering_the_map_hits_every_address() {
@@ -1720,6 +1974,32 @@ mod tests {
         let mut b = tiny_with(TreeTopMode::None, RemapPolicy::Immediate);
         let mut r = SnapReader::new(&bytes);
         assert!(b.restore_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_bucket_fill_beyond_z() {
+        // The last leaf bucket's fill count sits at the end of the tree's
+        // count table: slot count + slots, level count + level totals,
+        // bucket count + u32 counts.
+        let cfg = OramConfig {
+            integrity: false,
+            ..OramConfig::tiny()
+        };
+        let a = PathOram::new(cfg.clone());
+        let mut w = SnapWriter::new();
+        a.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let slots = a.layout().total_slots() as usize;
+        let buckets = (1usize << cfg.levels) - 1;
+        let at = 8 + 24 * slots + 8 + 8 * cfg.levels + 8 + 4 * (buckets - 1);
+        let used = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert!(used <= 4, "offset lands on a fill count ({used})");
+        bytes[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
+        let mut b = PathOram::new(cfg);
+        assert!(matches!(
+            b.restore_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

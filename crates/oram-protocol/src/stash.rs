@@ -363,7 +363,7 @@ impl Stash {
         layout: &TreeLayout,
         leaf: Leaf,
         top_level: usize,
-        mut may_place: impl FnMut(usize, &StoredBlock) -> bool,
+        may_place: impl FnMut(usize, &StoredBlock) -> bool,
         plan: &mut WritebackPlan,
     ) {
         let levels = layout.levels();
@@ -399,72 +399,16 @@ impl Stash {
             // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
             self.sorted[pos] = (depth, idx);
         }
-        self.placed.clear();
-        self.placed.resize(n, false);
-        self.skipped.clear();
-
-        // --- Greedy deepest-first fill (unchanged placement rule). ---
-        //
-        // An entry the cursor passes without placing was rejected by
-        // `may_place`; it lands on the `skipped` list (in cursor order, i.e.
-        // global candidate order) so shallower levels can revisit exactly
-        // those entries instead of rescanning the whole prefix — every
-        // unplaced entry before the cursor is on the list by construction.
-        let mut cursor = 0usize;
-        for level in (top_level..levels).rev() {
-            let cap = layout.z_of(level) as usize;
-            let slot_idx = level - top_level;
-            // Blocks with common depth ≥ level can live at `level` (or
-            // deeper, but deeper levels were already filled).
-            while cursor < n && plan.levels[slot_idx].len() < cap {
-                // lint: allow(panic, cursor < n and indices come from enumerate)
-                let (depth, idx) = self.sorted[cursor];
-                // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-                if (depth as usize) < level {
-                    break;
-                }
-                cursor += 1;
-                // lint: allow(panic, idx comes from enumerate over blocks)
-                let b = &self.blocks[idx as usize];
-                if !may_place(level, b) {
-                    // Skipped this round (e.g. S-Stash set full); still a
-                    // candidate for shallower levels.
-                    self.skipped.push((depth, idx));
-                    continue;
-                }
-                plan.levels[slot_idx].push(*b);
-                // lint: allow(panic, idx < n by construction)
-                self.placed[idx as usize] = true;
-            }
-            // Give passed-over candidates another chance at this level:
-            // they were rejected by may_place at deeper levels (or at this
-            // one, if a deeper set freed up mid-fill) and remain eligible.
-            if plan.levels[slot_idx].len() < cap {
-                for k in 0..self.skipped.len() {
-                    if plan.levels[slot_idx].len() >= cap {
-                        break;
-                    }
-                    // lint: allow(panic, k < skipped.len())
-                    let (depth, idx) = self.skipped[k];
-                    // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-                    if (depth as usize) < level {
-                        continue;
-                    }
-                    // lint: allow(panic, idx < n by construction)
-                    if self.placed[idx as usize] {
-                        continue;
-                    }
-                    // lint: allow(panic, idx comes from enumerate over blocks)
-                    let b = &self.blocks[idx as usize];
-                    if !may_place(level, b) {
-                        continue;
-                    }
-                    plan.levels[slot_idx].push(*b);
-                    // lint: allow(panic, idx < n by construction)
-                    self.placed[idx as usize] = true;
-                }
-            }
-        }
+        greedy_fill(
+            layout,
+            top_level,
+            &self.sorted,
+            &self.blocks,
+            may_place,
+            plan,
+            &mut self.placed,
+            &mut self.skipped,
+        );
 
         // --- Sweep: drop every placed block, preserving address order. ---
         let mut w = 0usize;
@@ -479,6 +423,150 @@ impl Stash {
             }
         }
         self.blocks.truncate(w);
+    }
+
+    /// Raises the occupancy high-water mark to `n`: a path placed by
+    /// [`Stash::plan_path_into`] never enters the stash, but its `n` blocks
+    /// would all have sat here between the read and write phases of a
+    /// stash round-trip, and the watermark is part of the logical state.
+    pub(crate) fn raise_watermark(&mut self, n: usize) {
+        self.max_occupancy = self.max_occupancy.max(n);
+    }
+
+    /// Plans the write-back of a path whose blocks are *not* stash
+    /// residents: `path` holds every block read off the path to `leaf`
+    /// plus any block being inserted. The plan is exactly the one
+    /// [`Stash::plan_writeback_into`] makes for a stash holding just those
+    /// blocks — the same (depth desc, addr asc) candidate order and the
+    /// same [`greedy_fill`] — but the order comes from one comparison sort
+    /// on a packed key instead of a stash merge plus a counting sort.
+    /// Placed blocks move into `plan`; unplaced ones stay in `path`. Only
+    /// the stash's planning scratch is used; its blocks are untouched.
+    pub(crate) fn plan_path_into(
+        &mut self,
+        layout: &TreeLayout,
+        leaf: Leaf,
+        path: &mut Vec<StoredBlock>,
+        may_place: impl FnMut(usize, &StoredBlock) -> bool,
+        plan: &mut WritebackPlan,
+    ) {
+        let levels = layout.levels();
+        plan.reset(levels);
+        // Depth descending in the top bits, address ascending below: one
+        // integer compare per pair (levels <= 64 needs 6 bits).
+        path.sort_unstable_by_key(|b| {
+            debug_assert!(b.addr.0 < 1 << 58, "block address exceeds the packed key");
+            ((levels - 1 - layout.common_depth(b.leaf, leaf)) as u64) << 58 | b.addr.0
+        });
+        self.sorted.clear();
+        self.sorted.extend(
+            path.iter()
+                .enumerate()
+                .map(|(i, b)| (layout.common_depth(b.leaf, leaf) as u32, i as u32)),
+        );
+        greedy_fill(
+            layout,
+            0,
+            &self.sorted,
+            path,
+            may_place,
+            plan,
+            &mut self.placed,
+            &mut self.skipped,
+        );
+        let placed = &self.placed;
+        let mut i = 0;
+        path.retain(|_| {
+            // lint: allow(panic, retain visits each of the path.len() == placed.len() blocks once, in order)
+            let keep = !placed[i];
+            i += 1;
+            keep
+        });
+    }
+}
+
+/// The Path ORAM placement rule, shared by every write-back: fill levels
+/// `[top_level, L)` of `plan` deepest first, each up to its `Z`, from
+/// `cands` — `(common depth with the path, index into blocks)` pairs in
+/// (depth desc, addr asc) order — and resetting `placed` to flag, per
+/// block, whether it was placed. Blocks are pushed as deep as possible; the greedy deepest-first order
+/// is optimal for maximizing placed blocks.
+///
+/// `may_place` can veto a block at a level (IR-Stash when an S-Stash set
+/// is full: the block is "skipped this round", paper Section IV-C). A
+/// vetoed block stays a candidate for shallower levels.
+#[allow(clippy::too_many_arguments)]
+fn greedy_fill(
+    layout: &TreeLayout,
+    top_level: usize,
+    cands: &[(u32, u32)],
+    blocks: &[StoredBlock],
+    mut may_place: impl FnMut(usize, &StoredBlock) -> bool,
+    plan: &mut WritebackPlan,
+    placed: &mut Vec<bool>,
+    skipped: &mut Vec<(u32, u32)>,
+) {
+    let n = cands.len();
+    placed.clear();
+    placed.resize(blocks.len(), false);
+    skipped.clear();
+    // An entry the cursor passes without placing was rejected by
+    // `may_place`; it lands on the `skipped` list (in cursor order, i.e.
+    // global candidate order) so shallower levels can revisit exactly
+    // those entries instead of rescanning the whole prefix — every
+    // unplaced entry before the cursor is on the list by construction.
+    let mut cursor = 0usize;
+    let mut unplaced = n;
+    for level in (top_level..layout.levels()).rev() {
+        if unplaced == 0 {
+            // Every candidate is placed: the shallower levels stay empty.
+            break;
+        }
+        let cap = layout.z_of(level) as usize;
+        let slot = &mut plan.levels[level - top_level];
+        // Blocks with common depth ≥ level can live at `level` (or
+        // deeper, but deeper levels were already filled).
+        while cursor < n && slot.len() < cap {
+            // lint: allow(panic, cursor < n = cands.len())
+            let (depth, idx) = cands[cursor];
+            if (depth as usize) < level {
+                break;
+            }
+            cursor += 1;
+            // lint: allow(panic, candidate indices address blocks by construction)
+            let b = &blocks[idx as usize];
+            if !may_place(level, b) {
+                // Skipped this round (e.g. S-Stash set full); still a
+                // candidate for shallower levels.
+                skipped.push((depth, idx));
+                continue;
+            }
+            slot.push(*b);
+            // lint: allow(panic, placed has one flag per block)
+            placed[idx as usize] = true;
+            unplaced -= 1;
+        }
+        // Give passed-over candidates another chance at this level: they
+        // were rejected by may_place at deeper levels (or at this one, if
+        // a deeper set freed up mid-fill) and remain eligible.
+        for &(depth, idx) in skipped.iter() {
+            if slot.len() >= cap {
+                break;
+            }
+            // lint: allow(panic, placed has one flag per block)
+            if (depth as usize) < level || placed[idx as usize] {
+                continue;
+            }
+            // lint: allow(panic, candidate indices address blocks by construction)
+            let b = &blocks[idx as usize];
+            if !may_place(level, b) {
+                continue;
+            }
+            slot.push(*b);
+            // lint: allow(panic, placed has one flag per block)
+            placed[idx as usize] = true;
+            unplaced -= 1;
+        }
     }
 }
 

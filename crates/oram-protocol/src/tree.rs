@@ -571,7 +571,10 @@ impl OramTree {
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] if the snapshot's geometry or integrity mode
-    /// disagrees with this tree; any [`SnapError`] on truncation.
+    /// disagrees with this tree, or its fill counts disagree with its slots
+    /// (a count above `Z`, real and dummy slots out of their packed order,
+    /// or a level total that is not its buckets' sum); any [`SnapError`]
+    /// on truncation.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.take_seq_len(24)?;
         if n != self.slots.len() {
@@ -597,6 +600,7 @@ impl OramTree {
             let v = r.take_u32()?;
             *u = u16::try_from(v).map_err(|_| SnapError::Corrupt("bucket fill exceeds u16"))?;
         }
+        self.check_fill_counts()?;
         if r.take_bool()? != self.integrity {
             return Err(SnapError::Corrupt("integrity mode mismatch"));
         }
@@ -627,6 +631,43 @@ impl OramTree {
             recovered: r.take_u64()?,
             undetected: r.take_u64()?,
         };
+        Ok(())
+    }
+
+    /// Checks the restored fill counts against the slots: every bucket's
+    /// count fits its `Z`, its slots `[0, used)` are real and `[used, Z)`
+    /// dummy (the packed prefix the take and write fast paths index by),
+    /// and each level's total is the sum of its buckets' counts.
+    fn check_fill_counts(&self) -> Result<(), SnapError> {
+        for level in 0..self.layout.levels() {
+            let z = self.layout.z_of(level) as usize;
+            let mut level_used = 0u64;
+            for bucket in 0..(1u64 << level) {
+                // lint: allow(panic, bucket_index < used.len() = 2^L - 1 for every (level, bucket) of the layout)
+                let used = self.used[self.bucket_index(level, bucket)] as usize;
+                if used > z {
+                    return Err(SnapError::Corrupt("bucket fill exceeds its Z"));
+                }
+                level_used += used as u64;
+                if z == 0 {
+                    continue;
+                }
+                let base = self.layout.slot_index(level, bucket, 0);
+                // lint: allow(panic, a bucket's Z slots lie inside the arena the layout sized)
+                let slots = &self.slots[base..base + z];
+                if slots
+                    .iter()
+                    .enumerate()
+                    .any(|(i, s)| (s.addr != DUMMY) != (i < used))
+                {
+                    return Err(SnapError::Corrupt("bucket fill disagrees with its slots"));
+                }
+            }
+            // lint: allow(panic, used_per_level has one entry per level)
+            if self.used_per_level[level] != level_used {
+                return Err(SnapError::Corrupt("level fill disagrees with its buckets"));
+            }
+        }
         Ok(())
     }
 
@@ -826,6 +867,77 @@ mod tests {
         let mut fresh = tree3(); // integrity off
         let mut r = SnapReader::new(&bytes);
         assert!(fresh.restore_state(&mut r).is_err());
+    }
+
+    /// A tree snapshot with its integrity flag off, the fill counts of
+    /// bucket `(2, 1)` and level 2 at known offsets for corruption tests.
+    fn snapshot_with_fill_offsets() -> (Vec<u8>, usize, usize) {
+        let mut t = tree3();
+        t.write_bucket(2, 1, vec![blk(10, 1)]);
+        let mut w = SnapWriter::new();
+        t.save_state(&mut w);
+        // Slot count + 14 slots of 24 bytes, level count + 3 level totals,
+        // bucket count + 7 u32 bucket counts.
+        let level_totals = 8 + 14 * 24 + 8;
+        let bucket_counts = level_totals + 3 * 8 + 8;
+        let level2 = level_totals + 2 * 8;
+        let bucket_2_1 = bucket_counts + 4 * ((1 << 2) - 1 + 1);
+        (w.into_bytes(), bucket_2_1, level2)
+    }
+
+    fn restore_patched(bytes: &[u8], at: usize, v: u32) -> Result<(), SnapError> {
+        let mut bytes = bytes.to_vec();
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        tree3().restore_state(&mut SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn restore_accepts_its_own_snapshot() {
+        let (bytes, bucket, _) = snapshot_with_fill_offsets();
+        assert_eq!(restore_patched(&bytes, bucket, 1), Ok(()));
+    }
+
+    #[test]
+    fn restore_rejects_fill_count_beyond_z() {
+        // Before the check, a count above Z restored fine and the next take
+        // sliced past the bucket (and, at the last bucket, the arena).
+        let (bytes, bucket, level) = snapshot_with_fill_offsets();
+        let mut bytes = bytes;
+        bytes[level..level + 8].copy_from_slice(&3u64.to_le_bytes());
+        assert!(matches!(
+            restore_patched(&bytes, bucket, 3),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_fill_count_disagreeing_with_slots() {
+        let (bytes, bucket, level) = snapshot_with_fill_offsets();
+        // Within Z, but slot 1 is a dummy: not a packed prefix.
+        let mut two = bytes.clone();
+        two[level..level + 8].copy_from_slice(&2u64.to_le_bytes());
+        assert!(matches!(
+            restore_patched(&two, bucket, 2),
+            Err(SnapError::Corrupt(_))
+        ));
+        // Zero while slot 0 holds a real block.
+        let mut zero = bytes;
+        zero[level..level + 8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            restore_patched(&zero, bucket, 0),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_level_total_disagreeing_with_buckets() {
+        let (bytes, _, level) = snapshot_with_fill_offsets();
+        let mut bytes = bytes;
+        bytes[level..level + 8].copy_from_slice(&2u64.to_le_bytes());
+        assert!(matches!(
+            tree3().restore_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]
