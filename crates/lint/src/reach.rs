@@ -25,11 +25,10 @@ use crate::source::SourceFile;
 use crate::{Finding, HOT_PATH_FILES};
 
 /// The per-slot entry points the reachability walk starts from: one slot
-/// of simulated work in the timed controllers.
-pub const ENTRY_POINTS: [(&str, &str); 2] = [
-    ("crates/oram-ctrl/src/controller.rs", "process_slot"),
-    ("crates/oram-ctrl/src/rho.rs", "process_slot"),
-];
+/// of simulated work in the timed controller's slot engine (every scheme's
+/// path chooser is called from it).
+pub const ENTRY_POINTS: [(&str, &str); 1] =
+    [("crates/oram-ctrl/src/controller.rs", "process_slot")];
 
 /// Section-name prefix distinguishing reach budgets from per-file hot-path
 /// budgets inside `lint-ratchet.toml`.
@@ -247,13 +246,11 @@ mod tests {
     }
 
     const ENTRY_A: &str = "impl Controller {\n    pub fn process_slot(&mut self) -> Result<(), E> {\n        helper_step(self.t);\n        Ok(())\n    }\n}\n";
-    const ENTRY_B: &str = "impl RhoController {\n    pub fn process_slot(&mut self) -> Result<(), E> { Ok(()) }\n}\n";
 
     #[test]
     fn reachable_helper_sites_are_inventoried() {
         let files = ws(&[
             ("crates/oram-ctrl/src/controller.rs", ENTRY_A),
-            ("crates/oram-ctrl/src/rho.rs", ENTRY_B),
             (
                 "crates/sim-engine/src/util.rs",
                 "pub fn helper_step(t: u64) -> u64 {\n    deeper(t)\n}\nfn deeper(t: u64) -> u64 {\n    SLOTS[t as usize].unwrap()\n}\nfn unrelated() {\n    oops.unwrap();\n}\n",
@@ -276,7 +273,6 @@ mod tests {
                 "crates/oram-ctrl/src/controller.rs",
                 "impl C {\n    pub fn process_slot(&mut self) { self.v[0].unwrap(); }\n}\n",
             ),
-            ("crates/oram-ctrl/src/rho.rs", ENTRY_B),
         ]);
         let a = analyze(&files);
         assert!(a.sites.is_empty(), "{:?}", a.sites);
@@ -286,7 +282,6 @@ mod tests {
     fn allowed_sites_do_not_count() {
         let files = ws(&[
             ("crates/oram-ctrl/src/controller.rs", ENTRY_A),
-            ("crates/oram-ctrl/src/rho.rs", ENTRY_B),
             (
                 "crates/sim-engine/src/util.rs",
                 "pub fn helper_step(t: u64) -> u64 {\n    // lint: allow(panic, t is clamped by the caller)\n    SLOTS[t as usize]\n}\n",
@@ -299,12 +294,12 @@ mod tests {
     #[test]
     fn missing_entry_point_is_a_finding() {
         let files = ws(&[
-            ("crates/oram-ctrl/src/controller.rs", ENTRY_A),
-            ("crates/oram-ctrl/src/rho.rs", "fn other() {}\n"),
+            ("crates/oram-ctrl/src/controller.rs", "fn other() {}\n"),
+            ("crates/oram-ctrl/src/rho.rs", ENTRY_A),
         ]);
         let a = analyze(&files);
         assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
-        assert_eq!(a.findings[0].file, "crates/oram-ctrl/src/rho.rs");
+        assert_eq!(a.findings[0].file, "crates/oram-ctrl/src/controller.rs");
         assert!(a.findings[0].message.contains("entry point"));
     }
 

@@ -1,17 +1,28 @@
-//! The timed ORAM controller: fixed-rate path issue over the DRAM model.
+//! The timed ORAM controller: one fixed-rate slot engine for every scheme.
+//!
+//! [`TimedController`] owns the timing-channel discipline — the DRAM system
+//! and path tables, the slot clock and its pacing, the k-deep pipeline and
+//! write deferral, stash-pressure degradation, the fault plan, the audit
+//! hooks, completions and slot accounting. A [`PathChooser`] supplies only
+//! the scheme's work: which path each slot carries. [`SingleTree`] serves
+//! every scheme but ρ; [`RhoTrees`] holds ρ's main and small trees.
 
 use std::collections::VecDeque;
 
 use iroram_cache::MemoryHierarchy;
 use serde::{Deserialize, Serialize};
-use iroram_dram::{DramSystem, MemRequest, PathTable, SubtreeLayout};
-use iroram_protocol::{BlockAddr, IntegrityStats, PathOram, PathRecord, RemapPolicy};
+use iroram_dram::{DramStats, DramSystem, MemRequest, PathTable, SubtreeLayout};
+use iroram_protocol::{
+    BlockAddr, IntegrityStats, PathOram, PathRecord, ProtocolStats, RemapPolicy,
+};
 use iroram_sim_engine::{
     profiler, ClockRatio, Cycle, FaultPlan, InjectedFaults, SnapError, SnapReader, SnapWriter,
 };
 
 use crate::audit::{AuditReport, AuditState};
+use crate::dwb::DwbStats;
 use crate::pipeline::{self, PipelineState, PipelineStats};
+use crate::rho::RhoTrees;
 use crate::{DwbEngine, SimError, SystemConfig};
 
 /// Identifier of an in-flight ORAM request.
@@ -81,42 +92,318 @@ pub struct StashPressure {
     pub throttled_admissions: u64,
 }
 
-#[derive(Debug)]
-enum Work {
-    /// A demand request: pending PosMap fetches, then the data path.
-    Request {
-        req: OramRequest,
-        pm: VecDeque<BlockAddr>,
-    },
-    /// A delayed-remap write-back: PosMap fetches, then a free stash insert.
-    DelayedWb {
-        addr: BlockAddr,
-        pm: VecDeque<BlockAddr>,
-    },
+/// The tree a path belongs to. Only ρ has a small tree; its paths use the
+/// DRAM region after the main tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tree {
+    Main,
+    Small,
 }
 
-/// The timed Path ORAM controller for all single-tree schemes.
+/// The [`SlotStats`] category a slot counts under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SlotKind {
+    Real,
+    Bg,
+    Converted,
+    Dummy,
+}
+
+/// A path a chooser picked for this slot (a real or bg-eviction path).
+#[derive(Debug)]
+pub(crate) struct Pick {
+    pub(crate) path: PathRecord,
+    pub(crate) kind: SlotKind,
+    /// Blocking request the path's read phase completes.
+    pub(crate) completes: Option<ReqId>,
+}
+
+impl Pick {
+    pub(crate) fn real(path: PathRecord, completes: Option<ReqId>) -> Self {
+        Pick {
+            path,
+            kind: SlotKind::Real,
+            completes,
+        }
+    }
+
+    pub(crate) fn bg(path: PathRecord) -> Self {
+        Pick {
+            path,
+            kind: SlotKind::Bg,
+            completes: None,
+        }
+    }
+}
+
+/// What the engine lends a chooser for one slot.
+pub(crate) struct SlotCtx<'a> {
+    /// The slot's issue time.
+    pub(crate) t: Cycle,
+    /// Degraded mode: eligible new work must wait.
+    pub(crate) throttle: bool,
+    /// A fault-injected storm suppresses background eviction.
+    pub(crate) storm: bool,
+    pub(crate) pipe: Option<&'a mut PipelineState>,
+    audit: Option<&'a mut AuditState>,
+    front_hit_lat: u64,
+    completions: &'a mut Vec<(ReqId, Cycle)>,
+    throttled_admissions: &'a mut u64,
+}
+
+impl SlotCtx<'_> {
+    /// Oracle check for a block the protocol just served.
+    pub(crate) fn oracle_read(&mut self, addr: BlockAddr, payload: u64) {
+        if let Some(audit) = &mut self.audit {
+            audit.oracle_read(addr.0, payload);
+        }
+    }
+
+    /// Completes request `id`, served on-chip during this slot.
+    pub(crate) fn complete_on_chip(&mut self, id: ReqId) {
+        self.completions.push((id, self.t + self.front_hit_lat));
+    }
+
+    /// Counts an eligible admission the degradation throttle deferred.
+    pub(crate) fn throttled(&mut self) {
+        *self.throttled_admissions += 1;
+    }
+}
+
+/// The scheme half of the engine: which path each slot carries. A closed
+/// set — a new scheme is a new variant, not a new controller. (Variants
+/// are boxed: each embeds whole protocol instances.)
+#[derive(Debug)]
+pub(crate) enum PathChooser {
+    /// One tree (every scheme but ρ).
+    SingleTree(Box<SingleTree>),
+    /// ρ's main and small trees.
+    RhoTrees(Box<RhoTrees>),
+}
+
+impl PathChooser {
+    fn new(cfg: &SystemConfig) -> Self {
+        if cfg.scheme.uses_rho() {
+            PathChooser::RhoTrees(Box::new(RhoTrees::new(cfg)))
+        } else {
+            PathChooser::SingleTree(Box::new(SingleTree::new(cfg)))
+        }
+    }
+
+    /// The main tree (the only one outside ρ).
+    fn main(&self) -> &PathOram {
+        match self {
+            PathChooser::SingleTree(s) => &s.protocol,
+            PathChooser::RhoTrees(r) => &r.main,
+        }
+    }
+
+    fn main_mut(&mut self) -> &mut PathOram {
+        match self {
+            PathChooser::SingleTree(s) => &mut s.protocol,
+            PathChooser::RhoTrees(r) => &mut r.main,
+        }
+    }
+
+    /// ρ's small tree.
+    fn small(&self) -> Option<&PathOram> {
+        match self {
+            PathChooser::SingleTree(_) => None,
+            PathChooser::RhoTrees(r) => Some(&r.small),
+        }
+    }
+
+    /// Every tree, main first.
+    fn trees(&self) -> impl Iterator<Item = &PathOram> {
+        std::iter::once(self.main()).chain(self.small())
+    }
+
+    fn dwb(&self) -> Option<&DwbEngine> {
+        match self {
+            PathChooser::SingleTree(s) => s.dwb.as_ref(),
+            PathChooser::RhoTrees(_) => None,
+        }
+    }
+
+    fn front_try(&mut self, addr: BlockAddr, audit: Option<&mut AuditState>) -> bool {
+        match self {
+            PathChooser::SingleTree(s) => front_serve(&mut s.protocol, addr, audit),
+            PathChooser::RhoTrees(r) => r.front_try(addr, audit),
+        }
+    }
+
+    fn submit(&mut self, req: OramRequest) {
+        match self {
+            PathChooser::SingleTree(s) => s.queue.push_back(req),
+            PathChooser::RhoTrees(r) => r.submit(req),
+        }
+    }
+
+    fn on_llc_eviction(
+        &mut self,
+        addr: BlockAddr,
+        dirty: bool,
+        now: Cycle,
+        id: ReqId,
+        audit: Option<&mut AuditState>,
+    ) {
+        match self {
+            PathChooser::SingleTree(s) => s.on_llc_eviction(addr, dirty, now, id, audit),
+            PathChooser::RhoTrees(r) => r.on_llc_eviction(addr, dirty, now),
+        }
+    }
+
+    fn queue_len(&self) -> usize {
+        match self {
+            PathChooser::SingleTree(s) => s.queue.len() + usize::from(s.current.is_some()),
+            PathChooser::RhoTrees(r) => r.queue_len(),
+        }
+    }
+
+    /// Queued or in-progress requests and write-backs (bg eviction aside).
+    fn has_queued_work(&self) -> bool {
+        match self {
+            PathChooser::SingleTree(s) => {
+                s.current.is_some() || !s.queue.is_empty() || !s.wb_queue.is_empty()
+            }
+            PathChooser::RhoTrees(r) => r.has_queued_work(),
+        }
+    }
+
+    /// Picks this slot's path and the tree the slot belongs to; `None`
+    /// leaves the slot idle (converted or dummy).
+    fn slot_path(&mut self, ctx: &mut SlotCtx<'_>) -> Result<(Tree, Option<Pick>), SimError> {
+        match self {
+            PathChooser::SingleTree(s) => Ok((Tree::Main, s.slot_path(ctx)?)),
+            PathChooser::RhoTrees(r) => r.slot_path(ctx),
+        }
+    }
+
+    /// IR-DWB: converts an idle slot into an early write-back path.
+    fn convert_idle(
+        &mut self,
+        hierarchy: &mut MemoryHierarchy,
+        t: Cycle,
+    ) -> Result<Option<PathRecord>, SimError> {
+        match self {
+            PathChooser::SingleTree(s) => match &mut s.dwb {
+                Some(dwb) => dwb.try_convert(&mut s.protocol, hierarchy, t),
+                None => Ok(None),
+            },
+            PathChooser::RhoTrees(_) => Ok(None),
+        }
+    }
+
+    /// The dummy path of an idle slot: each dummy uses the slot's own tree.
+    fn dummy_path(&mut self, tree: Tree) -> PathRecord {
+        match (self, tree) {
+            (PathChooser::RhoTrees(r), Tree::Small) => r.small.dummy_path(),
+            (c, _) => c.main_mut().dummy_path(),
+        }
+    }
+
+    /// Next slot time of an idle slot without timing protection: the single
+    /// tree jumps to the next queued arrival, ρ waits one interval.
+    fn idle_next_slot(&self, t: Cycle, t_interval: u64) -> Cycle {
+        match self {
+            PathChooser::SingleTree(s) => match s.queue.front() {
+                Some(r) if r.arrival > t => r.arrival,
+                _ => t + t_interval,
+            },
+            PathChooser::RhoTrees(_) => t + t_interval,
+        }
+    }
+
+    /// Structural invariant sweep of every tree.
+    fn note_structural(&self, audit: &mut AuditState) {
+        match self {
+            PathChooser::SingleTree(s) => {
+                audit.note_structural("protocol", s.protocol.check_invariants());
+            }
+            PathChooser::RhoTrees(r) => {
+                audit.note_structural("main tree", r.main.check_invariants());
+                audit.note_structural("small tree", r.small.check_invariants());
+            }
+        }
+    }
+
+    /// IR-DWB coherence: victim, scanner lock and the LLC's dirty bit agree.
+    fn check_dwb(&self, audit: &mut AuditState, hierarchy: &MemoryHierarchy) {
+        if let Some(dwb) = self.dwb() {
+            match dwb.check_coherence(hierarchy) {
+                Ok(()) => audit.passed(),
+                Err(e) => audit.violation(format!("dwb: {e}")),
+            }
+        }
+    }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        match self {
+            PathChooser::SingleTree(s) => {
+                w.put_u8(0);
+                s.save_state(w);
+            }
+            PathChooser::RhoTrees(r) => {
+                w.put_u8(1);
+                r.save_state(w);
+            }
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match (r.take_u8()?, self) {
+            (0, PathChooser::SingleTree(s)) => s.restore_state(r),
+            (1, PathChooser::RhoTrees(t)) => t.restore_state(r),
+            _ => Err(SnapError::Corrupt("path-chooser mismatch (single tree vs ρ)")),
+        }
+    }
+}
+
+/// One tree's DRAM region: the precomputed path→line table, its line
+/// offset, and the memory-backed lines per path.
+#[derive(Debug)]
+struct Region {
+    table: PathTable,
+    offset: u64,
+    lines: u64,
+}
+
+/// The per-tree regions (fixed at construction).
+#[derive(Debug)]
+struct Regions {
+    main: Region,
+    small: Option<Region>,
+}
+
+impl Regions {
+    fn get(&self, tree: Tree) -> &Region {
+        match (tree, &self.small) {
+            (Tree::Small, Some(small)) => small,
+            _ => &self.main,
+        }
+    }
+}
+
+/// The timed Path ORAM controller for every scheme.
 ///
 /// Drives the functional protocol one path per slot, schedules each path's
-/// block reads/writes on the DRAM model (via the subtree layout), enforces
-/// the timing-channel discipline (a slot every `T` cycles, dummies when
-/// idle, every path identical in shape), and hosts the IR-DWB engine.
+/// block reads/writes on the DRAM model (via the subtree layout), and
+/// enforces the timing-channel discipline: a slot every `T` cycles,
+/// dummies when idle, every path identical in shape.
 #[derive(Debug)]
 pub struct TimedController {
-    /// The functional protocol instance.
-    pub protocol: PathOram,
+    pub(crate) chooser: PathChooser,
     dram: DramSystem,
-    /// Precomputed path→line-address table over the memory-backed layout
-    /// (the layout is fixed at construction, so this never changes).
-    // lint: allow(snapshot-drift, precomputed from the layout at construction)
-    path_table: PathTable,
+    // lint: allow(snapshot-drift, precomputed from the layouts at construction)
+    regions: Regions,
     /// Reused request buffer for path read/write-back batches: filled from
-    /// `path_table` per path, rewritten in place for the write phase.
+    /// the path table per path, rewritten in place for the write phase.
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     reqs_buf: Vec<MemRequest>,
     /// Pipelined mode's deferred write-back batch (the read-priority write
-    /// buffer): slot `i`'s writes wait here until slot `i+1`'s read batch
-    /// has been scheduled. Always empty at effective depth 1.
+    /// buffer, shared by every tree — the slot schedule is one stream):
+    /// slot `i`'s writes wait here until slot `i+1`'s read batch has been
+    /// scheduled. Always empty at effective depth 1.
     write_buf: Vec<MemRequest>,
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     t_interval: u64,
@@ -129,24 +416,22 @@ pub struct TimedController {
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     front_hit_lat: u64,
     next_slot: Cycle,
-    queue: VecDeque<OramRequest>,
-    wb_queue: VecDeque<BlockAddr>,
-    current: Option<Work>,
     /// The k-deep access pipeline; `None` at effective depth 1, where the
     /// serial code paths run verbatim (see [`crate::pipeline`]).
     pipe: Option<PipelineState>,
-    dwb: Option<DwbEngine>,
     completions: Vec<(ReqId, Cycle)>,
     slot_stats: SlotStats,
     last_write_done: Cycle,
+    /// Audit state (ρ: oracle over the main tree only — small-tree slots
+    /// are re-used by different data blocks).
     audit: Option<Box<AuditState>>,
     /// Fault plan (None when every rate is zero — the common case).
     faults: Option<FaultPlan>,
     /// CPU cycles charged per detected-and-repaired corrupted bucket.
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     refetch_lat: u64,
-    /// Hard stash limit; staying over it past the bounded grace is a
-    /// transient `SimError`.
+    /// Hard limit on any stash; staying over it past the bounded grace is
+    /// a transient `SimError`.
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     stash_hard_limit: usize,
     /// Degradation watermark (¾ of the hard limit): above it, new-work
@@ -167,43 +452,40 @@ pub struct TimedController {
     degraded_slots: u64,
     /// Admissions deferred by the degradation throttle.
     throttled_admissions: u64,
-    /// Consecutive slots the stash has sat over the hard limit (the
+    /// Consecutive slots a stash has sat over the hard limit (the
     /// degradation grace counter; reset when it drains back under).
     overflow_grace: u64,
     slots_done: u64,
 }
 
 impl TimedController {
-    /// Builds the controller (protocol init included) for `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` requests the ρ scheme (use
-    /// [`crate::RhoController`]).
+    /// Builds the controller (protocol init included) for any scheme.
     pub fn new(cfg: &SystemConfig) -> Self {
-        assert!(
-            !cfg.scheme.uses_rho(),
-            "TimedController does not implement ρ; use RhoController"
-        );
-        let protocol = PathOram::new(cfg.oram.clone());
+        let chooser = PathChooser::new(cfg);
         let cached = cfg.oram.treetop.cached_levels();
-        let layout_mem = SubtreeLayout::new(
-            &protocol.layout().memory_z(cached),
-            cfg.subtree_group,
-        );
-        let path_table = layout_mem.path_table(0);
-        let dwb = cfg
-            .scheme
-            .uses_dwb()
-            .then(|| DwbEngine::new(cfg.seed ^ 0xD00D));
+        let main = chooser.main().layout();
+        let main_layout = SubtreeLayout::new(&main.memory_z(cached), cfg.subtree_group);
+        let regions = Regions {
+            main: Region {
+                table: main_layout.path_table(0),
+                offset: 0,
+                lines: main.path_len_memory(cached),
+            },
+            small: chooser.small().map(|small| Region {
+                table: SubtreeLayout::new(&small.layout().memory_z(0), cfg.subtree_group)
+                    .path_table(0),
+                offset: main_layout.total_lines(),
+                lines: small.layout().path_len_memory(0),
+            }),
+        };
         TimedController {
-            protocol,
+            chooser,
             dram: {
                 let mut d = DramSystem::new(cfg.dram);
                 d.set_sched_threads(cfg.sched_threads);
                 d
             },
-            path_table,
+            regions,
             reqs_buf: Vec::new(),
             write_buf: Vec::new(),
             t_interval: cfg.t_interval,
@@ -212,11 +494,7 @@ impl TimedController {
             decrypt_lat: cfg.decrypt_lat,
             front_hit_lat: cfg.front_hit_lat,
             next_slot: Cycle(cfg.t_interval),
-            queue: VecDeque::new(),
-            wb_queue: VecDeque::new(),
-            current: None,
             pipe: PipelineState::new(cfg.pipeline_depth),
-            dwb,
             completions: Vec::new(),
             slot_stats: SlotStats::default(),
             last_write_done: Cycle::ZERO,
@@ -242,6 +520,19 @@ impl TimedController {
         }
     }
 
+    /// The functional protocol instance (ρ: the main tree).
+    pub fn protocol(&self) -> &PathOram {
+        self.chooser.main()
+    }
+
+    /// Protocol statistics of the main tree, and of ρ's small tree.
+    pub fn protocol_stats(&self) -> (ProtocolStats, Option<ProtocolStats>) {
+        (
+            self.chooser.main().stats().clone(),
+            self.chooser.small().map(|s| s.stats().clone()),
+        )
+    }
+
     /// The audit results so far (None unless `cfg.audit` was set).
     pub fn audit_report(&self) -> Option<AuditReport> {
         self.audit.as_ref().map(|a| a.report())
@@ -251,17 +542,12 @@ impl TimedController {
     /// coherence. No-op when auditing is off.
     pub fn final_audit(&mut self, hierarchy: &MemoryHierarchy) {
         let Some(audit) = &mut self.audit else { return };
-        audit.note_structural("protocol", self.protocol.check_invariants());
-        if let Some(dwb) = &self.dwb {
-            match dwb.check_coherence(hierarchy) {
-                Ok(()) => audit.passed(),
-                Err(e) => audit.violation(format!("dwb: {e}")),
-            }
-        }
+        self.chooser.note_structural(audit);
+        self.chooser.check_dwb(audit, hierarchy);
     }
 
-    /// The DRAM system's statistics.
-    pub fn dram_stats(&self) -> &iroram_dram::DramStats {
+    /// The DRAM system's statistics (shared by every tree).
+    pub fn dram_stats(&self) -> &DramStats {
         self.dram.stats()
     }
 
@@ -271,8 +557,8 @@ impl TimedController {
     }
 
     /// IR-DWB statistics, if the engine is enabled.
-    pub fn dwb_stats(&self) -> Option<crate::dwb::DwbStats> {
-        self.dwb.as_ref().map(|d| *d.stats())
+    pub fn dwb_stats(&self) -> Option<DwbStats> {
+        self.chooser.dwb().map(|d| *d.stats())
     }
 
     /// Pipeline counters, if the controller runs at effective depth > 1.
@@ -281,9 +567,17 @@ impl TimedController {
     }
 
     /// Integrity-layer counters (injected / detected / recovered /
-    /// undetected corruptions in the tree).
+    /// undetected corruptions), summed over every tree.
     pub fn integrity_stats(&self) -> IntegrityStats {
-        self.protocol.integrity_stats()
+        self.chooser
+            .trees()
+            .map(PathOram::integrity_stats)
+            .fold(IntegrityStats::default(), |a, s| IntegrityStats {
+                injected: a.injected + s.injected,
+                detected: a.detected + s.detected,
+                recovered: a.recovered + s.recovered,
+                undetected: a.undetected + s.undetected,
+            })
     }
 
     /// Counters for faults the plan actually injected (zeros with no plan).
@@ -300,11 +594,13 @@ impl TimedController {
         self.penalty_cycles
     }
 
-    /// Stash soft-capacity pressure accounting.
+    /// Stash pressure (main-tree soft capacity; occupancy high-water mark
+    /// over every stash).
     pub fn stash_pressure(&self) -> StashPressure {
         StashPressure {
-            soft_capacity: self.protocol.config().stash_capacity as u64,
-            max_occupancy: self.protocol.stash_peak() as u64,
+            soft_capacity: self.chooser.main().config().stash_capacity as u64,
+            max_occupancy: self.chooser.trees().map(PathOram::stash_peak).max().unwrap_or(0)
+                as u64,
             overflow_slots: self.overflow_slots,
             bg_escalations: self.bg_escalations,
             degraded_slots: self.degraded_slots,
@@ -320,71 +616,40 @@ impl TimedController {
 
     /// Pending request-queue depth (for CPU back-pressure).
     pub fn queue_len(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
+        self.chooser.queue_len()
+    }
+
+    /// Whether background eviction is pending in any tree.
+    fn bg_evict_pending(&self) -> bool {
+        self.chooser.trees().any(PathOram::bg_evict_pending)
     }
 
     /// Whether any real (non-dummy) work remains.
     pub fn has_real_work(&self) -> bool {
-        self.current.is_some()
-            || !self.queue.is_empty()
-            || !self.wb_queue.is_empty()
-            || self.protocol.bg_evict_pending()
+        self.chooser.has_queued_work() || self.bg_evict_pending()
     }
 
     /// Tries to serve an LLC miss from the on-chip front stores (F-Stash,
-    /// escrow, S-Stash). On a hit returns the completion time; the request
-    /// never consumes a path slot.
+    /// escrow, S-Stash; ρ's small-tree stash). On a hit returns the
+    /// completion time; the request never consumes a path slot.
     pub fn front_try(&mut self, addr: BlockAddr, now: Cycle) -> Option<Cycle> {
-        let (_, payload) = self.protocol.front_access(addr, None)?;
-        if let Some(audit) = &mut self.audit {
-            audit.oracle_read(addr.0, payload);
-        }
-        Some(now + self.front_hit_lat)
+        self.chooser
+            .front_try(addr, self.audit.as_deref_mut())
+            .then_some(now + self.front_hit_lat)
     }
 
     /// Submits a demand request (the caller should have tried
     /// [`TimedController::front_try`] first).
     pub fn submit(&mut self, req: OramRequest) {
-        self.queue.push_back(req);
+        self.chooser.submit(req);
     }
 
     /// Notifies the controller of an LLC eviction. Dirty lines become write
     /// requests (immediate remap) or delayed write-backs; IR-DWB aborts any
     /// sequence targeting the line.
     pub fn on_llc_eviction(&mut self, addr: BlockAddr, dirty: bool, now: Cycle, id: ReqId) {
-        if let Some(dwb) = &mut self.dwb {
-            dwb.on_eviction(addr);
-        }
-        match self.protocol.config().remap {
-            RemapPolicy::Immediate => {
-                if dirty {
-                    // The ORAM write access; nobody waits on it. If the
-                    // block is still in an on-chip store, the write merges
-                    // for free.
-                    match self.protocol.front_access(addr, None) {
-                        Some((_, payload)) => {
-                            if let Some(audit) = &mut self.audit {
-                                audit.oracle_read(addr.0, payload);
-                            }
-                        }
-                        None => self.queue.push_back(OramRequest {
-                            id,
-                            addr,
-                            arrival: now,
-                            blocking: false,
-                        }),
-                    }
-                }
-            }
-            RemapPolicy::Delayed => {
-                // Clean or dirty: the block must re-enter the ORAM — unless
-                // it was never removed (it was served from S-Stash and still
-                // lives in the tree).
-                if self.protocol.is_escrowed(addr) {
-                    self.wb_queue.push_back(addr);
-                }
-            }
-        }
+        self.chooser
+            .on_llc_eviction(addr, dirty, now, id, self.audit.as_deref_mut());
     }
 
     /// Drains accumulated request completions.
@@ -406,7 +671,7 @@ impl TimedController {
 
     /// Advances slots until request `id` completes, returning its completion
     /// time. An unknown request (never submitted) surfaces as
-    /// [`SimError::RequestStuck`] — the queue is FIFO, so a submitted
+    /// [`SimError::RequestStuck`] — the queues are FIFO, so a submitted
     /// request always completes.
     pub fn advance_until_complete(
         &mut self,
@@ -453,39 +718,34 @@ impl TimedController {
     /// `advance_*` methods.
     pub fn process_slot(&mut self, hierarchy: &mut MemoryHierarchy) -> Result<(), SimError> {
         if let Some(audit) = &mut self.audit {
-            // IR-DWB state is quiescent between slots: victim, scanner lock
-            // and the LLC's dirty bit must agree.
-            if let Some(dwb) = &self.dwb {
-                match dwb.check_coherence(hierarchy) {
-                    Ok(()) => audit.passed(),
-                    Err(e) => audit.violation(format!("dwb: {e}")),
-                }
-            }
+            // IR-DWB state is quiescent between slots.
+            self.chooser.check_dwb(audit, hierarchy);
             if audit.structural_due() {
-                audit.note_structural("protocol", self.protocol.check_invariants());
+                self.chooser.note_structural(audit);
             }
         }
         // Fault plan: one storm/corruption decision per slot, before any
         // protocol work (a corrupted bucket may sit on this very path).
+        // Corruption targets the main tree — the off-chip bulk of storage.
         self.storm_now = false;
         if let Some(plan) = &mut self.faults {
             self.storm_now = plan.storm_active();
             if let Some((pick, mask)) = plan.corrupt_line() {
-                self.inject_corruption(pick, mask);
+                inject_corruption(self.chooser.main_mut(), pick, mask);
             }
         }
-        // Stash pressure: sampled at slot boundaries. Over the degradation
-        // watermark (¾ of the hard limit), new-work admission is throttled
-        // so background eviction can drain the stash; over the hard limit
-        // itself a bounded grace of degraded slots runs before the typed
-        // transient error fires. Clean runs never cross the watermark, so
-        // the path below is byte-identical to the pre-degradation rule.
-        let occupancy = self.protocol.stash_len();
+        // Stash pressure over every tree: sampled at slot boundaries. Over
+        // the degradation watermark (¾ of the hard limit), new-work
+        // admission is throttled so background eviction can drain the
+        // stash; over the hard limit itself a bounded grace of degraded
+        // slots runs before the typed transient error fires. Clean runs
+        // never cross the watermark, so the schedule is unchanged.
+        let occupancy = self.chooser.trees().map(|o| o.stash_len()).fold(0, usize::max);
         // lint: allow(secret-flow, overflow stats counter; occupancy never alters the issued DRAM schedule)
-        if occupancy > self.protocol.config().stash_capacity {
+        if occupancy > self.chooser.main().config().stash_capacity {
             self.overflow_slots += 1;
         }
-        let pending = self.protocol.bg_evict_pending();
+        let pending = self.bg_evict_pending();
         if pending && !self.was_bg_pending {
             self.bg_escalations += 1;
         }
@@ -516,205 +776,32 @@ impl TimedController {
             || (degraded && !self.slots_done.is_multiple_of(DEGRADED_ADMIT_PERIOD));
         self.slots_done += 1;
         let t = self.next_slot;
-        let mut issued: Option<PathRecord> = None;
-        let mut completes: Option<ReqId> = None;
-
-        // Find the path for this slot; protocol steps that resolve on-chip
-        // consume no slot and we keep looking.
-        loop {
-            match self.current.take() {
-                Some(Work::Request { req, mut pm }) => {
-                    if let Some(pm_addr) = pm.pop_front() {
-                        let rec = {
-                            let _p = profiler::enter(profiler::Phase::PosMap);
-                            self.protocol.fetch_posmap_block(pm_addr)
-                        };
-                        if let Some(audit) = &mut self.audit {
-                            audit.oracle_read(pm_addr.0, rec.payload);
-                        }
-                        self.current = Some(Work::Request { req, pm });
-                        if let Some(&p) = rec.paths.first() {
-                            issued = Some(p);
-                            break;
-                        }
-                        continue; // PosMap block was on-chip
-                    }
-                    // Data phase. A duplicate request may find the block
-                    // already escrowed (fetched by an earlier request under
-                    // delayed remapping) or back on-chip — serve it for
-                    // free.
-                    if let Some((_, payload)) = self.protocol.front_access(req.addr, None) {
-                        if let Some(audit) = &mut self.audit {
-                            audit.oracle_read(req.addr.0, payload);
-                        }
-                        if req.blocking {
-                            self.completions.push((req.id, t + self.front_hit_lat));
-                        }
-                        continue;
-                    }
-                    let rec = {
-                        let _p = profiler::enter(profiler::Phase::Stash);
-                        self.protocol.data_access(req.addr, None)?
-                    };
-                    if let Some(audit) = &mut self.audit {
-                        audit.oracle_read(req.addr.0, rec.payload);
-                    }
-                    match rec.paths.first() {
-                        Some(&p) => {
-                            issued = Some(p);
-                            if req.blocking {
-                                completes = Some(req.id);
-                            }
-                            break;
-                        }
-                        None => {
-                            // Found on-chip (tree top / stash): complete now.
-                            if req.blocking {
-                                self.completions.push((req.id, t + self.front_hit_lat));
-                            }
-                            continue;
-                        }
-                    }
-                }
-                Some(Work::DelayedWb { addr, mut pm }) => {
-                    if let Some(pm_addr) = pm.pop_front() {
-                        let rec = {
-                            let _p = profiler::enter(profiler::Phase::PosMap);
-                            self.protocol.fetch_posmap_block(pm_addr)
-                        };
-                        if let Some(audit) = &mut self.audit {
-                            audit.oracle_read(pm_addr.0, rec.payload);
-                        }
-                        self.current = Some(Work::DelayedWb { addr, pm });
-                        if let Some(&p) = rec.paths.first() {
-                            issued = Some(p);
-                            break;
-                        }
-                        continue;
-                    }
-                    // The block may have been re-evicted (duplicate queue
-                    // entry) or already re-inserted; only escrowed blocks
-                    // re-enter.
-                    if self.protocol.is_escrowed(addr) {
-                        self.protocol.delayed_insert_block(addr)?;
-                    }
-                    continue;
-                }
-                None => {}
-            }
-            // Background eviction outranks new work: the stash must drain —
-            // unless a fault-injected storm is suppressing it.
-            if !self.storm_now && self.protocol.bg_evict_pending() {
-                issued = Some({
-                    let _p = profiler::enter(profiler::Phase::Stash);
-                    self.protocol.bg_evict_once()
-                });
-                self.slot_stats.bg_slots += 1;
-                self.slot_stats.total_slots += 1;
-                self.finish_path(t, issued.expect("just issued"), None);
-                return Ok(());
-            }
-            // Degraded mode: admission is throttled — eligible new work
-            // waits while background eviction (which already outranks
-            // admission) drains the stash back under the watermark.
-            // lint: allow(secret-flow, documented stash-pressure admission throttle; clean runs never cross the watermark (DESIGN.md))
-            if throttle {
-                if self.queue.front().is_some_and(|r| r.arrival <= t) || !self.wb_queue.is_empty()
-                {
-                    self.throttled_admissions += 1;
-                }
-                break;
-            }
-            // Start the next demand request that has arrived.
-            if self
-                .queue
-                .front()
-                .is_some_and(|r| r.arrival <= t)
-            {
-                let req = self.queue.pop_front().expect("checked front");
-                let _p = profiler::enter(profiler::Phase::PosMap);
-                let pm = match self.pipe.as_mut().and_then(|p| p.take_spec(req.addr)) {
-                    Some(pm) => pm,
-                    None => self.protocol.posmap_resolve(req.addr).into(),
-                };
-                // Pipelined: resolve the next queued request's PosMap chain
-                // speculatively, so its first path can issue the moment a
-                // slot frees.
-                if let Some(pipe) = &mut self.pipe {
-                    if !pipe.has_spec() {
-                        if let Some(next_addr) = self.queue.front().map(|r| r.addr) {
-                            let spec = self.protocol.posmap_resolve(next_addr).into();
-                            pipe.set_spec(next_addr, spec);
-                        }
-                    }
-                }
-                self.current = Some(Work::Request { req, pm });
-                continue;
-            }
-            // Delayed write-backs fill remaining capacity.
-            if let Some(addr) = self.wb_queue.pop_front() {
-                let _p = profiler::enter(profiler::Phase::PosMap);
-                let pm = self.protocol.posmap_resolve(addr).into();
-                self.current = Some(Work::DelayedWb { addr, pm });
-                continue;
-            }
-            break; // no real work eligible
-        }
-
-        match issued {
-            Some(path) => {
-                self.slot_stats.total_slots += 1;
-                self.slot_stats.real_slots += 1;
-                self.finish_path(t, path, completes);
-            }
-            None => {
-                // Idle slot: IR-DWB conversion, else a dummy.
-                if let Some(mut dwb) = self.dwb.take() {
-                    let converted = dwb.try_convert(&mut self.protocol, hierarchy, t);
-                    self.dwb = Some(dwb);
-                    if let Some(path) = converted? {
-                        self.slot_stats.total_slots += 1;
-                        self.slot_stats.converted_slots += 1;
-                        self.finish_path(t, path, None);
-                        return Ok(());
-                    }
-                }
-                if self.timing_protection {
-                    let path = {
-                        let _p = profiler::enter(profiler::Phase::Stash);
-                        self.protocol.dummy_path()
-                    };
-                    self.slot_stats.total_slots += 1;
-                    self.slot_stats.dummy_slots += 1;
-                    self.finish_path(t, path, None);
-                } else {
-                    // No fixed-rate discipline: skip ahead to the next work
-                    // arrival (or one interval if nothing is pending).
-                    let next_arrival = self.queue.front().map(|r| r.arrival);
-                    self.next_slot = match next_arrival {
-                        Some(a) if a > t => a,
-                        _ => t + self.t_interval,
-                    };
-                }
-            }
+        let (tree, pick) = self.chooser.slot_path(&mut SlotCtx {
+            t,
+            throttle,
+            storm: self.storm_now,
+            pipe: self.pipe.as_mut(),
+            audit: self.audit.as_deref_mut(),
+            front_hit_lat: self.front_hit_lat,
+            completions: &mut self.completions,
+            throttled_admissions: &mut self.throttled_admissions,
+        })?;
+        // lint: allow(secret-flow, occupancy reaches the pick only through the documented stash-pressure admission throttle; clean runs never cross the watermark (DESIGN.md))
+        if let Some(p) = pick {
+            self.finish_path(t, p.path, tree, p.kind, p.completes);
+        } else if let Some(path) = self.chooser.convert_idle(hierarchy, t)? {
+            self.finish_path(t, path, Tree::Main, SlotKind::Converted, None);
+        } else if self.timing_protection {
+            let path = {
+                let _p = profiler::enter(profiler::Phase::Stash);
+                self.chooser.dummy_path(tree)
+            };
+            self.finish_path(t, path, tree, SlotKind::Dummy, None);
+        } else {
+            // No fixed-rate discipline: an idle slot issues nothing.
+            self.next_slot = self.chooser.idle_next_slot(t, self.t_interval);
         }
         Ok(())
-    }
-
-    /// Maps a fault-plan corruption draw onto one memory bucket slot and
-    /// flips its stored payload.
-    fn inject_corruption(&mut self, pick: u64, mask: u64) {
-        let cached = self.protocol.config().treetop.cached_levels();
-        let levels = self.protocol.config().levels;
-        if cached >= levels {
-            return; // whole tree on-chip: nothing off-chip to corrupt
-        }
-        let span = (levels - cached) as u64;
-        let level = cached + (pick % span) as usize;
-        let bucket = (pick >> 8) % (1u64 << level);
-        let z = self.protocol.layout().z_of(level) as u64;
-        let slot = ((pick >> 40) % z) as u32;
-        self.protocol.inject_tree_fault(level, bucket, slot, mask);
     }
 
     /// Flushes the deferred write-back batch (pipelined mode) into the
@@ -743,9 +830,26 @@ impl TimedController {
         self.write_buf.len() as u64
     }
 
-    /// Schedules the path's DRAM traffic and advances the slot clock.
-    fn finish_path(&mut self, t: Cycle, path: PathRecord, completes: Option<ReqId>) {
+    /// Counts the slot, schedules the path's DRAM traffic in its tree's
+    /// region, and advances the slot clock.
+    fn finish_path(
+        &mut self,
+        t: Cycle,
+        path: PathRecord,
+        tree: Tree,
+        kind: SlotKind,
+        completes: Option<ReqId>,
+    ) {
         let _phase = profiler::enter(profiler::Phase::DramSchedule);
+        let stats = &mut self.slot_stats;
+        stats.total_slots += 1;
+        *match kind {
+            SlotKind::Real => &mut stats.real_slots,
+            SlotKind::Bg => &mut stats.bg_slots,
+            SlotKind::Converted => &mut stats.converted_slots,
+            SlotKind::Dummy => &mut stats.dummy_slots,
+        } += 1;
+        let small_tree = tree == Tree::Small;
         let req_before = self.dram.stats().requests;
         // Transient bank stall: the batch reaches the memory controller
         // late; everything downstream (including the timing audit's floor)
@@ -755,28 +859,35 @@ impl TimedController {
         // Pipelined: a path sharing a memory bucket with the still-deferred
         // write batch must let that batch land first (write-before-read on
         // a shared bucket); one sharing with an older unretired in-flight
-        // path is held until its write-back retires. Either way the held
-        // path's blocks wait in the stash escrow / F-Stash meanwhile.
+        // path of the same tree is held until its write-back retires (the
+        // trees occupy disjoint DRAM regions, so cross-tree paths never
+        // conflict). Either way the held path's blocks wait in the stash
+        // escrow / F-Stash meanwhile.
+        let table = &self.regions.get(tree).table;
         if self
             .pipe
             .as_mut()
             // lint: allow(secret-flow, leaf already revealed by this path access; the conflict check compares only public path addresses)
-            .is_some_and(|p| p.pending_conflicts(&self.path_table, path.leaf.0, false))
+            .is_some_and(|p| p.pending_conflicts(table, path.leaf.0, small_tree))
         {
             if let Some(done) = self.flush_writes() {
                 arrival = arrival.max(done);
             }
         }
+        let region = self.regions.get(tree);
         if let Some(pipe) = &mut self.pipe {
+            let hold = pipe.conflict_hold(&region.table, path.leaf.0, small_tree, arrival);
             // lint: allow(secret-flow, leaf already revealed by this path access; the hold compares only public path addresses)
-            if let Some(hold) = pipe.conflict_hold(&self.path_table, path.leaf.0, false, arrival) {
+            if let Some(hold) = hold {
                 arrival = hold;
             }
         }
         // Table fill into the reused buffer: the read batch, then the same
         // addresses rewritten in place as the write-back batch.
-        self.path_table
-            .fill_reads(path.leaf.0, 0, arrival, &mut self.reqs_buf);
+        region
+            .table
+            .fill_reads(path.leaf.0, region.offset, arrival, &mut self.reqs_buf);
+        let expected_lines = region.lines;
         let lines = self.reqs_buf.len() as u64;
         let read_done = self.dram.schedule_batch_done(&self.reqs_buf, arrival);
         let write_done = if self.pipe.is_some() {
@@ -792,7 +903,7 @@ impl TimedController {
                 w
             }));
             if let Some(pipe) = &mut self.pipe {
-                pipe.stash_write(path.leaf.0, false, read_done);
+                pipe.stash_write(path.leaf.0, small_tree, read_done);
             }
             None
         } else {
@@ -806,7 +917,7 @@ impl TimedController {
         // and repaired stretches the read-phase completion — the public
         // occupancy floor — so recovery is a measured timing cost, not a
         // schedule violation.
-        let detected = self.protocol.integrity_stats().detected;
+        let detected = self.integrity_stats().detected;
         let penalty = (detected - self.seen_detected) * self.refetch_lat;
         self.seen_detected = detected;
         self.penalty_cycles += penalty;
@@ -820,11 +931,10 @@ impl TimedController {
             self.completions.push((id, read_done_cpu));
         }
         if let Some(audit) = &mut self.audit {
-            let cached = self.protocol.config().treetop.cached_levels();
             audit.note_slot(t, self.t_interval, read_floor_cpu, self.timing_protection);
             audit.check_conservation(
                 lines,
-                self.protocol.layout().path_len_memory(cached),
+                expected_lines,
                 self.dram.stats().requests - req_before,
                 self.dram.latency_underflows(),
                 self.write_buf.len() as u64,
@@ -844,13 +954,13 @@ impl TimedController {
 
     // -- Checkpointing ------------------------------------------------------
 
-    /// Serializes the controller's complete logical state — protocol, DRAM
-    /// timing state, queues, in-flight work, pipeline, IR-DWB, audit, fault
-    /// plan, and every counter — for a checkpoint snapshot. Derived state
-    /// (the path table) and per-call scratch (`reqs_buf`) are rebuilt from
-    /// configuration instead.
+    /// Serializes the controller's complete logical state — the chooser
+    /// (tag, trees, queues, in-flight work, IR-DWB), DRAM timing state,
+    /// pipeline, audit, fault plan, and every counter — for a checkpoint
+    /// snapshot. Derived state (the path tables) and per-call scratch
+    /// (`reqs_buf`) are rebuilt from configuration instead.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.protocol.save_state(w);
+        self.chooser.save_state(w);
         self.dram.save_state(w);
         w.put_usize(self.write_buf.len());
         for r in &self.write_buf {
@@ -859,36 +969,11 @@ impl TimedController {
             w.put_u64(r.arrival.0);
         }
         w.put_u64(self.next_slot.0);
-        save_req_queue(w, &self.queue);
-        w.put_usize(self.wb_queue.len());
-        for a in &self.wb_queue {
-            w.put_u64(a.0);
-        }
-        match &self.current {
-            None => w.put_u8(0),
-            Some(Work::Request { req, pm }) => {
-                w.put_u8(1);
-                save_req(w, req);
-                save_addr_deque(w, pm);
-            }
-            Some(Work::DelayedWb { addr, pm }) => {
-                w.put_u8(2);
-                w.put_u64(addr.0);
-                save_addr_deque(w, pm);
-            }
-        }
         match &self.pipe {
             None => w.put_u8(0),
             Some(p) => {
                 w.put_u8(1);
                 p.save_state(w);
-            }
-        }
-        match &self.dwb {
-            None => w.put_u8(0),
-            Some(d) => {
-                w.put_u8(1);
-                d.save_state(w);
             }
         }
         w.put_usize(self.completions.len());
@@ -934,10 +1019,10 @@ impl TimedController {
     /// # Errors
     ///
     /// [`SnapError`] when the payload is malformed or was written by a
-    /// controller with a different configuration (pipeline/DWB/audit/fault
-    /// presence must match).
+    /// controller with a different configuration (single tree vs ρ, and
+    /// pipeline/DWB/audit/fault presence must match).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.protocol.restore_state(r)?;
+        self.chooser.restore_state(r)?;
         self.dram.restore_state(r)?;
         let n = r.take_seq_len(17)?;
         self.write_buf.clear();
@@ -952,35 +1037,10 @@ impl TimedController {
             });
         }
         self.next_slot = Cycle(r.take_u64()?);
-        self.queue = restore_req_queue(r)?;
-        let n = r.take_seq_len(8)?;
-        self.wb_queue.clear();
-        for _ in 0..n {
-            self.wb_queue.push_back(BlockAddr(r.take_u64()?));
-        }
-        self.current = match r.take_u8()? {
-            0 => None,
-            1 => {
-                let req = restore_req(r)?;
-                let pm = restore_addr_deque(r)?;
-                Some(Work::Request { req, pm })
-            }
-            2 => {
-                let addr = BlockAddr(r.take_u64()?);
-                let pm = restore_addr_deque(r)?;
-                Some(Work::DelayedWb { addr, pm })
-            }
-            _ => return Err(SnapError::Corrupt("bad current-work tag")),
-        };
         match (r.take_u8()?, &mut self.pipe) {
             (0, None) => {}
             (1, Some(p)) => p.restore_state(r)?,
             _ => return Err(SnapError::Corrupt("pipeline presence mismatch")),
-        }
-        match (r.take_u8()?, &mut self.dwb) {
-            (0, None) => {}
-            (1, Some(d)) => d.restore_state(r)?,
-            _ => return Err(SnapError::Corrupt("DWB presence mismatch")),
         }
         let n = r.take_seq_len(16)?;
         self.completions.clear();
@@ -1019,6 +1079,313 @@ impl TimedController {
     }
 }
 
+/// Serves `addr` from `tree`'s on-chip front stores (F-Stash, escrow,
+/// S-Stash) if it is there, feeding the audit oracle.
+pub(crate) fn front_serve(
+    tree: &mut PathOram,
+    addr: BlockAddr,
+    audit: Option<&mut AuditState>,
+) -> bool {
+    let Some((_, payload)) = tree.front_access(addr, None) else {
+        return false;
+    };
+    if let Some(audit) = audit {
+        audit.oracle_read(addr.0, payload);
+    }
+    true
+}
+
+/// Maps a fault-plan corruption draw onto one memory bucket slot of `tree`
+/// and flips its stored payload.
+fn inject_corruption(tree: &mut PathOram, pick: u64, mask: u64) {
+    let cached = tree.config().treetop.cached_levels();
+    let levels = tree.config().levels;
+    if cached >= levels {
+        return; // whole tree on-chip: nothing off-chip to corrupt
+    }
+    let span = (levels - cached) as u64;
+    let level = cached + (pick % span) as usize;
+    let bucket = (pick >> 8) % (1u64 << level);
+    let z = tree.layout().z_of(level) as u64;
+    let slot = ((pick >> 40) % z) as u32;
+    tree.inject_tree_fault(level, bucket, slot, mask);
+}
+
+/// Main-tree work: pending PosMap fetches, then the final step.
+#[derive(Debug)]
+pub(crate) enum Work {
+    /// A demand request: its data path follows.
+    Request {
+        req: OramRequest,
+        pm: VecDeque<BlockAddr>,
+        /// ρ only: install into the small tree on completion (locality
+        /// hint captured at submit time).
+        install: bool,
+    },
+    /// A delayed-remap write-back: a free stash insert follows.
+    DelayedWb {
+        addr: BlockAddr,
+        pm: VecDeque<BlockAddr>,
+    },
+}
+
+/// Fetches the next block of a pending PosMap chain: `None` once the chain
+/// is done, else the slot's pick — `None` inside when the block was
+/// on-chip and the search goes on. With `oracle`, the served block feeds
+/// the audit oracle.
+pub(crate) fn posmap_step(
+    tree: &mut PathOram,
+    pm: &mut VecDeque<BlockAddr>,
+    oracle: Option<&mut SlotCtx<'_>>,
+) -> Option<Option<Pick>> {
+    let pm_addr = pm.pop_front()?;
+    let rec = {
+        let _p = profiler::enter(profiler::Phase::PosMap);
+        tree.fetch_posmap_block(pm_addr)
+    };
+    if let Some(ctx) = oracle {
+        ctx.oracle_read(pm_addr, rec.payload);
+    }
+    Some(rec.paths.first().map(|&p| Pick::real(p, None)))
+}
+
+/// Serializes an optional [`Work`] item (tag 0 = none).
+pub(crate) fn save_opt_work(w: &mut SnapWriter, work: Option<&Work>) {
+    match work {
+        None => w.put_u8(0),
+        Some(Work::Request { req, pm, install }) => {
+            w.put_u8(1);
+            save_req(w, req);
+            save_addr_deque(w, pm);
+            w.put_bool(*install);
+        }
+        Some(Work::DelayedWb { addr, pm }) => {
+            w.put_u8(2);
+            w.put_u64(addr.0);
+            save_addr_deque(w, pm);
+        }
+    }
+}
+
+/// Restores an optional [`Work`] item written by [`save_opt_work`].
+pub(crate) fn restore_opt_work(r: &mut SnapReader<'_>) -> Result<Option<Work>, SnapError> {
+    Ok(Some(match r.take_u8()? {
+        0 => return Ok(None),
+        1 => {
+            let req = restore_req(r)?;
+            let pm = restore_addr_deque(r)?;
+            let install = r.take_bool()?;
+            Work::Request { req, pm, install }
+        }
+        2 => {
+            let addr = BlockAddr(r.take_u64()?);
+            let pm = restore_addr_deque(r)?;
+            Work::DelayedWb { addr, pm }
+        }
+        _ => return Err(SnapError::Corrupt("bad work tag")),
+    }))
+}
+
+/// The single-tree path chooser: demand requests in FIFO order, delayed
+/// write-backs, background eviction, and IR-DWB conversion of idle slots.
+#[derive(Debug)]
+pub(crate) struct SingleTree {
+    protocol: PathOram,
+    queue: VecDeque<OramRequest>,
+    wb_queue: VecDeque<BlockAddr>,
+    current: Option<Work>,
+    dwb: Option<DwbEngine>,
+}
+
+impl SingleTree {
+    fn new(cfg: &SystemConfig) -> Self {
+        SingleTree {
+            protocol: PathOram::new(cfg.oram.clone()),
+            queue: VecDeque::new(),
+            wb_queue: VecDeque::new(),
+            current: None,
+            dwb: cfg
+                .scheme
+                .uses_dwb()
+                .then(|| DwbEngine::new(cfg.seed ^ 0xD00D)),
+        }
+    }
+
+    fn on_llc_eviction(
+        &mut self,
+        addr: BlockAddr,
+        dirty: bool,
+        now: Cycle,
+        id: ReqId,
+        audit: Option<&mut AuditState>,
+    ) {
+        if let Some(dwb) = &mut self.dwb {
+            dwb.on_eviction(addr);
+        }
+        match self.protocol.config().remap {
+            RemapPolicy::Immediate => {
+                // The ORAM write access; nobody waits on it. If the block
+                // is still in an on-chip store, the write merges for free.
+                if dirty && !front_serve(&mut self.protocol, addr, audit) {
+                    self.queue.push_back(OramRequest {
+                        id,
+                        addr,
+                        arrival: now,
+                        blocking: false,
+                    });
+                }
+            }
+            RemapPolicy::Delayed => {
+                // Clean or dirty: the block must re-enter the ORAM — unless
+                // it was never removed (it was served from S-Stash and still
+                // lives in the tree).
+                if self.protocol.is_escrowed(addr) {
+                    self.wb_queue.push_back(addr);
+                }
+            }
+        }
+    }
+
+    /// Finds the path for this slot; protocol steps that resolve on-chip
+    /// consume no slot and the search goes on.
+    fn slot_path(&mut self, ctx: &mut SlotCtx<'_>) -> Result<Option<Pick>, SimError> {
+        loop {
+            if let Some(Work::Request { pm, .. } | Work::DelayedWb { pm, .. }) = &mut self.current {
+                match posmap_step(&mut self.protocol, pm, Some(ctx)) {
+                    Some(None) => continue, // PosMap block was on-chip
+                    Some(pick) => return Ok(pick),
+                    None => {}
+                }
+            }
+            match self.current.take() {
+                Some(Work::Request { req, .. }) => {
+                    // Data phase. A duplicate request may find the block
+                    // already escrowed (fetched by an earlier request under
+                    // delayed remapping) or back on-chip — serve it for
+                    // free.
+                    if let Some((_, payload)) = self.protocol.front_access(req.addr, None) {
+                        ctx.oracle_read(req.addr, payload);
+                        if req.blocking {
+                            ctx.complete_on_chip(req.id);
+                        }
+                        continue;
+                    }
+                    let rec = {
+                        let _p = profiler::enter(profiler::Phase::Stash);
+                        self.protocol.data_access(req.addr, None)?
+                    };
+                    ctx.oracle_read(req.addr, rec.payload);
+                    let completes = req.blocking.then_some(req.id);
+                    match rec.paths.first() {
+                        Some(&p) => return Ok(Some(Pick::real(p, completes))),
+                        None => {
+                            // Found on-chip (tree top / stash): complete now.
+                            if let Some(id) = completes {
+                                ctx.complete_on_chip(id);
+                            }
+                            continue;
+                        }
+                    }
+                }
+                Some(Work::DelayedWb { addr, .. }) => {
+                    // The block may have been re-evicted (duplicate queue
+                    // entry) or already re-inserted; only escrowed blocks
+                    // re-enter.
+                    if self.protocol.is_escrowed(addr) {
+                        self.protocol.delayed_insert_block(addr)?;
+                    }
+                    continue;
+                }
+                None => {}
+            }
+            // Background eviction outranks new work: the stash must drain —
+            // unless a fault-injected storm is suppressing it.
+            if !ctx.storm && self.protocol.bg_evict_pending() {
+                let _p = profiler::enter(profiler::Phase::Stash);
+                return Ok(Some(Pick::bg(self.protocol.bg_evict_once())));
+            }
+            // Degraded mode: admission is throttled — eligible new work
+            // waits while background eviction (which already outranks
+            // admission) drains the stash back under the watermark.
+            if ctx.throttle {
+                if self.queue.front().is_some_and(|r| r.arrival <= ctx.t)
+                    || !self.wb_queue.is_empty()
+                {
+                    ctx.throttled();
+                }
+                return Ok(None);
+            }
+            // Start the next demand request that has arrived.
+            if let Some(req) = self.queue.pop_front_if(|r| r.arrival <= ctx.t) {
+                let _p = profiler::enter(profiler::Phase::PosMap);
+                let pm = match ctx.pipe.as_mut().and_then(|p| p.take_spec(req.addr)) {
+                    Some(pm) => pm,
+                    None => self.protocol.posmap_resolve(req.addr).into(),
+                };
+                // Pipelined: resolve the next queued request's PosMap chain
+                // speculatively, so its first path can issue the moment a
+                // slot frees.
+                if let Some(pipe) = &mut ctx.pipe {
+                    if !pipe.has_spec() {
+                        if let Some(next_addr) = self.queue.front().map(|r| r.addr) {
+                            let spec = self.protocol.posmap_resolve(next_addr).into();
+                            pipe.set_spec(next_addr, spec);
+                        }
+                    }
+                }
+                self.current = Some(Work::Request {
+                    req,
+                    pm,
+                    install: false,
+                });
+                continue;
+            }
+            // Delayed write-backs fill remaining capacity.
+            if let Some(addr) = self.wb_queue.pop_front() {
+                let _p = profiler::enter(profiler::Phase::PosMap);
+                let pm = self.protocol.posmap_resolve(addr).into();
+                self.current = Some(Work::DelayedWb { addr, pm });
+                continue;
+            }
+            return Ok(None); // no real work eligible
+        }
+    }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.protocol.save_state(w);
+        w.put_usize(self.queue.len());
+        for req in &self.queue {
+            save_req(w, req);
+        }
+        save_addr_deque(w, &self.wb_queue);
+        save_opt_work(w, self.current.as_ref());
+        match &self.dwb {
+            None => w.put_u8(0),
+            Some(d) => {
+                w.put_u8(1);
+                d.save_state(w);
+            }
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.protocol.restore_state(r)?;
+        let n = r.take_seq_len(25)?;
+        self.queue.clear();
+        for _ in 0..n {
+            self.queue.push_back(restore_req(r)?);
+        }
+        self.wb_queue = restore_addr_deque(r)?;
+        self.current = restore_opt_work(r)?;
+        match (r.take_u8()?, &mut self.dwb) {
+            (0, None) => {}
+            (1, Some(d)) => d.restore_state(r)?,
+            _ => return Err(SnapError::Corrupt("DWB presence mismatch")),
+        }
+        Ok(())
+    }
+}
+
 /// Serializes one [`OramRequest`].
 pub(crate) fn save_req(w: &mut SnapWriter, req: &OramRequest) {
     w.put_u64(req.id);
@@ -1037,27 +1404,8 @@ pub(crate) fn restore_req(r: &mut SnapReader<'_>) -> Result<OramRequest, SnapErr
     })
 }
 
-/// Serializes a FIFO of [`OramRequest`]s.
-pub(crate) fn save_req_queue(w: &mut SnapWriter, q: &VecDeque<OramRequest>) {
-    w.put_usize(q.len());
-    for req in q {
-        save_req(w, req);
-    }
-}
-
-/// Restores a FIFO of [`OramRequest`]s.
-pub(crate) fn restore_req_queue(
-    r: &mut SnapReader<'_>,
-) -> Result<VecDeque<OramRequest>, SnapError> {
-    let n = r.take_seq_len(25)?;
-    let mut q = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        q.push_back(restore_req(r)?);
-    }
-    Ok(q)
-}
-
-/// Serializes a pending PosMap-fetch chain.
+/// Serializes a FIFO of block addresses (a PosMap-fetch chain or a
+/// write-back queue).
 pub(crate) fn save_addr_deque(w: &mut SnapWriter, pm: &VecDeque<BlockAddr>) {
     w.put_usize(pm.len());
     for a in pm {
@@ -1065,7 +1413,7 @@ pub(crate) fn save_addr_deque(w: &mut SnapWriter, pm: &VecDeque<BlockAddr>) {
     }
 }
 
-/// Restores a pending PosMap-fetch chain.
+/// Restores a FIFO of block addresses.
 pub(crate) fn restore_addr_deque(
     r: &mut SnapReader<'_>,
 ) -> Result<VecDeque<BlockAddr>, SnapError> {
@@ -1149,7 +1497,7 @@ mod tests {
         let per_path = ctl.dram_stats().requests;
         assert_eq!(
             per_path,
-            2 * ctl.protocol.layout().path_len_memory(3),
+            2 * ctl.protocol().layout().path_len_memory(3),
             "one read + one write per memory slot on the path"
         );
     }
@@ -1202,11 +1550,11 @@ mod tests {
             blocking: true,
         });
         ctl.advance_until_complete(1, &mut h).unwrap();
-        if ctl.protocol.is_escrowed(BlockAddr(9)) {
+        if ctl.protocol().is_escrowed(BlockAddr(9)) {
             ctl.on_llc_eviction(BlockAddr(9), false, Cycle(10_000), 2);
             assert!(ctl.has_real_work());
             ctl.drain(&mut h).unwrap();
-            assert!(!ctl.protocol.is_escrowed(BlockAddr(9)));
+            assert!(!ctl.protocol().is_escrowed(BlockAddr(9)));
         }
     }
 

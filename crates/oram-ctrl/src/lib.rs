@@ -56,5 +56,4 @@ pub use cpu::TraceCpu;
 pub use dwb::{DwbEngine, DwbStats};
 pub use error::SimError;
 pub use iroram_protocol::IntegrityStats;
-pub use rho::RhoController;
-pub use sim::{Backend, CheckpointSpec, FaultStats, RunLimit, SimReport, Simulation};
+pub use sim::{CheckpointSpec, FaultStats, RunLimit, SimReport, Simulation};

@@ -1,6 +1,6 @@
-//! The k-deep access pipeline of the timed controllers.
+//! The k-deep access pipeline of the timed controller.
 //!
-//! The serial controllers issue one path access at a time: each slot's
+//! The serial controller issues one path access at a time: each slot's
 //! issue time is floored at the previous access's read completion
 //! (`next_slot = (t + T).max(read_floor)`). With
 //! [`SystemConfig::pipeline_depth`](crate::SystemConfig) `= k > 1`, up to
@@ -37,11 +37,9 @@
 //!   path can issue the moment a slot frees. A mismatch (the speculated
 //!   request was served on-chip meanwhile) discards the cached resolution.
 //!
-//! Depth 1 (the default) takes none of these paths: the controllers keep
+//! Depth 1 (the default) takes none of these paths: the controller keeps
 //! the verbatim serial assignment, which is what makes depth-1 reports
-//! byte-identical to pre-pipeline builds. The [`serial`] switch forces
-//! depth 1 regardless of configuration — the reference twin used by the
-//! equivalence suite, mirroring `iroram_dram::reference`.
+//! byte-identical to pre-pipeline builds.
 
 use std::collections::VecDeque;
 
@@ -106,8 +104,7 @@ pub struct PipelineState {
 
 impl PipelineState {
     /// Pipeline state for `cfg_depth`, or `None` when the effective depth
-    /// (after the [`serial`] force switch) is 1 and the serial code path
-    /// should run.
+    /// is 1 and the serial code path should run.
     pub fn new(cfg_depth: u32) -> Option<PipelineState> {
         let depth = effective_depth(cfg_depth);
         (depth > 1).then(|| PipelineState {
@@ -323,35 +320,9 @@ impl PipelineState {
 }
 
 /// The configured depth after clamping (`0` deserializes from field-absent
-/// shims) and the [`serial`] force switch.
+/// shims).
 pub fn effective_depth(cfg_depth: u32) -> u32 {
-    #[cfg(any(test, feature = "serial-pipeline"))]
-    if serial::forced() {
-        return 1;
-    }
     cfg_depth.max(1)
-}
-
-/// Thread-local switch forcing every controller built while it is on to
-/// the serial (depth-1) pipeline, whatever the config says — the reference
-/// twin for differential tests, mirroring `iroram_dram::reference`.
-#[cfg(any(test, feature = "serial-pipeline"))]
-pub mod serial {
-    use std::cell::Cell;
-
-    thread_local! {
-        static FORCE: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Forces (or releases) the serial pipeline on this thread.
-    pub fn force(on: bool) {
-        FORCE.with(|f| f.set(on));
-    }
-
-    /// Whether the serial pipeline is forced on this thread.
-    pub fn forced() -> bool {
-        FORCE.with(Cell::get)
-    }
 }
 
 #[cfg(test)]
@@ -363,15 +334,6 @@ mod tests {
         assert!(PipelineState::new(0).is_none());
         assert!(PipelineState::new(1).is_none());
         assert!(PipelineState::new(2).is_some());
-    }
-
-    #[test]
-    fn force_serial_wins_over_config() {
-        serial::force(true);
-        assert_eq!(effective_depth(4), 1);
-        assert!(PipelineState::new(4).is_none());
-        serial::force(false);
-        assert_eq!(effective_depth(4), 4);
     }
 
     #[test]

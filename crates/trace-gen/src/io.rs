@@ -16,8 +16,6 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::TraceRecord;
 
 const MAGIC: &[u8; 4] = b"IRTR";
@@ -121,16 +119,24 @@ impl From<TraceError> for io::Error {
 ///
 /// Propagates any IO error from `writer`.
 pub fn write_trace<W: Write>(mut writer: W, records: &[TraceRecord]) -> io::Result<()> {
-    let mut buf = BytesMut::with_capacity(16 + records.len() * RECORD_BYTES);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(records.len() as u64);
+    let mut buf = Vec::with_capacity(16 + records.len() * RECORD_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
     for r in records {
-        buf.put_u64_le(r.addr);
-        buf.put_u8(u8::from(r.is_write));
-        buf.put_u32_le(r.gap);
+        buf.extend_from_slice(&r.addr.to_le_bytes());
+        buf.push(u8::from(r.is_write));
+        buf.extend_from_slice(&r.gap.to_le_bytes());
     }
     writer.write_all(&buf)
+}
+
+/// Splits the next `N` bytes off the front of `buf` (`None` when fewer
+/// remain).
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
 }
 
 /// Reads an IRTR trace from `reader`, validating magic, version, length,
@@ -143,23 +149,21 @@ pub fn write_trace<W: Write>(mut writer: W, records: &[TraceRecord]) -> io::Resu
 pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let mut buf = Bytes::from(raw);
-    if buf.remaining() < 16 {
-        return Err(TraceError::TruncatedHeader {
-            len: buf.remaining(),
-        });
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    let mut buf = raw.as_slice();
+    let (Some(magic), Some(version), Some(count)) =
+        (take::<4>(&mut buf), take::<4>(&mut buf), take::<8>(&mut buf))
+    else {
+        return Err(TraceError::TruncatedHeader { len: raw.len() });
+    };
     if &magic != MAGIC {
         return Err(TraceError::BadMagic { found: magic });
     }
-    let version = buf.get_u32_le();
+    let version = u32::from_le_bytes(version);
     if version != VERSION {
         return Err(TraceError::BadVersion { found: version });
     }
-    let count = buf.get_u64_le();
-    let have = buf.remaining() as u64 / RECORD_BYTES as u64;
+    let count = u64::from_le_bytes(count);
+    let have = buf.len() as u64 / RECORD_BYTES as u64;
     if have < count {
         return Err(TraceError::TruncatedBody {
             record_index: have,
@@ -168,9 +172,14 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError
     }
     let mut out = Vec::with_capacity(count as usize);
     for record_index in 0..count {
-        let addr = buf.get_u64_le();
-        let flags = buf.get_u8();
-        let gap = buf.get_u32_le();
+        let (Some(addr), Some([flags]), Some(gap)) =
+            (take::<8>(&mut buf), take::<1>(&mut buf), take::<4>(&mut buf))
+        else {
+            return Err(TraceError::TruncatedBody {
+                record_index,
+                expected: count,
+            });
+        };
         if flags & !1 != 0 {
             return Err(TraceError::BadFlags {
                 record_index,
@@ -178,9 +187,9 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError
             });
         }
         out.push(TraceRecord {
-            addr,
+            addr: u64::from_le_bytes(addr),
             is_write: flags & 1 != 0,
-            gap,
+            gap: u32::from_le_bytes(gap),
         });
     }
     Ok(out)
@@ -201,6 +210,27 @@ mod tests {
         write_trace(&mut buf, &records).unwrap();
         let back = read_trace(&buf[..]).unwrap();
         assert_eq!(back, records);
+    }
+
+    /// The exact IRTR bytes of a 3-record trace: a change that alters the
+    /// encoder and decoder alike still fails here.
+    #[test]
+    fn three_record_trace_has_golden_bytes() {
+        let records = vec![
+            TraceRecord::load(0x0123_4567_89AB_CDEF, 7),
+            TraceRecord::store(1, 0),
+            TraceRecord::load(u64::MAX, u32::MAX),
+        ];
+        let golden: [u8; 16 + 3 * RECORD_BYTES] = [
+            b'I', b'R', b'T', b'R', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // header
+            0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, 0, 7, 0, 0, 0, // load
+            1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, // store
+            0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0xFF, 0xFF, 0xFF, 0xFF, // load
+        ];
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &records).unwrap();
+        assert_eq!(buf, golden);
+        assert_eq!(read_trace(&golden[..]).unwrap(), records);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Run with:
 //! `cargo run --release -p ir-oram --example trace_replay [bench] [ops]`
 
-use ir_oram::{Backend, OramRequest, Scheme, SystemConfig};
+use ir_oram::{OramRequest, Scheme, SystemConfig, TimedController};
 use iroram_cache::MemoryHierarchy;
 use iroram_protocol::BlockAddr;
 use iroram_sim_engine::Cycle;
@@ -49,7 +49,7 @@ fn main() -> std::io::Result<()> {
 
     for scheme in [Scheme::Baseline, Scheme::IrOram] {
         let cfg = cfg.with_scheme(scheme);
-        let mut backend = Backend::new(&cfg);
+        let mut ctl = TimedController::new(&cfg);
         let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy);
         let mut t = Cycle::ZERO;
         let mut served_onchip = 0u64;
@@ -59,36 +59,29 @@ fn main() -> std::io::Result<()> {
             if outcome != iroram_cache::AccessOutcome::Miss {
                 continue;
             }
-            match backend {
-                Backend::Single(ref mut ctl) => {
-                    if ctl.front_try(BlockAddr(rec.addr), t).is_some() {
-                        served_onchip += 1;
-                    } else {
-                        ctl.submit(OramRequest {
-                            id: i as u64,
-                            addr: BlockAddr(rec.addr),
-                            arrival: t,
-                            blocking: false,
-                        });
-                        ctl.advance_until(t, &mut hierarchy).expect("replay");
-                    }
-                }
-                Backend::Rho(_) => unreachable!("schemes above are single-tree"),
+            if ctl.front_try(BlockAddr(rec.addr), t).is_some() {
+                served_onchip += 1;
+            } else {
+                ctl.submit(OramRequest {
+                    id: i as u64,
+                    addr: BlockAddr(rec.addr),
+                    arrival: t,
+                    blocking: false,
+                });
+                ctl.advance_until(t, &mut hierarchy).expect("replay");
             }
         }
-        if let Backend::Single(ref mut ctl) = backend {
-            let end = ctl.drain(&mut hierarchy).expect("replay");
-            let slots = *ctl.slot_stats();
-            println!(
-                "{:<10} finished at {:>12}  slots: {} real / {} dummy / {} converted  (on-chip serves: {})",
-                scheme.name(),
-                end,
-                slots.real_slots,
-                slots.dummy_slots,
-                slots.converted_slots,
-                served_onchip,
-            );
-        }
+        let end = ctl.drain(&mut hierarchy).expect("replay");
+        let slots = *ctl.slot_stats();
+        println!(
+            "{:<10} finished at {:>12}  slots: {} real / {} dummy / {} converted  (on-chip serves: {})",
+            scheme.name(),
+            end,
+            slots.real_slots,
+            slots.dummy_slots,
+            slots.converted_slots,
+            served_onchip,
+        );
     }
     std::fs::remove_file(&path)?;
     Ok(())

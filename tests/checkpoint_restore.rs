@@ -11,8 +11,8 @@
 use std::path::PathBuf;
 
 use ir_oram::{
-    CheckpointSpec, OramRequest, RhoController, RunLimit, Scheme, SimError, Simulation,
-    SystemConfig, TimedController,
+    CheckpointSpec, OramRequest, RunLimit, Scheme, SimError, Simulation, SystemConfig,
+    TimedController,
 };
 use iroram_cache::{HierarchyConfig, MemoryHierarchy};
 use iroram_protocol::{BlockAddr, TreeTopMode, ZAllocation};
@@ -130,22 +130,25 @@ proptest! {
 }
 
 /// Drives a controller for a while, saves it mid-flight, restores into a
-/// fresh twin, then drives both identically and requires identical
-/// observable behavior — the restore really is a bit-faithful resume.
-#[test]
-fn timed_controller_roundtrips_mid_flight() {
-    let cfg = tiny(Scheme::Baseline);
+/// fresh twin, then drives both identically (one more request submitted
+/// after the restore) and requires identical observable behavior — the
+/// restore really is a bit-faithful resume.
+///
+/// The workload is 24 requests at `addr = i * stride`, blocking every
+/// `every`th, arriving `gap` cycles apart; the save happens at cycle `cut`.
+fn assert_roundtrip_mid_flight(scheme: Scheme, stride: u64, every: u64, gap: u64, cut: u64) {
+    let cfg = tiny(scheme);
     let mut hier_a = MemoryHierarchy::new(cfg.hierarchy);
     let mut a = TimedController::new(&cfg);
     for i in 0..24u64 {
         a.submit(OramRequest {
             id: i + 1,
-            addr: BlockAddr(i * 37 % (1 << 11)),
-            blocking: i % 3 == 0,
-            arrival: Cycle(i * 50),
+            addr: BlockAddr(i * stride % (1 << 11)),
+            blocking: i % every == 0,
+            arrival: Cycle(i * gap),
         });
     }
-    a.advance_until(Cycle(4_000), &mut hier_a).expect("advance");
+    a.advance_until(Cycle(cut), &mut hier_a).expect("advance");
     let done_a = a.take_completions();
 
     let mut w = SnapWriter::new();
@@ -162,62 +165,51 @@ fn timed_controller_roundtrips_mid_flight() {
             id: 1000,
             addr: BlockAddr(99),
             blocking: true,
-            arrival: Cycle(4_100),
+            arrival: Cycle(cut + 100),
         });
     }
     let end_a = a.drain(&mut hier_a).expect("drain a");
     let end_b = b.drain(&mut hier_b).expect("drain b");
-    assert_eq!(end_a, end_b, "drain cycles diverged after restore");
+    assert_eq!(end_a, end_b, "{scheme:?}: drain cycles diverged after restore");
     let mut rest_a = done_a.clone();
     rest_a.extend(a.take_completions());
     let mut rest_b = done_a; // the twin resumed after these completed
     rest_b.extend(b.take_completions());
-    assert_eq!(rest_a, rest_b, "completion streams diverged after restore");
+    assert_eq!(rest_a, rest_b, "{scheme:?}: completion streams diverged after restore");
     assert_eq!(
         format!("{:?}{:?}{:?}", a.slot_stats(), a.stash_pressure(), a.dram_stats()),
         format!("{:?}{:?}{:?}", b.slot_stats(), b.stash_pressure(), b.dram_stats()),
-        "controller statistics diverged after restore"
+        "{scheme:?}: controller statistics diverged after restore"
     );
 }
 
 #[test]
+fn timed_controller_roundtrips_mid_flight() {
+    assert_roundtrip_mid_flight(Scheme::Baseline, 37, 3, 50, 4_000);
+    assert_roundtrip_mid_flight(Scheme::IrDwb, 37, 3, 50, 4_000);
+}
+
+/// The same mid-flight round trip through the ρ path chooser.
+#[test]
 fn rho_controller_roundtrips_mid_flight() {
-    let cfg = tiny(Scheme::Rho);
-    let mut hier_a = MemoryHierarchy::new(cfg.hierarchy);
-    let mut a = RhoController::new(&cfg);
-    for i in 0..24u64 {
-        a.submit(OramRequest {
-            id: i + 1,
-            addr: BlockAddr(i * 53 % (1 << 11)),
-            blocking: i % 4 == 0,
-            arrival: Cycle(i * 60),
-        });
+    assert_roundtrip_mid_flight(Scheme::Rho, 53, 4, 60, 5_000);
+}
+
+/// A snapshot of one path chooser never restores into the other: a ρ
+/// engine state fed to a single-tree engine (and the reverse) is a typed
+/// [`SnapError::Corrupt`], not a misread.
+#[test]
+fn snapshot_of_one_chooser_never_restores_into_the_other() {
+    for (from, into) in [(Scheme::Rho, Scheme::Baseline), (Scheme::Baseline, Scheme::Rho)] {
+        let mut w = SnapWriter::new();
+        TimedController::new(&tiny(from)).save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        match TimedController::new(&tiny(into)).restore_state(&mut r) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("{from:?} snapshot into {into:?} must be Corrupt, got {other:?}"),
+        }
     }
-    a.advance_until(Cycle(5_000), &mut hier_a).expect("advance");
-    let done_a = a.take_completions();
-
-    let mut w = SnapWriter::new();
-    a.save_state(&mut w);
-    let bytes = w.into_bytes();
-    let mut b = RhoController::new(&cfg);
-    let mut r = SnapReader::new(&bytes);
-    b.restore_state(&mut r).expect("restore");
-    r.finish().expect("no trailing snapshot bytes");
-
-    let mut hier_b = hier_a.clone();
-    let end_a = a.drain(&mut hier_a).expect("drain a");
-    let end_b = b.drain(&mut hier_b).expect("drain b");
-    assert_eq!(end_a, end_b, "drain cycles diverged after restore");
-    let mut rest_a = done_a.clone();
-    rest_a.extend(a.take_completions());
-    let mut rest_b = done_a;
-    rest_b.extend(b.take_completions());
-    assert_eq!(rest_a, rest_b, "completion streams diverged after restore");
-    assert_eq!(
-        format!("{:?}{:?}{:?}", a.slot_stats(), a.stash_pressure(), a.dram_stats()),
-        format!("{:?}{:?}{:?}", b.slot_stats(), b.stash_pressure(), b.dram_stats()),
-        "controller statistics diverged after restore"
-    );
 }
 
 /// Every way a snapshot can be damaged must surface as a typed

@@ -58,6 +58,23 @@ fn every_scheme_on_light_medium_heavy() {
     }
 }
 
+/// A 3·2¹⁰-block tree behind a 2-block soft stash: background eviction
+/// fires, and each bg slot must count once — never also as a real slot —
+/// for the slot categories to partition the total.
+#[test]
+fn stash_pressure_slots_partition_the_total() {
+    for scheme in ALL_SCHEMES {
+        let mut cfg = tiny(scheme);
+        cfg.oram.data_blocks = 3 << 10;
+        cfg.oram.stash_capacity = 2;
+        let r = Simulation::run_bench(&cfg, Bench::Lbm, RunLimit::mem_ops(2_500));
+        if scheme == Scheme::Rho {
+            assert!(r.slots.bg_slots > 0, "ρ must see background eviction here");
+        }
+        check_consistency(&r, scheme);
+    }
+}
+
 #[test]
 fn mix_and_random_workloads_run() {
     for scheme in [Scheme::Baseline, Scheme::IrOram, Scheme::Rho] {
@@ -93,7 +110,7 @@ fn protocol_invariants_hold_after_timed_runs() {
             }
         }
         ctl.drain(&mut h).unwrap();
-        ctl.protocol
+        ctl.protocol()
             .check_invariants()
             .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
     }

@@ -54,44 +54,33 @@ fn every_scheme_reports_identically_under_the_reference_scheduler() {
     }
 }
 
-/// The access-pipeline analogue of the scheduler twin: a controller
-/// configured at depth 1 must report byte-identically to the serial twin
-/// (`ir_oram::pipeline::serial::force`, which pins the pre-pipeline code
-/// path even under a deep config), across worker-pool sizes and DRAM
-/// scheduler thread counts — depth, `--jobs`, and `sched_threads` are all
-/// orthogonal to reported results at depth 1.
+/// Depth 1 is the serial controller: it must report byte-identically at
+/// any worker-pool size and DRAM scheduler thread count — `--jobs` and
+/// `sched_threads` are orthogonal to reported results. The reference is
+/// the fully serial run (`jobs = 1`, `sched_threads = 1`).
 #[test]
 fn depth_one_matches_the_serial_pipeline_twin_at_any_parallelism() {
-    use ir_oram::pipeline::serial;
     use ir_oram::Scheme;
 
-    let opts = tiny_opts();
-    // Rho covers the dual-tree controller; IrOram covers DWB + the rest.
+    let depth_one = |jobs: usize, sched_threads: u32| {
+        let mut o = tiny_opts();
+        o.jobs = jobs;
+        o.overrides
+            .push(("pipeline_depth".to_owned(), "1".to_owned()));
+        o.overrides
+            .push(("sched_threads".to_owned(), sched_threads.to_string()));
+        o
+    };
+    // Rho covers the dual-tree chooser; IrOram covers DWB + the rest.
     for scheme in [Scheme::Baseline, Scheme::Rho, Scheme::IrOram] {
-        // The twin: even a depth-4 config must come out serial while the
-        // force switch is on (jobs = 1 — the switch is thread-local).
-        let mut twin_opts = opts.clone();
-        twin_opts
-            .overrides
-            .push(("pipeline_depth".to_owned(), "4".to_owned()));
-        serial::force(true);
-        let twin = run_scheme(&twin_opts, scheme, &BENCHES);
-        serial::force(false);
-        let twin_repr = format!("{twin:?}");
-
+        let reference = format!("{:?}", run_scheme(&depth_one(1, 1), scheme, &BENCHES));
         for jobs in [1usize, 4] {
             for sched_threads in [1u32, 4] {
-                let mut o = opts.clone();
-                o.jobs = jobs;
-                o.overrides
-                    .push(("pipeline_depth".to_owned(), "1".to_owned()));
-                o.overrides
-                    .push(("sched_threads".to_owned(), sched_threads.to_string()));
-                let got = run_scheme(&o, scheme, &BENCHES);
+                let got = run_scheme(&depth_one(jobs, sched_threads), scheme, &BENCHES);
                 assert_eq!(
                     format!("{got:?}"),
-                    twin_repr,
-                    "scheme {} diverged from the serial twin at depth 1 \
+                    reference,
+                    "scheme {} diverged from the serial reference at depth 1 \
                      (jobs={jobs}, sched_threads={sched_threads})",
                     scheme.name()
                 );
