@@ -69,10 +69,11 @@ mod tests {
             ir.protocol.sstash_hits > 0,
             "the S-Stash front door should serve some requests"
         );
-        // At quick scale the tree top is only ~60 slots, so the reduction
-        // is small; allow noise but forbid a real regression. The
-        // standard-scale run recorded in EXPERIMENTS.md shows the paper's
-        // large reduction.
+        // The reduction is flat here: allow noise but forbid a real
+        // regression. It is flat at standard scale too: EXPERIMENTS.md
+        // records a geomean ratio of 1.002 against the paper's 0.49 (see
+        // DESIGN.md deviation #2), so no scale of this test shows the
+        // paper's large reduction.
         assert!(
             ir.posmap_paths() <= base.posmap_paths() * 21 / 20,
             "IR-Stash {} vs Baseline {}",

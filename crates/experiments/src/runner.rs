@@ -729,7 +729,23 @@ mod tests {
     fn funct_config_is_valid() {
         let opts = ExpOptions::quick();
         let cfg = opts.funct_oram(|l, _| ZAllocation::uniform(l, 4));
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    /// An inconsistent ORAM configuration is a typed, non-transient cell
+    /// error, not a panic caught mid-construction.
+    #[test]
+    fn invalid_oram_config_is_a_cell_error() {
+        let mut cfg = ExpOptions::quick().system(Scheme::Baseline);
+        cfg.oram.data_blocks = cfg.oram.zalloc.total_slots() * 2;
+        let e = run_cell_checked(&cfg, Bench::Mcf, RunLimit::mem_ops(100)).unwrap_err();
+        assert!(
+            e.message.starts_with("invalid ORAM configuration:"),
+            "{}",
+            e.message
+        );
+        assert!(!e.transient);
+        assert_eq!(e.attempts, 1);
     }
 
     #[test]

@@ -520,7 +520,12 @@ mod tests {
     #[test]
     fn oram_config_valid_for_all_schemes() {
         for s in ALL_SCHEMES {
-            SystemConfig::scaled(s).oram.validate();
+            assert_eq!(
+                SystemConfig::scaled(s).oram.validate(),
+                Ok(()),
+                "{}",
+                s.name()
+            );
         }
     }
 }

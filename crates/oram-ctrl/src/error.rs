@@ -47,6 +47,10 @@ pub enum SimError {
     /// not fit the running configuration). Not transient — the snapshot on
     /// disk does not change between attempts.
     Snapshot(iroram_sim_engine::SnapError),
+    /// The ORAM configuration is inconsistent, so no controller can be
+    /// built. Not transient — the configuration does not change between
+    /// attempts.
+    Config(iroram_protocol::ConfigError),
 }
 
 impl From<iroram_protocol::AccessError> for SimError {
@@ -58,6 +62,12 @@ impl From<iroram_protocol::AccessError> for SimError {
 impl From<iroram_sim_engine::SnapError> for SimError {
     fn from(e: iroram_sim_engine::SnapError) -> Self {
         SimError::Snapshot(e)
+    }
+}
+
+impl From<iroram_protocol::ConfigError> for SimError {
+    fn from(e: iroram_protocol::ConfigError) -> Self {
+        SimError::Config(e)
     }
 }
 
@@ -93,6 +103,7 @@ impl std::fmt::Display for SimError {
             ),
             SimError::Protocol(e) => write!(f, "protocol rejected access: {e}"),
             SimError::Snapshot(e) => write!(f, "checkpoint snapshot: {e}"),
+            SimError::Config(e) => write!(f, "invalid ORAM configuration: {e}"),
         }
     }
 }
@@ -126,6 +137,9 @@ mod tests {
         let snap = SimError::from(iroram_sim_engine::SnapError::BadChecksum);
         assert!(!snap.is_transient());
         assert!(snap.to_string().contains("checkpoint snapshot"));
+        let config = SimError::from(iroram_protocol::ConfigError::TooFewLevels { levels: 1 });
+        assert!(!config.is_transient());
+        assert!(config.to_string().contains("invalid ORAM configuration"));
     }
 
     #[test]

@@ -276,7 +276,8 @@ impl Simulation {
     ///
     /// [`SimError`] as for the uncheckpointed form, plus
     /// [`SimError::Snapshot`] for a corrupt, mismatched, or unwritable
-    /// snapshot.
+    /// snapshot, and [`SimError::Config`] for an inconsistent ORAM
+    /// configuration (checked before anything is built).
     pub fn try_run_checkpointed(
         cfg: &SystemConfig,
         mut gen: WorkloadGen,
@@ -284,6 +285,7 @@ impl Simulation {
         workload: &str,
         ckpt: Option<&CheckpointSpec>,
     ) -> Result<(SimReport, Option<AuditReport>), SimError> {
+        cfg.oram.validate()?;
         let mut ctl = TimedController::new(cfg);
         let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy);
         let mut cpu = TraceCpu::new(cfg.rob_insts, cfg.ipc, cfg.mshrs);

@@ -196,29 +196,107 @@ impl OramConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a description if the configuration is inconsistent
-    /// (allocation height mismatch, cached levels out of range, or a tree
-    /// too small for the block population).
-    pub fn validate(&self) {
-        assert!(self.levels >= 2, "tree needs at least two levels");
-        assert_eq!(
-            self.zalloc.levels(),
-            self.levels,
-            "allocation height must match tree height"
-        );
+    /// The first inconsistency found, as a [`ConfigError`]: a tree under
+    /// two levels, an allocation height mismatch, cached levels out of
+    /// range, a tree too small for the block population, or more blocks
+    /// than 32-bit initialization indices address.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.levels < 2 {
+            return Err(ConfigError::TooFewLevels {
+                levels: self.levels,
+            });
+        }
+        if self.zalloc.levels() != self.levels {
+            return Err(ConfigError::HeightMismatch {
+                levels: self.levels,
+                zalloc_levels: self.zalloc.levels(),
+            });
+        }
         let cached = self.treetop.cached_levels();
-        assert!(cached < self.levels, "cannot cache every level on-chip");
+        if cached >= self.levels {
+            return Err(ConfigError::TopCoversTree {
+                cached,
+                levels: self.levels,
+            });
+        }
+        let blocks = self.total_blocks();
         let capacity = self.zalloc.total_slots() + self.stash_capacity as u64;
-        assert!(
-            self.total_blocks() <= capacity,
-            "{} blocks cannot fit {} slots",
-            self.total_blocks(),
-            capacity
-        );
+        if blocks > capacity {
+            return Err(ConfigError::Overfull { blocks, capacity });
+        }
+        if blocks > 1 << 32 {
+            return Err(ConfigError::AddressOverflow { blocks });
+        }
+        Ok(())
     }
 }
+
+/// An inconsistent [`OramConfig`], as [`OramConfig::validate`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The tree has fewer than two levels.
+    TooFewLevels {
+        /// Configured tree levels.
+        levels: usize,
+    },
+    /// The Z allocation describes a tree of another height.
+    HeightMismatch {
+        /// Configured tree levels.
+        levels: usize,
+        /// Levels the allocation covers.
+        zalloc_levels: usize,
+    },
+    /// The tree top would cache every level on-chip.
+    TopCoversTree {
+        /// Cached top levels.
+        cached: usize,
+        /// Configured tree levels.
+        levels: usize,
+    },
+    /// The tree slots plus the stash cannot hold every block.
+    Overfull {
+        /// Data plus PosMap blocks to store.
+        blocks: u64,
+        /// Tree slots plus soft stash capacity.
+        capacity: u64,
+    },
+    /// More blocks than initialization's 32-bit insertion order indexes.
+    AddressOverflow {
+        /// Data plus PosMap blocks to store.
+        blocks: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::TooFewLevels { levels } => {
+                write!(f, "tree needs at least two levels, got {levels}")
+            }
+            ConfigError::HeightMismatch {
+                levels,
+                zalloc_levels,
+            } => write!(
+                f,
+                "allocation height {zalloc_levels} must match tree height {levels}"
+            ),
+            ConfigError::TopCoversTree { cached, levels } => write!(
+                f,
+                "cannot cache every level on-chip ({cached} of {levels} levels)"
+            ),
+            ConfigError::Overfull { blocks, capacity } => {
+                write!(f, "{blocks} blocks cannot fit {capacity} slots")
+            }
+            ConfigError::AddressOverflow { blocks } => {
+                write!(f, "{blocks} blocks exceed 2^32 block addresses")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Protocol-level statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -388,21 +466,35 @@ impl PathOram {
     ///
     /// Panics if the configuration is invalid (see [`OramConfig::validate`]).
     pub fn new(cfg: OramConfig) -> Self {
+        Self::build(cfg).0
+    }
+
+    /// [`PathOram::new`], also reporting whether the by-subtree pass built
+    /// the state (`false`: it was abandoned and the in-order loop built
+    /// it from scratch). Either way the state is the in-order loop's.
+    fn build(cfg: OramConfig) -> (Self, bool) {
         let mut oram = PathOram::unplaced(cfg);
-        oram.initialize();
+        let by_subtree = oram.insert_by_subtree();
+        if !by_subtree {
+            let cfg = oram.cfg.clone();
+            drop(oram);
+            oram = PathOram::unplaced(cfg);
+            oram.insert_in_order();
+        }
+        oram.reset_stats();
         // Checksums are derived data: enabling integrity before init would
         // re-sum every touched bucket across the ~N initialization paths.
         // One O(total-slots) pass over the populated tree yields the same
         // sums (they are recomputed from slot contents; the rng stream and
         // statistics are untouched, so reports cannot change).
         oram.tree.set_integrity(oram.cfg.integrity);
-        oram
+        (oram, by_subtree)
     }
 
     /// The ORAM with every block mapped to a leaf but none placed yet:
     /// empty tree, tree top and stash.
     fn unplaced(cfg: OramConfig) -> Self {
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()), "invalid ORAM configuration");
         let layout = TreeLayout::new(cfg.zalloc.clone());
         let mut rng = SimRng::seed_from(cfg.seed);
         let space = AddressSpace::new(cfg.data_blocks);
@@ -444,20 +536,27 @@ impl PathOram {
         }
     }
 
-    /// Paper-style initialization: every block is inserted once, in a
-    /// random order, by one path access to its leaf. While the stash is
+    /// The paper's insertion order: every block address, shuffled by the
+    /// ORAM's RNG. [`OramConfig::validate`] bounds the block count by
+    /// 2^32, so every address fits a `u32`.
+    fn insertion_order(&mut self) -> Vec<u32> {
+        let total = self.posmap.space().total_blocks();
+        let mut order: Vec<u32> = (0..total).map(|a| a as u32).collect();
+        self.rng.shuffle(&mut order);
+        order
+    }
+
+    /// Paper-style initialization: every block is inserted once, in the
+    /// shuffled order, by one path access to its leaf. While the stash is
     /// empty that access is only a greedy fill of the path's blocks plus
     /// the new one, which [`PathOram::place_on_path`] performs without the
     /// stash round-trip; an insert that finds the stash non-empty (after
     /// an S-Stash rejection or a leftover) takes the general path access.
-    fn initialize(&mut self) {
-        let total = self.posmap.space().total_blocks();
-        let mut order: Vec<u64> = (0..total).collect();
-        self.rng.shuffle(&mut order);
-        for addr in order {
-            let block = self.init_block(addr);
+    fn insert_in_order(&mut self) {
+        for addr in self.insertion_order() {
+            let block = self.init_block(u64::from(addr));
             if self.stash.is_empty() {
-                self.place_on_path(block);
+                self.place_on_path(block, 0);
             } else {
                 self.stash.insert(block);
                 self.path_access(
@@ -470,7 +569,39 @@ impl PathOram {
             }
             self.drain_init_overflow();
         }
-        self.reset_stats();
+    }
+
+    /// [`PathOram::insert_in_order`]'s state, built subtree by subtree.
+    /// Path ORAM places a block only on its own leaf's path, so while no
+    /// block sits above level `split` (the tree-top boundary) and the
+    /// stash stays empty, an insert reads and writes only the subtree
+    /// rooted at `split` that holds its leaf, and inserts under different
+    /// subtrees commute. The shuffled order is therefore stable-grouped by
+    /// that subtree, keeping the shuffle order inside each, and every
+    /// insert places its path's levels `>= split` only, so one subtree's
+    /// slice of the arena stays in cache while its inserts run. The
+    /// watermark is a maximum, and no RNG draw follows the shuffle.
+    ///
+    /// An insert that cannot place every block at or below `split` would,
+    /// in the in-order loop, have used the tree top or the stash, after
+    /// which the subtrees no longer commute: the pass stops there and
+    /// returns `false`, leaving a state the caller discards.
+    fn insert_by_subtree(&mut self) -> bool {
+        let split = self.cfg.treetop.cached_levels();
+        let shift = self.cfg.levels - 1 - split;
+        let order = self.insertion_order();
+        let grouped = group_stable(&order, 1 << split, |addr| {
+            (self.init_block(u64::from(addr)).leaf.0 >> shift) as usize
+        });
+        // At most two orders of one `u32` per block are ever alive.
+        drop(order);
+        for addr in grouped {
+            self.place_on_path(self.init_block(u64::from(addr)), split);
+            if !self.stash.is_empty() {
+                return false;
+            }
+        }
+        true
     }
 
     /// Block `addr` as initialization inserts it: at its mapped leaf,
@@ -500,13 +631,16 @@ impl PathOram {
     }
 
     /// One init insert into an empty stash, by the same placement as the
-    /// path access to the block's leaf: gather the path's blocks plus
-    /// `block`, plan them by the write-back rule, write back only the
-    /// buckets that receive blocks (every bucket on the path is empty once
-    /// taken), and leave leftovers and S-Stash rejections in the stash.
-    /// Tree, tree top, stash and watermark end as `path_access` leaves
-    /// them; statistics are not kept (initialization resets them).
-    fn place_on_path(&mut self, block: StoredBlock) {
+    /// path access to the block's leaf: gather the path's blocks at levels
+    /// `>= from_level` plus `block`, plan them by the write-back rule over
+    /// those levels, write back only the buckets that receive blocks
+    /// (every bucket gathered is empty once taken), and leave leftovers
+    /// and S-Stash rejections in the stash. With `from_level` 0, tree,
+    /// tree top, stash and watermark end as `path_access` leaves them; a
+    /// higher `from_level` matches it whenever the levels above hold
+    /// nothing and no block is left over. Statistics are not kept
+    /// (initialization resets them).
+    fn place_on_path(&mut self, block: StoredBlock, from_level: usize) {
         debug_assert!(
             self.stash.is_empty(),
             "the init kernel needs an empty stash"
@@ -516,12 +650,12 @@ impl PathOram {
         let mut path = std::mem::take(&mut self.read_buf);
         path.clear();
         if let Some(top) = self.top.as_mut() {
-            for level in 0..cached {
+            for level in from_level..cached {
                 top.take_bucket_into(level, self.layout.bucket_on_path(leaf, level), &mut path);
             }
         }
         let from_memory = path.len();
-        for level in cached..self.cfg.levels {
+        for level in cached.max(from_level)..self.cfg.levels {
             let bucket = self.layout.bucket_on_path(leaf, level);
             self.tree.take_bucket_into(level, bucket, &mut path);
         }
@@ -538,28 +672,30 @@ impl PathOram {
         self.stash.plan_path_into(
             &self.layout,
             leaf,
+            from_level,
             &mut path,
             |level, b| top_accepts(top, cached, level, b),
             &mut plan,
         );
-        for level in 0..plan.len() {
-            if plan.level(level).is_empty() {
+        for planned in 0..plan.len() {
+            if plan.level(planned).is_empty() {
                 continue;
             }
+            let level = from_level + planned;
             let bucket = self.layout.bucket_on_path(leaf, level);
             match self.top.as_mut() {
                 // Rejected blocks join the leftovers in `path`.
                 Some(top) if level < cached => {
-                    top.write_bucket_from(level, bucket, plan.level_mut(level), &mut path);
+                    top.write_bucket_from(level, bucket, plan.level_mut(planned), &mut path);
                 }
                 _ => {
                     if self.cfg.encrypt_payloads {
-                        for b in plan.level_mut(level).iter_mut() {
+                        for b in plan.level_mut(planned).iter_mut() {
                             b.payload = self.cipher.encrypt(b.payload);
                         }
                     }
                     self.tree
-                        .write_bucket_from(level, bucket, plan.level_mut(level));
+                        .write_bucket_from(level, bucket, plan.level_mut(planned));
                 }
             }
         }
@@ -1458,6 +1594,34 @@ fn top_accepts(
             .can_accept(level, 0, b)
 }
 
+/// `items` stably grouped by `key`, which maps each below `groups`: one
+/// counting sort, so items with equal keys keep their order.
+fn group_stable(items: &[u32], groups: usize, key: impl Fn(u32) -> usize) -> Vec<u32> {
+    // `next[k]` counts group `k`, then becomes where its next item goes.
+    let mut next = vec![0usize; groups];
+    for &item in items {
+        if let Some(n) = next.get_mut(key(item)) {
+            *n += 1;
+        }
+    }
+    let mut start = 0;
+    for n in &mut next {
+        let count = *n;
+        *n = start;
+        start += count;
+    }
+    let mut grouped = vec![0u32; items.len()];
+    for &item in items {
+        if let Some(n) = next.get_mut(key(item)) {
+            if let Some(slot) = grouped.get_mut(*n) {
+                *slot = item;
+            }
+            *n += 1;
+        }
+    }
+    grouped
+}
+
 /// A batched access session over a [`PathOram`].
 ///
 /// Every access submitted through the batch performs its front probe,
@@ -1654,15 +1818,32 @@ mod tests {
         }
     }
 
+    /// The construction routes a case can take: the by-subtree pass
+    /// completes; it is abandoned for the in-order loop; and, within that
+    /// loop, inserts that find the stash non-empty and init background
+    /// evictions.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct RouteCounts {
+        by_subtree: usize,
+        fallback: usize,
+        stash_inserts: usize,
+        bg_evicts: usize,
+    }
+
+    thread_local! {
+        static ROUTES: std::cell::Cell<RouteCounts> =
+            std::cell::Cell::new(RouteCounts::default());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The placement kernel builds byte-for-byte the state of the
-        /// reference loop: tree, tree top, stash and watermark, PosMap,
-        /// RNG stream and statistics. Under pressure both of the kernel's
-        /// fallbacks must actually run.
-        #[test]
-        fn init_kernel_matches_the_reference_loop(
+        /// Construction builds byte-for-byte the state of the reference
+        /// loop: tree, tree top, stash and watermark, PosMap, RNG stream
+        /// and statistics. Under pressure both of the in-order loop's
+        /// fallbacks must actually run. Each case's route is tallied in
+        /// `ROUTES`.
+        fn construction_matches_the_reference_loop(
             levels in 3usize..10,
             shape in 0u8..4,
             treetop in 0u8..3,
@@ -1673,9 +1854,9 @@ mod tests {
         ) {
             let cfg = init_config(levels, shape, treetop, pressure, util_pct, encrypt, seed);
             let (reference, tally) = reference_new(cfg.clone());
-            let kernel = PathOram::new(cfg.clone());
-            prop_assert!(snapshot(&kernel) == snapshot(&reference), "{cfg:?}");
-            kernel.check_invariants().expect("kernel-built ORAM is sound");
+            let (built, by_subtree) = PathOram::build(cfg.clone());
+            prop_assert!(snapshot(&built) == snapshot(&reference), "{cfg:?}");
+            built.check_invariants().expect("constructed ORAM is sound");
             match pressure {
                 1 => prop_assert!(
                     tally.sstash_rejects > 0 && tally.fallback_inserts > 0,
@@ -1684,7 +1865,69 @@ mod tests {
                 2 => prop_assert!(tally.bg_evicts > 0, "{cfg:?} {tally:?}"),
                 _ => {}
             }
+            let mut seen = ROUTES.get();
+            if by_subtree {
+                // The by-subtree pass completes only if no insert needs
+                // the tree top or the stash, so neither holds a block.
+                let split = cfg.treetop.cached_levels();
+                let above_split: u64 = built.utilization_per_level()[..split]
+                    .iter()
+                    .map(|&(used, _)| used)
+                    .sum();
+                prop_assert!(above_split == 0 && built.stash_len() == 0, "{cfg:?}");
+                prop_assert!(
+                    tally.fallback_inserts == 0 && tally.bg_evicts == 0,
+                    "{cfg:?} {tally:?}"
+                );
+                seen.by_subtree += 1;
+            } else {
+                // Abandoned, the in-order loop built it: the reference
+                // tally is that loop's own route.
+                seen.fallback += 1;
+                seen.stash_inserts += usize::from(tally.fallback_inserts > 0);
+                seen.bg_evicts += usize::from(tally.bg_evicts > 0);
+            }
+            ROUTES.set(seen);
         }
+    }
+
+    /// The property above, plus route coverage: across its cases every
+    /// construction route must have run at least once.
+    #[test]
+    fn init_kernel_matches_the_reference_loop() {
+        ROUTES.set(RouteCounts::default());
+        construction_matches_the_reference_loop();
+        let seen = ROUTES.get();
+        assert!(
+            seen.by_subtree > 0
+                && seen.fallback > 0
+                && seen.stash_inserts > 0
+                && seen.bg_evicts > 0,
+            "{seen:?}"
+        );
+    }
+
+    /// A uniform Z=2 tree filled to every slot cannot keep the tree top
+    /// empty: the by-subtree pass is abandoned after placing some blocks,
+    /// and the restarted in-order loop still builds the reference state.
+    #[test]
+    fn an_abandoned_subtree_pass_restarts_to_the_reference_state() {
+        let cfg = init_config(8, 1, 1, 2, 100, true, 0x5EED);
+        let mut partial = PathOram::unplaced(cfg.clone());
+        assert!(!partial.insert_by_subtree());
+        let placed: u64 = partial
+            .utilization_per_level()
+            .iter()
+            .map(|&(used, _)| used)
+            .sum();
+        assert!(
+            placed > 1,
+            "abandoned mid-pass, not at the first insert ({placed})"
+        );
+        let (built, by_subtree) = PathOram::build(cfg.clone());
+        assert!(!by_subtree);
+        let (reference, _) = reference_new(cfg);
+        assert!(snapshot(&built) == snapshot(&reference));
     }
 
     #[test]
@@ -2006,8 +2249,55 @@ mod tests {
     fn validate_catches_overfull_tree() {
         let mut cfg = OramConfig::tiny();
         cfg.data_blocks = 1 << 12; // far beyond an 8-level tree's 1020 slots
-        let result = std::panic::catch_unwind(|| cfg.validate());
-        assert!(result.is_err());
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::Overfull {
+                blocks: cfg.total_blocks(),
+                capacity: 1020 + 64,
+            }
+        );
+        assert!(err.to_string().contains("cannot fit 1084 slots"), "{err}");
+        let result = std::panic::catch_unwind(|| PathOram::new(cfg));
+        assert!(result.is_err(), "PathOram::new panics on an invalid config");
+    }
+
+    #[test]
+    fn validate_reports_each_inconsistency() {
+        let ok = OramConfig::tiny();
+        assert_eq!(ok.validate(), Ok(()));
+        let short = OramConfig {
+            levels: 1,
+            zalloc: ZAllocation::uniform(1, 4),
+            treetop: TreeTopMode::None,
+            ..ok.clone()
+        };
+        assert_eq!(
+            short.validate(),
+            Err(ConfigError::TooFewLevels { levels: 1 })
+        );
+        let mismatch = OramConfig {
+            zalloc: ZAllocation::uniform(9, 4),
+            ..ok.clone()
+        };
+        assert_eq!(
+            mismatch.validate(),
+            Err(ConfigError::HeightMismatch {
+                levels: 8,
+                zalloc_levels: 9
+            })
+        );
+        let all_top = OramConfig {
+            treetop: TreeTopMode::Dedicated { levels: 8 },
+            ..ok
+        };
+        assert_eq!(
+            all_top.validate(),
+            Err(ConfigError::TopCoversTree {
+                cached: 8,
+                levels: 8
+            })
+        );
     }
 
     #[test]

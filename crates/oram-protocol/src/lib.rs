@@ -40,8 +40,8 @@ mod types;
 mod zalloc;
 
 pub use controller::{
-    AccessBatch, AccessError, AccessRecord, OramConfig, PathOram, ProtocolStats, RemapPolicy,
-    TreeTopMode, WriteOp,
+    AccessBatch, AccessError, AccessRecord, ConfigError, OramConfig, PathOram, ProtocolStats,
+    RemapPolicy, TreeTopMode, WriteOp,
 };
 pub use invariants::InvariantError;
 pub use layout::TreeLayout;

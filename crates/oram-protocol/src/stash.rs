@@ -442,16 +442,19 @@ impl Stash {
     /// on a packed key instead of a stash merge plus a counting sort.
     /// Placed blocks move into `plan`; unplaced ones stay in `path`. Only
     /// the stash's planning scratch is used; its blocks are untouched.
+    /// Like [`Stash::plan_writeback_into`], only levels `[top_level, L)`
+    /// are filled, and `plan.level(i)` is level `top_level + i`.
     pub(crate) fn plan_path_into(
         &mut self,
         layout: &TreeLayout,
         leaf: Leaf,
+        top_level: usize,
         path: &mut Vec<StoredBlock>,
         may_place: impl FnMut(usize, &StoredBlock) -> bool,
         plan: &mut WritebackPlan,
     ) {
         let levels = layout.levels();
-        plan.reset(levels);
+        plan.reset(levels - top_level);
         // Depth descending in the top bits, address ascending below: one
         // integer compare per pair (levels <= 64 needs 6 bits).
         path.sort_unstable_by_key(|b| {
@@ -466,7 +469,7 @@ impl Stash {
         );
         greedy_fill(
             layout,
-            0,
+            top_level,
             &self.sorted,
             path,
             may_place,
