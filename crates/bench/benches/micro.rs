@@ -1,63 +1,14 @@
-//! Criterion micro-benchmarks for the substrate crates: the hot operations
-//! every simulated cycle leans on (MD5 set indexing, DRAM scheduling, cache
-//! lookups, stash write-back planning).
+//! Criterion micro-benchmarks for the substrate crates: the hot kernels
+//! every simulated path leans on (stash write-back planning, DRAM batch
+//! scheduling, path request tables, path checksums, the payload Feistel
+//! permutation).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use iroram_cache::{CacheConfig, HierarchyConfig, MemoryHierarchy, SetAssocCache};
 use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest, SubtreeLayout};
-use iroram_hash::{md5_u64, mix64, FeistelCipher};
+use iroram_hash::FeistelCipher;
 use iroram_protocol::{Leaf, OramTree, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation};
 use iroram_sim_engine::{Cycle, SimRng};
-
-fn bench_hash(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hash");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("md5_u64", |b| {
-        let mut x = 0u64;
-        b.iter(|| {
-            x = x.wrapping_add(1);
-            std::hint::black_box(md5_u64(x))
-        })
-    });
-    g.bench_function("mix64", |b| {
-        let mut x = 0u64;
-        b.iter(|| {
-            x = x.wrapping_add(1);
-            std::hint::black_box(mix64(x))
-        })
-    });
-    g.bench_function("feistel_encrypt", |b| {
-        let cipher = FeistelCipher::new(42);
-        let mut x = 0u64;
-        b.iter(|| {
-            x = x.wrapping_add(1);
-            std::hint::black_box(cipher.encrypt(x))
-        })
-    });
-    g.finish();
-}
-
-fn bench_dram(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dram");
-    // One ORAM path's worth of reads (40 blocks with subtree locality).
-    let layout = SubtreeLayout::new(&[0, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4], 4);
-    let path: Vec<u64> = layout.path_slots(12345, 0);
-    g.throughput(Throughput::Elements(path.len() as u64));
-    g.bench_function("schedule_path_batch", |b| {
-        let mut dram = DramSystem::new(DramConfig::default());
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 250;
-            let reqs: Vec<MemRequest> = path
-                .iter()
-                .map(|&a| MemRequest::read(a, Cycle(t)))
-                .collect();
-            std::hint::black_box(dram.schedule_batch_done(&reqs, Cycle(t)))
-        })
-    });
-    g.finish();
-}
 
 /// A mixed read/write batch with shuffled addresses (no subtree locality),
 /// exercising the scheduler's queue handling rather than row-hit luck.
@@ -207,31 +158,6 @@ fn bench_path_requests(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cache");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("llc_access_hit", |b| {
-        let mut cache = SetAssocCache::new(CacheConfig::new(1024, 8));
-        for a in 0..4096u64 {
-            cache.insert(a, false);
-        }
-        let mut a = 0u64;
-        b.iter(|| {
-            a = (a + 1) % 4096;
-            std::hint::black_box(cache.access(a, false))
-        })
-    });
-    g.bench_function("hierarchy_access_mixed", |b| {
-        let mut h = MemoryHierarchy::new(HierarchyConfig::scaled(32));
-        let mut rng = SimRng::seed_from(3);
-        b.iter(|| {
-            let addr = rng.next_below(1 << 18);
-            std::hint::black_box(h.access(addr, addr & 1 == 0))
-        })
-    });
-    g.finish();
-}
-
 fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Stash {
     let mut s = Stash::new(occupancy as usize);
     for i in 0..occupancy {
@@ -282,6 +208,6 @@ fn bench_stash(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hash, bench_dram, bench_schedule_batch, bench_checksum_path, bench_feistel, bench_path_requests, bench_cache, bench_stash
+    targets = bench_schedule_batch, bench_checksum_path, bench_feistel, bench_path_requests, bench_stash
 }
 criterion_main!(micro);

@@ -1,25 +1,15 @@
-//! Full-system audit sweep: runs the seven schemes of the paper's main
-//! comparison across a spread of synthetic benchmarks with the audit
-//! subsystem enabled (functional oracle, timing schedule, DRAM
-//! conservation, structural invariants, IR-DWB coherence), and exits
-//! nonzero if any cell reports a violation.
+//! Full-system audit sweep: runs every scheme (`ALL_SCHEMES`: the paper's
+//! main comparison plus Fig. 11's IR-Alloc+IR-Stash on LLC-D) across a
+//! spread of synthetic benchmarks with the audit subsystem enabled
+//! (functional oracle, timing schedule, DRAM conservation, structural
+//! invariants, IR-DWB coherence), and exits nonzero if any cell reports a
+//! violation.
 //!
 //! Usage: `cargo run --release -p iroram-bench --bin audit [--quick | --standard | --full] [--jobs N]`
 
-use ir_oram::{Scheme, Simulation};
+use ir_oram::{Scheme, Simulation, ALL_SCHEMES};
 use iroram_experiments::{par_map, ExpOptions};
 use iroram_trace::Bench;
-
-/// Schemes under audit (the paper's seven-way comparison set).
-const SCHEMES: [Scheme; 7] = [
-    Scheme::Baseline,
-    Scheme::Rho,
-    Scheme::LlcD,
-    Scheme::IrAlloc,
-    Scheme::IrStash,
-    Scheme::IrDwb,
-    Scheme::IrOram,
-];
 
 /// A behaviourally diverse bench subset: mixed (gcc), read pointer-chasing
 /// (mcf), heavy streaming writes (lbm), the interleaved mix, and uniform
@@ -37,9 +27,9 @@ const BENCHES: [Bench; 5] = [
 fn main() {
     let mut opts = ExpOptions::from_args();
     opts.audit = true;
-    let cells: Vec<(Scheme, Bench)> = SCHEMES
-        .iter()
-        .flat_map(|&s| BENCHES.iter().map(move |&b| (s, b)))
+    let cells: Vec<(Scheme, Bench)> = ALL_SCHEMES
+        .into_iter()
+        .flat_map(|s| BENCHES.iter().map(move |&b| (s, b)))
         .collect();
     let results = par_map(opts.effective_jobs(), cells, |(scheme, bench)| {
         let cfg = opts.system(scheme);
@@ -49,12 +39,12 @@ fn main() {
 
     let mut total_checks = 0u64;
     let mut total_violations = 0u64;
-    println!("{:<10} {:<14} {:>10} {:>10}", "scheme", "bench", "checks", "violations");
+    println!("{:<24} {:<14} {:>10} {:>10}", "scheme", "bench", "checks", "violations");
     for (scheme, bench, audit) in &results {
         total_checks += audit.checks;
         total_violations += audit.violations;
         println!(
-            "{:<10} {:<14} {:>10} {:>10}",
+            "{:<24} {:<14} {:>10} {:>10}",
             scheme.name(),
             bench.name(),
             audit.checks,

@@ -1,9 +1,9 @@
-//! Fault-injection sweep: runs the seven schemes of the paper's main
-//! comparison across a behaviourally diverse bench subset **under an
-//! active fault plan** (DRAM line corruption, transient bank stalls,
-//! stash-pressure storms, mangled trace records) with both the integrity
-//! layer and the audit subsystem on, and verifies the robustness
-//! contract:
+//! Fault-injection sweep: runs every scheme (`ALL_SCHEMES`: the paper's main
+//! comparison plus Fig. 11's IR-Alloc+IR-Stash on LLC-D) across a
+//! behaviourally diverse bench subset **under an active fault plan** (DRAM
+//! line corruption, transient bank stalls, stash-pressure storms, mangled
+//! trace records) with both the integrity layer and the audit subsystem on,
+//! and verifies the robustness contract:
 //!
 //! - **zero undetected corruptions**: every injected DRAM corruption that
 //!   a path read consumed was caught by the per-bucket checksums;
@@ -18,21 +18,10 @@
 //! Usage: `cargo run --release -p iroram-bench --bin faults --
 //! [--preset low|high] [--quick | --standard | --full] [--jobs N]`
 
-use ir_oram::{Scheme, SimReport};
+use ir_oram::{Scheme, SimReport, ALL_SCHEMES};
 use iroram_experiments::{par_map, run_cell_checked, ExpOptions};
 use iroram_sim_engine::FaultConfig;
 use iroram_trace::Bench;
-
-/// Schemes under test (the paper's seven-way comparison set).
-const SCHEMES: [Scheme; 7] = [
-    Scheme::Baseline,
-    Scheme::Rho,
-    Scheme::LlcD,
-    Scheme::IrAlloc,
-    Scheme::IrStash,
-    Scheme::IrDwb,
-    Scheme::IrOram,
-];
 
 /// Same behaviourally diverse subset as the audit sweep.
 const BENCHES: [Bench; 5] = [
@@ -99,9 +88,9 @@ fn main() {
     // Every cell runs at access-pipeline depths 1 and 4: fault recovery
     // (re-fetch penalties, storm throttling, record rejection) must hold
     // under the k-deep overlapped schedule, not just the serial one.
-    let cells: Vec<(Scheme, Bench, u32)> = SCHEMES
-        .iter()
-        .flat_map(|&s| {
+    let cells: Vec<(Scheme, Bench, u32)> = ALL_SCHEMES
+        .into_iter()
+        .flat_map(|s| {
             BENCHES
                 .iter()
                 .flat_map(move |&b| [1u32, 4].into_iter().map(move |d| (s, b, d)))
@@ -123,7 +112,7 @@ fn main() {
 
     let mut failures = 0u64;
     println!(
-        "{:<10} {:<14} {:>5} {:>9} {:>9} {:>11} {:>7} {:>7} {:>9} {:>9} {:>9}",
+        "{:<24} {:<14} {:>5} {:>9} {:>9} {:>11} {:>7} {:>7} {:>9} {:>9} {:>9}",
         "scheme",
         "bench",
         "depth",
@@ -140,7 +129,7 @@ fn main() {
         let f = &faulted.faults;
         let slowdown = faulted.cycles as f64 / clean.cycles.max(1) as f64;
         println!(
-            "{:<10} {:<14} {:>5} {:>9} {:>9} {:>11} {:>7} {:>7} {:>9} {:>9} {:>9.3}",
+            "{:<24} {:<14} {:>5} {:>9} {:>9} {:>11} {:>7} {:>7} {:>9} {:>9} {:>9.3}",
             scheme.name(),
             bench.name(),
             depth,

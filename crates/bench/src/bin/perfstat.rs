@@ -200,8 +200,8 @@ fn main() {
          construction {total_build:.5}s"
     );
 
-    // Hand-rolled JSON: the vendored serde shim derives are no-ops, and the
-    // shape here is flat enough that formatting directly is clearer anyway.
+    // Hand-rolled JSON: the workspace has no serialization dependency, and
+    // the shape here is flat enough that formatting directly is clearer.
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!("  \"scale\": \"{}\",\n", scale_name(&opts)));

@@ -2,10 +2,9 @@
 
 use iroram_hash::mix64;
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// How a line address is mapped to a set index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     /// Classic low-order-bits indexing (`addr % sets`), as in the L1/LLC.
     LowBits,
@@ -17,7 +16,7 @@ pub enum IndexKind {
 }
 
 /// Configuration of a [`SetAssocCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (need not be a power of two).
     pub sets: usize,
@@ -57,7 +56,7 @@ impl CacheConfig {
 }
 
 /// A line evicted by an insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
     /// The evicted line's address.
     pub addr: u64,
@@ -77,7 +76,7 @@ pub struct LineInfo {
 }
 
 /// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that hit.
     pub hits: u64,

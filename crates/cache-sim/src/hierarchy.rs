@@ -1,12 +1,11 @@
 //! The two-level data-cache hierarchy in front of the ORAM controller.
 
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::{CacheConfig, SetAssocCache};
 
 /// Where an access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Hit in the L1 data cache.
     L1Hit,
@@ -18,7 +17,7 @@ pub enum AccessOutcome {
 }
 
 /// Hierarchy configuration (line counts; lines are 64 B as in Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 sets.
     pub l1_sets: usize,
@@ -67,7 +66,7 @@ impl Default for HierarchyConfig {
 }
 
 /// Aggregate hierarchy statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// Total accesses issued to the hierarchy.
     pub accesses: u64,

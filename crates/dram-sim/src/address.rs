@@ -1,9 +1,7 @@
 //! Physical address decomposition.
 
-use serde::{Deserialize, Serialize};
-
 /// How line addresses interleave across channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interleave {
     /// Consecutive cache lines rotate across channels (maximizes parallelism
     /// for streaming accesses such as ORAM path reads).
@@ -14,7 +12,7 @@ pub enum Interleave {
 }
 
 /// Decoded coordinates of a cache-line address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedAddr {
     /// Memory channel.
     pub channel: u32,
@@ -42,7 +40,7 @@ pub struct DecodedAddr {
 /// let d1 = m.decode(1);
 /// assert_ne!(d0.channel, d1.channel); // line-interleaved
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     channels: u32,
     banks: u32,

@@ -11,8 +11,6 @@
 //! IR-Alloc changes; shrinking `Z` at middle levels shrinks those subtrees
 //! and the address space accordingly.
 
-use serde::{Deserialize, Serialize};
-
 /// Maps ORAM tree coordinates (level, bucket, slot) to flat cache-line
 /// addresses using the subtree layout.
 ///
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let path = layout.path_slots(0b101, 0);
 /// assert_eq!(path.len(), 4 * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubtreeLayout {
     z_per_level: Vec<u32>,
     group_height: u32,
@@ -195,7 +193,7 @@ impl SubtreeLayout {
 
 /// Per-level precomputed constants for one memory-backed level of a
 /// [`PathTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PathRow {
     /// `levels - 1 - level`: shifts a leaf down to this level's bucket.
     shift: u32,
@@ -213,7 +211,7 @@ struct PathRow {
 /// [`SubtreeLayout::path_table`]): turns per-access address arithmetic into
 /// a table fill over reused buffers. Produces exactly the addresses of
 /// [`SubtreeLayout::path_slots`], in the same order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathTable {
     rows: Vec<PathRow>,
     path_len: usize,

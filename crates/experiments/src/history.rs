@@ -11,8 +11,8 @@
 //! are all simulator runs and parse as the `"sim"` family.
 //!
 //! The scanners here are deliberately not a JSON parser: the writers in
-//! this repository are the only producers, every value is flat, and a
-//! field scan keeps the vendored-serde shim out of the loop.
+//! this repository are the only producers, every value is flat, and the
+//! workspace has no serialization dependency to lean on.
 
 /// One ratchet-comparability key: entries with equal keys measure the same
 /// workload and may be rate-compared; everything else is a different

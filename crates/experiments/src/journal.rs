@@ -9,9 +9,9 @@
 //! interrupted-then-resumed sweep produces byte-identical output to an
 //! uninterrupted one.
 //!
-//! The workspace's vendored `serde` is a compile-only shim (no runtime
-//! serialization), so the codec here is hand-rolled: a tiny JSON writer and
-//! a recursive-descent reader covering exactly the subset
+//! The workspace has no serialization dependency, so the codec here is
+//! hand-rolled: a tiny JSON writer and a recursive-descent reader covering
+//! exactly the subset
 //! [`ir_oram::SimReport`] needs (objects, arrays, unsigned integers,
 //! escaped strings, `null`). Unknown object keys are ignored on read and
 //! malformed lines are skipped, so journals survive schema drift and torn

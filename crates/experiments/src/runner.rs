@@ -573,31 +573,6 @@ pub fn perf_benches() -> Vec<Bench> {
     v
 }
 
-/// Runs one timed cell. When `cfg.audit` is set the cell runs with the
-/// audit subsystem on and **panics** on any violation (so `--audit` runs
-/// abort loudly instead of publishing figures from a corrupted simulation);
-/// the report itself is identical either way.
-///
-/// # Panics
-///
-/// Panics when auditing is enabled and the run reports violations.
-pub fn run_cell(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> SimReport {
-    if !cfg.audit {
-        return Simulation::run_bench(cfg, bench, limit);
-    }
-    let (report, audit) = Simulation::run_bench_audited(cfg, bench, limit);
-    let audit = audit.expect("audit enabled in config");
-    assert!(
-        audit.is_clean(),
-        "audit: {} violation(s) in {} on {} (first: {})",
-        audit.violations,
-        cfg.scheme.name(),
-        bench.name(),
-        audit.samples.first().map_or("<none>", String::as_str),
-    );
-    report
-}
-
 /// Runs one scheme across `benches`, fanning the per-bench cells out over
 /// [`ExpOptions::effective_jobs`] workers (journaled when `--resume` is on).
 pub fn run_scheme(opts: &ExpOptions, scheme: Scheme, benches: &[Bench]) -> Vec<SimReport> {

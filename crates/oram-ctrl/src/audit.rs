@@ -49,7 +49,7 @@ pub struct AuditReport {
     pub checks: u64,
     /// Checks that failed.
     pub violations: u64,
-    /// Up to [`MAX_SAMPLES`] violation messages, in discovery order.
+    /// Up to `MAX_SAMPLES` (32) violation messages, in discovery order.
     pub samples: Vec<String>,
 }
 

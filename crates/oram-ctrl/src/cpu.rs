@@ -77,11 +77,6 @@ impl TraceCpu {
         self.outstanding.len()
     }
 
-    /// Whether any outstanding miss is still incomplete.
-    pub fn has_incomplete_miss(&self) -> bool {
-        self.outstanding.iter().any(|m| m.done.is_none())
-    }
-
     /// Checks whether the next memory op (after `gap` instructions) can
     /// issue, applying the ROB-head and MSHR constraints. Does not mutate
     /// retirement state — call [`TraceCpu::issue`] once `Ready`.

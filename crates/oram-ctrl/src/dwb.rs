@@ -8,14 +8,13 @@
 //! candidate stops being the dirty LRU entry or is evicted normally.
 
 use iroram_cache::{DirtyLruScanner, MemoryHierarchy};
-use serde::{Deserialize, Serialize};
 use iroram_protocol::{BlockAddr, PathOram, PathRecord, PlbStatus};
 use iroram_sim_engine::{Cycle, SimRng, SnapError, SnapReader, SnapWriter};
 
 use crate::SimError;
 
 /// Statistics of the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DwbStats {
     /// Dummy slots converted to useful paths.
     pub converted_slots: u64,
@@ -31,12 +30,11 @@ pub struct DwbStats {
 
 /// The dummy-to-write-back conversion engine.
 ///
-/// The victim lifecycle is single-owner: a sequence begins only in
-/// [`DwbEngine::adopt`] (which locks the scanner's candidate) and ends only
-/// in [`DwbEngine::abort_sequence`] or [`DwbEngine::complete_sequence`], so
-/// every started sequence is counted exactly once as completed or aborted —
-/// [`DwbEngine::check_coherence`] asserts this ledger together with the
-/// engine↔scanner `Ptr`/lock agreement.
+/// The victim lifecycle is single-owner: a sequence begins only in `adopt`
+/// (which locks the scanner's candidate) and ends only in `abort_sequence`
+/// or `complete_sequence`, so every started sequence is counted exactly
+/// once as completed or aborted — [`DwbEngine::check_coherence`] asserts
+/// this ledger together with the engine↔scanner `Ptr`/lock agreement.
 #[derive(Debug)]
 pub struct DwbEngine {
     scanner: DirtyLruScanner,

@@ -2,8 +2,6 @@
 
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
-
 use iroram_cache::{AccessOutcome, HierarchyStats, MemoryHierarchy};
 use iroram_dram::DramStats;
 use iroram_protocol::{BlockAddr, ProtocolStats};
@@ -38,7 +36,7 @@ pub struct CheckpointSpec {
 }
 
 /// How long to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunLimit {
     /// Memory operations to replay from the workload.
     pub mem_ops: u64,
@@ -53,7 +51,7 @@ impl RunLimit {
 
 /// Fault-injection and integrity accounting for one run. All-zero when no
 /// fault plan was active and the memory image stayed clean.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// DRAM line corruptions injected by the fault plan.
     pub injected_corruptions: u64,
@@ -78,7 +76,7 @@ pub struct FaultStats {
 }
 
 /// Results of one full-system run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Scheme simulated.
     pub scheme: Scheme,
@@ -103,10 +101,8 @@ pub struct SimReport {
     /// IR-DWB statistics, when the engine ran.
     pub dwb: Option<DwbStats>,
     /// Fault-injection and integrity accounting (all-zero when clean).
-    #[serde(default)]
     pub faults: FaultStats,
     /// Stash pressure observed over the run.
-    #[serde(default)]
     pub stash: StashPressure,
 }
 
@@ -217,43 +213,12 @@ impl Simulation {
         Self::try_run_audited(cfg, gen, limit, bench.name())
     }
 
-    /// Runs an arbitrary workload generator on `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`SimError`].
-    pub fn run(
-        cfg: &SystemConfig,
-        gen: WorkloadGen,
-        limit: RunLimit,
-        workload: &str,
-    ) -> SimReport {
-        Self::try_run_audited(cfg, gen, limit, workload)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-            .0
-    }
-
-    /// Like [`Simulation::run`], also returning the audit results (Some iff
-    /// `cfg.audit`). Auditing observes only: the [`SimReport`] is identical
-    /// with the flag on or off.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`SimError`]; use [`Simulation::try_run_audited`].
-    pub fn run_audited(
-        cfg: &SystemConfig,
-        gen: WorkloadGen,
-        limit: RunLimit,
-        workload: &str,
-    ) -> (SimReport, Option<AuditReport>) {
-        Self::try_run_audited(cfg, gen, limit, workload)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`Simulation::run_audited`]: every controller-level
-    /// failure (stash overflow past the hard limit, stuck requests,
-    /// malformed trace records with no fault plan to blame) surfaces as a
-    /// typed [`SimError`] instead of a panic.
+    /// Runs an arbitrary workload generator on `cfg`, also returning the
+    /// audit results (Some iff `cfg.audit`). Auditing observes only: the
+    /// [`SimReport`] is identical with the flag on or off. Every
+    /// controller-level failure (stash overflow past the hard limit, stuck
+    /// requests, malformed trace records with no fault plan to blame)
+    /// surfaces as a typed [`SimError`] instead of a panic.
     pub fn try_run_audited(
         cfg: &SystemConfig,
         gen: WorkloadGen,

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use iroram_cache::CacheConfig;
 use iroram_hash::FeistelCipher;
 use iroram_sim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
@@ -17,7 +15,7 @@ use crate::{
 };
 
 /// Which tree-top store (if any) the controller uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeTopMode {
     /// No on-chip tree top: every path access touches all levels in memory.
     None,
@@ -102,7 +100,7 @@ impl std::fmt::Display for AccessError {
 impl std::error::Error for AccessError {}
 
 /// When accessed blocks get remapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemapPolicy {
     /// Standard Path ORAM: remap at access time; the tree keeps a copy while
     /// the LLC holds the line (dirty evictions issue a write access).
@@ -115,7 +113,7 @@ pub enum RemapPolicy {
 }
 
 /// Configuration of a [`PathOram`] instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OramConfig {
     /// Tree levels `L` (root = level 0).
     pub levels: usize,
@@ -299,7 +297,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Protocol-level statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
     /// Logical accesses served via [`PathOram::run_access`].
     pub accesses: u64,
@@ -349,7 +347,7 @@ impl ProtocolStats {
 }
 
 /// The outcome of one logical access (or sub-operation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRecord {
     /// Path accesses performed, in order.
     pub paths: PathList,

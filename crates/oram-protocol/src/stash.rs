@@ -1,6 +1,5 @@
 //! The fully-associative stash (the paper's F-Stash).
 
-use serde::{Deserialize, Serialize};
 // lint: allow(determinism, hot-path lookup map; every iteration sorts keys before use)
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -60,7 +59,7 @@ pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 /// assert!(s.contains(BlockAddr(1)));
 /// assert_eq!(s.take(BlockAddr(1)).unwrap().payload, 9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Stash {
     /// Resident blocks, kept sorted by address. Peak occupancy in any
     /// configured run stays well under a hundred blocks, so a

@@ -5,14 +5,13 @@
 use std::collections::BTreeMap;
 
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::{BlockAddr, Leaf, StoredBlock, TreeLayout};
 
 /// Sentinel address marking an empty (dummy) slot.
 const DUMMY: u64 = u64::MAX;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     addr: u64,
     leaf: u64,
@@ -44,7 +43,7 @@ const EMPTY_SLOT: Slot = Slot {
 /// assert_eq!(blocks.len(), 1);
 /// assert!(tree.take_bucket(2, 3).is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OramTree {
     // lint: allow(snapshot-drift, configuration; restore cross-checks the snapshot geometry against it)
     layout: TreeLayout,
@@ -75,7 +74,7 @@ pub struct OramTree {
 }
 
 /// Counters for the integrity layer's fault ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityStats {
     /// Corruptions injected into stored lines.
     pub injected: u64,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in (or span of) simulated time, measured in clock cycles of some
 /// clock domain.
 ///
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t, Cycle(120));
 /// assert_eq!(t.saturating_sub(Cycle(200)), Cycle(0));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {
@@ -127,7 +123,7 @@ impl From<u64> for Cycle {
 /// assert_eq!(r.slow_to_fast(Cycle(10)), Cycle(40));
 /// assert_eq!(r.fast_to_slow(Cycle(41)), Cycle(11)); // rounds up
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockRatio {
     fast: u64,
     slow: u64,

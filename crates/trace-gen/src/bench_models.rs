@@ -1,12 +1,10 @@
 //! Per-benchmark workload models calibrated to the paper's Table II.
 
-use serde::{Deserialize, Serialize};
-
 use crate::synth::Pattern;
 
 /// The benchmarks of the paper's Table II, plus the synthetic workloads its
 /// methodology sections use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bench {
     /// SPEC gcc — light, mixed, moderately local.
     Gcc,
@@ -142,7 +140,7 @@ impl Bench {
 /// larger than the cache) and the hot set otherwise (cache-resident). The
 /// cold pattern is benchmark-specific. Cold read/write mix follows the
 /// Table II ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Which benchmark this models.
     pub bench: Bench,

@@ -1,7 +1,5 @@
 //! Trace records.
 
-use serde::{Deserialize, Serialize};
-
 /// One memory operation of a workload trace.
 ///
 /// Addresses are cache-line (= ORAM block) granular and index the protected
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// the core retires before this operation — the quantity the trace-driven
 /// CPU model uses to advance time (the paper's traces are Pin instruction
 /// traces reduced the same way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Block address within the protected data space.
     pub addr: u64,

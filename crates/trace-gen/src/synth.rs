@@ -1,14 +1,12 @@
 //! Synthetic access-pattern generators.
 
-use serde::{Deserialize, Serialize};
-
 use iroram_hash::mix64;
 use iroram_sim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 
 use crate::{Bench, TraceRecord, WorkloadSpec};
 
 /// Cold-region access patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pattern {
     /// `streams` parallel sequential sweeps (streaming array kernels; high
     /// spatial locality → PosMap₁ and DRAM-row friendliness).
