@@ -42,22 +42,6 @@ fn bench_schedule_batch(c: &mut Criterion) {
             });
         }
     }
-    // Intra-batch channel parallelism: the same 4-channel batch scheduled
-    // with 1, 2, and 4 workers. The core clamp is disabled so each variant
-    // measures the dispatch it names, even on a small host (on a 1-core box
-    // t2/t4 show pure scoped-thread overhead — that is the point of the
-    // comparison, and why `PARALLEL_MIN_BATCH` and the clamp exist).
-    for threads in [1u32, 2, 4] {
-        let n = 256usize;
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_function(&format!("t{threads}_ch4_n{n}"), |b| {
-            let mut dram = DramSystem::new(DramConfig::default());
-            dram.set_sched_threads(threads);
-            dram.set_ignore_core_clamp(true);
-            let batch = shuffled_batch(n);
-            b.iter(|| std::hint::black_box(dram.schedule_batch(&batch)))
-        });
-    }
     g.finish();
 }
 

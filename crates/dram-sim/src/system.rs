@@ -100,40 +100,6 @@ impl DramStats {
             self.row_hits as f64 / self.requests as f64
         }
     }
-
-    /// Mean service latency in DRAM cycles.
-    pub fn mean_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.requests as f64
-        }
-    }
-
-    /// Achieved data-bus utilization (busy cycles / elapsed cycles / channels).
-    pub fn bus_utilization(&self, channels: u32) -> f64 {
-        if self.last_completion == 0 {
-            0.0
-        } else {
-            self.bus_busy_cycles as f64 / (self.last_completion as f64 * channels as f64)
-        }
-    }
-
-    /// Folds another stats record into this one (counter sums plus the
-    /// `last_completion` max). Every field is commutative, so absorbing
-    /// per-channel deltas in channel order equals the old per-request
-    /// interleaved accumulation bit for bit.
-    fn absorb(&mut self, d: &DramStats) {
-        self.row_hits += d.row_hits;
-        self.row_empties += d.row_empties;
-        self.row_conflicts += d.row_conflicts;
-        self.requests += d.requests;
-        self.reads += d.reads;
-        self.writes += d.writes;
-        self.total_latency += d.total_latency;
-        self.bus_busy_cycles += d.bus_busy_cycles;
-        self.last_completion = self.last_completion.max(d.last_completion);
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -194,28 +160,6 @@ pub struct DramSystem {
     /// completion as it is scheduled, so no final sort is needed.
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     out: Vec<Completion>,
-    /// Worker count for intra-batch channel-parallel scheduling (1 =
-    /// always serial). Channels are independent by construction, so any
-    /// value yields byte-identical completions and stats; the threshold
-    /// [`DramSystem::PARALLEL_MIN_BATCH`] keeps small batches serial.
-    // lint: allow(snapshot-drift, configuration; worker count never changes completions)
-    sched_threads: u32,
-    /// Per-channel completion scratch for the parallel path: each worker
-    /// emits into its own channel's buffer, and the deterministic merge
-    /// scatters them into `out` in fixed channel order.
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    pouts: Vec<Vec<Completion>>,
-    /// Test hook: skip the host-core clamp on `sched_threads` so the
-    /// parallel machinery is exercised even on single-core hosts.
-    // lint: allow(snapshot-drift, test hook, fixed at construction)
-    ignore_core_clamp: bool,
-}
-
-/// The host's core count, probed once: workers are pure CPU-bound, so
-/// spawning more of them than cores only adds scoped-thread overhead.
-fn host_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl DramSystem {
@@ -229,7 +173,6 @@ impl DramSystem {
             })
             .collect();
         let queues = vec![Vec::new(); channels.len()];
-        let pouts = vec![Vec::new(); channels.len()];
         DramSystem {
             cfg,
             channels,
@@ -237,39 +180,7 @@ impl DramSystem {
             latency_underflows: 0,
             queues,
             out: Vec::new(),
-            sched_threads: 1,
-            pouts,
-            ignore_core_clamp: false,
         }
-    }
-
-    /// Batches smaller than this always schedule serially, whatever
-    /// `sched_threads` says: a per-path ORAM batch (tens of requests) is
-    /// far too small to amortize spawning scoped workers, so the threshold
-    /// keeps the default simulation loop on the zero-overhead serial path
-    /// while large batches (benches, bulk replays) fan out.
-    pub const PARALLEL_MIN_BATCH: usize = 64;
-
-    /// Sets the worker count for intra-batch channel-parallel scheduling.
-    /// `0` and `1` both mean serial. Scheduling output is byte-identical
-    /// for every value: channels never share state, and the merge reads
-    /// them back in fixed channel order.
-    pub fn set_sched_threads(&mut self, n: u32) {
-        self.sched_threads = n.max(1);
-    }
-
-    /// Current intra-batch scheduling worker count (as configured; the
-    /// batch dispatch additionally clamps to the host's core count).
-    pub fn sched_threads(&self) -> u32 {
-        self.sched_threads
-    }
-
-    /// Disables the host-core clamp on the worker count. Testing hook:
-    /// correctness tests use this to force the parallel dispatch + merge
-    /// path on hosts with fewer cores than `sched_threads`.
-    #[doc(hidden)]
-    pub fn set_ignore_core_clamp(&mut self, on: bool) {
-        self.ignore_core_clamp = on;
     }
 
     /// The configuration this system was built with.
@@ -332,13 +243,6 @@ impl DramSystem {
     fn run_batch(&mut self, requests: &[MemRequest]) -> Cycle {
         let t = self.cfg.timings;
         let window = self.cfg.reorder_window.max(1);
-        // Clamp to the host: on a box with fewer cores than the configured
-        // worker count, extra scoped threads cost spawn overhead and win
-        // nothing. The clamp never changes results — only who computes them.
-        let mut threads = (self.sched_threads as usize).max(1);
-        if !self.ignore_core_clamp {
-            threads = threads.min(host_cores());
-        }
         let DramSystem {
             cfg,
             channels,
@@ -346,8 +250,6 @@ impl DramSystem {
             latency_underflows,
             queues,
             out,
-            pouts,
-            ..
         } = self;
         // Partition into the per-channel scratch queues, decoding once.
         for q in queues.iter_mut() {
@@ -373,69 +275,9 @@ impl DramSystem {
         };
         out.resize(requests.len(), placeholder);
         let mut latest = Cycle::ZERO;
-        let parallel =
-            threads > 1 && channels.len() > 1 && requests.len() >= Self::PARALLEL_MIN_BATCH;
-        if parallel {
-            // Fan the channels out across scoped workers (the same
-            // scoped-thread worker-loop shape as the experiment runner's
-            // `par_map`). Each worker owns a disjoint contiguous chunk of
-            // (channel, queue, scratch, delta) rows, so no simulated state
-            // is ever shared; the merge below reads the per-channel
-            // results back in fixed channel order, making the output
-            // independent of thread count and interleaving.
-            for p in pouts.iter_mut() {
-                p.clear();
-            }
-            let mut deltas = vec![ChannelDelta::new(); channels.len()];
-            let mut work: Vec<(
-                &mut Channel,
-                &mut Vec<DecodedRequest>,
-                &mut Vec<Completion>,
-                &mut ChannelDelta,
-            )> = channels
-                .iter_mut()
-                .zip(queues.iter_mut())
-                .zip(pouts.iter_mut())
-                .zip(deltas.iter_mut())
-                .map(|(((ch, q), p), d)| (ch, q, p, d))
-                .collect();
-            let chunk = work.len().div_ceil(threads.min(work.len()));
-            // Scoped workers compute independent per-channel results; the
-            // serial merge below is in fixed channel order, so scheduling
-            // output never depends on thread timing. (This is one of the
-            // two sanctioned thread-order sites — see iroram-lint.)
-            std::thread::scope(|s| {
-                for slice in work.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for (ch, queue, pout, delta) in slice.iter_mut() {
-                            **delta = scan_channel(&t, window, ch, queue, &mut |c| pout.push(c));
-                        }
-                    });
-                }
-            });
-            // Deterministic merge: channel order, then emission order
-            // within a channel — exactly the serial loop's order.
-            for (pout, delta) in pouts.iter().zip(deltas.iter()) {
-                for c in pout {
-                    // lint: allow(panic, completion index < requests.len() == out.len() by construction)
-                    out[c.index] = *c;
-                }
-                stats.absorb(&delta.stats);
-                *latency_underflows += delta.underflows;
-                latest = latest.max(delta.latest);
-            }
-        } else {
-            for (ch, queue) in channels.iter_mut().zip(queues.iter_mut()) {
-                let delta = scan_channel(&t, window, ch, queue, &mut |c| {
-                    // Direct placement: request i's completion goes to slot
-                    // i, so the batch needs no final sort.
-                    // lint: allow(panic, completion index < requests.len() == out.len() by construction)
-                    out[c.index] = c;
-                });
-                stats.absorb(&delta.stats);
-                *latency_underflows += delta.underflows;
-                latest = latest.max(delta.latest);
-            }
+        for (ch, queue) in channels.iter_mut().zip(queues.iter_mut()) {
+            let ch_latest = scan_channel(&t, window, ch, queue, out, stats, latency_underflows);
+            latest = latest.max(ch_latest);
         }
         latest
     }
@@ -514,8 +356,8 @@ impl DramSystem {
         Ok(())
     }
 
-    /// Models a refresh-ish global row closure (used between benchmark runs
-    /// and by tests).
+    /// Models a refresh-ish global row closure at `at`: every bank's open
+    /// row is precharged, so the next access to it pays an activate.
     pub fn close_all_rows(&mut self, at: Cycle) {
         let t = self.cfg.timings;
         for ch in &mut self.channels {
@@ -526,39 +368,21 @@ impl DramSystem {
     }
 }
 
-/// What one channel's FR-FCFS scan produced, accumulated locally so the
-/// scan can run off-thread and be folded into the system totals afterwards.
-#[derive(Debug, Clone, Copy)]
-struct ChannelDelta {
-    stats: DramStats,
-    underflows: u64,
-    latest: Cycle,
-}
-
-impl ChannelDelta {
-    fn new() -> Self {
-        ChannelDelta {
-            stats: DramStats::default(),
-            underflows: 0,
-            latest: Cycle::ZERO,
-        }
-    }
-}
-
 /// The FR-FCFS scan for one channel: serves every entry in `queue`,
-/// emitting one [`Completion`] per request (in service order) and returning
-/// the channel's stats delta. This is the single scheduling core shared by
-/// the serial and channel-parallel paths of [`DramSystem::run_batch`]; it
-/// touches only its own channel's banks/bus, which is what makes the
-/// parallel fan-out trivially deterministic.
+/// placing request `i`'s [`Completion`] in `out[i]` (so the batch needs no
+/// final sort), folding the accounting into `stats` and `underflows`, and
+/// returning the channel's latest completion ([`Cycle::ZERO`] if `queue`
+/// is empty).
 fn scan_channel(
     t: &DramTimings,
     window: usize,
     ch: &mut Channel,
     queue: &mut [DecodedRequest],
-    emit: &mut impl FnMut(Completion),
-) -> ChannelDelta {
-    let mut delta = ChannelDelta::new();
+    out: &mut [Completion],
+    stats: &mut DramStats,
+    underflows: &mut u64,
+) -> Cycle {
+    let mut latest = Cycle::ZERO;
     // `head` is the oldest unserved entry; everything before it is
     // served. Picks are always within `window` unserved entries of
     // `head`, so the skip loops below touch at most a window's worth
@@ -631,26 +455,26 @@ fn scan_channel(
         ch.bus_free = completion;
         ch.last_was_write = Some(e.is_write);
         // Account.
-        delta.stats.requests += 1;
+        stats.requests += 1;
         if e.is_write {
-            delta.stats.writes += 1;
+            stats.writes += 1;
         } else {
-            delta.stats.reads += 1;
+            stats.reads += 1;
         }
         if acc.row_hit {
-            delta.stats.row_hits += 1;
+            stats.row_hits += 1;
         } else if acc.row_empty {
-            delta.stats.row_empties += 1;
+            stats.row_empties += 1;
         } else {
-            delta.stats.row_conflicts += 1;
+            stats.row_conflicts += 1;
         }
         match completion.raw().checked_sub(e.arrival.raw()) {
-            Some(lat) => delta.stats.total_latency += lat,
+            Some(lat) => stats.total_latency += lat,
             None => {
                 // Completion before arrival means the scheduler
                 // violated causality; record it for the audit
                 // instead of silently clamping to zero latency.
-                delta.underflows += 1;
+                *underflows += 1;
                 debug_assert!(
                     false,
                     "DRAM completion {completion} precedes arrival {}",
@@ -658,16 +482,17 @@ fn scan_channel(
                 );
             }
         }
-        delta.stats.bus_busy_cycles += t.t_burst;
-        delta.stats.last_completion = delta.stats.last_completion.max(completion.raw());
-        delta.latest = delta.latest.max(completion);
-        emit(Completion {
+        stats.bus_busy_cycles += t.t_burst;
+        stats.last_completion = stats.last_completion.max(completion.raw());
+        latest = latest.max(completion);
+        // lint: allow(panic, orig_idx < requests.len() == out.len() by construction)
+        out[e.orig_idx as usize] = Completion {
             index: e.orig_idx as usize,
             completion,
             row_hit: acc.row_hit,
-        });
+        };
     }
-    delta
+    latest
 }
 
 /// The scheduler's only call into [`AddressMapping::decode`] — a wrapper so
@@ -933,8 +758,8 @@ mod tests {
         assert_eq!(s.requests, 100);
         assert_eq!(s.reads + s.writes, 100);
         assert_eq!(s.writes, 34);
-        assert!(s.mean_latency() > 0.0);
-        assert!(s.bus_utilization(4) > 0.0);
+        assert!(s.total_latency > 0);
+        assert!(s.bus_busy_cycles > 0);
         assert_eq!(s.row_hits + s.row_empties + s.row_conflicts, 100);
     }
 
@@ -1076,51 +901,26 @@ mod tests {
 
     #[test]
     fn parallel_scheduling_matches_serial_and_reference() {
-        // Large batches cross PARALLEL_MIN_BATCH and fan out across scoped
-        // workers; every thread count must produce the serial (and
-        // reference) schedule bit for bit, batch after batch.
-        for threads in [2u32, 3, 4, 8] {
-            let mut par = sys();
-            par.set_sched_threads(threads);
-            // Exercise the real parallel dispatch even on single-core CI.
-            par.set_ignore_core_clamp(true);
-            let mut ser = sys();
-            let mut naive = sys();
+        // Batches several times a path's size (a path is at most a few
+        // dozen requests) spread over every channel at once; the
+        // per-channel scans must still match the serial reference schedule
+        // bit for bit, batch after batch, at every channel count.
+        for channels in [2u32, 4, 8] {
+            let cfg = DramConfig {
+                mapping: AddressMapping::new(channels, 8, 128, Interleave::CacheLine),
+                ..DramConfig::default()
+            };
+            let mut fast = DramSystem::new(cfg);
+            let mut naive = DramSystem::new(cfg);
             for batch in 0..4u64 {
-                let n = DramSystem::PARALLEL_MIN_BATCH as u64 * 4 + batch * 11;
-                let reqs = shuffled_batch(n);
-                let a = par.schedule_batch(&reqs);
-                let b = ser.schedule_batch(&reqs);
-                let c = naive.schedule_batch_reference(&reqs);
-                assert_eq!(a, b, "threads {threads} batch {batch}");
-                assert_eq!(b, c, "threads {threads} batch {batch} vs reference");
-                assert_eq!(par.stats(), ser.stats());
-                assert_eq!(par.latency_underflows(), ser.latency_underflows());
+                let reqs = shuffled_batch(256 + batch * 11);
+                let a = fast.schedule_batch(&reqs);
+                let b = naive.schedule_batch_reference(&reqs);
+                assert_eq!(a, b, "channels {channels} batch {batch}");
+                assert_eq!(fast.stats(), naive.stats(), "channels {channels} batch {batch}");
+                assert_eq!(fast.latency_underflows(), naive.latency_underflows());
             }
         }
-    }
-
-    #[test]
-    fn small_batches_stay_serial_and_identical_under_sched_threads() {
-        // Below the threshold the parallel path must not engage (no
-        // observable difference, and the same completions either way).
-        let mut par = sys();
-        par.set_sched_threads(4);
-        let mut ser = sys();
-        for batch in 0..6u64 {
-            let reqs = shuffled_batch(DramSystem::PARALLEL_MIN_BATCH as u64 - 1 - batch);
-            assert_eq!(par.schedule_batch(&reqs), ser.schedule_batch(&reqs));
-        }
-        assert_eq!(par.stats(), ser.stats());
-    }
-
-    #[test]
-    fn sched_threads_zero_means_serial() {
-        let mut d = sys();
-        d.set_sched_threads(0);
-        assert_eq!(d.sched_threads(), 1);
-        let done = d.schedule_batch(&shuffled_batch(300));
-        assert_eq!(done.len(), 300);
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl DramTimings {
     pub fn row_cycle(&self) -> u64 {
         self.t_ras + self.t_rp
     }
-
-    /// Latency of an isolated row-hit read (command to last data beat).
-    pub fn hit_read_latency(&self) -> u64 {
-        self.cl + self.t_burst
-    }
-
-    /// Latency of an isolated row-miss read (precharge + activate + read).
-    pub fn miss_read_latency(&self) -> u64 {
-        self.t_rp + self.t_rcd + self.cl + self.t_burst
-    }
 }
 
 impl Default for DramTimings {
@@ -87,8 +77,6 @@ mod tests {
     fn ddr3_sanity() {
         let t = DramTimings::ddr3_1600();
         assert_eq!(t.row_cycle(), 39);
-        assert_eq!(t.hit_read_latency(), 15);
-        assert_eq!(t.miss_read_latency(), 37);
         assert!(t.cwl < t.cl);
     }
 

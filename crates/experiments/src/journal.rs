@@ -58,7 +58,6 @@ pub fn fingerprint(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> u64 {
         faults,
         refetch_lat,
         stash_hard_limit,
-        sched_threads,
         pipeline_depth,
         checkpoint_interval,
     } = cfg;
@@ -70,8 +69,8 @@ pub fn fingerprint(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> u64 {
          |front_hit_lat={front_hit_lat}|decrypt_lat={decrypt_lat}\
          |subtree_group={subtree_group}|seed={seed}|audit={audit}\
          |faults={faults:?}|refetch_lat={refetch_lat}\
-         |stash_hard_limit={stash_hard_limit}|sched_threads={sched_threads}\
-         |pipeline_depth={pipeline_depth}|checkpoint_interval={checkpoint_interval}\
+         |stash_hard_limit={stash_hard_limit}|pipeline_depth={pipeline_depth}\
+         |checkpoint_interval={checkpoint_interval}\
          |{bench:?}|{}",
         limit.mem_ops
     );

@@ -809,6 +809,7 @@ mod tests {
         assert!(ExpOptions::parse(&args(&["--jobs", "many"])).is_err());
         assert!(ExpOptions::parse(&args(&["--csv"])).is_err());
         assert!(ExpOptions::parse(&args(&["--csv", "out"])).is_ok());
+        assert!(ExpOptions::parse(&args(&["--set", "sched_threads=4"])).is_err());
     }
 
     #[test]

@@ -121,14 +121,6 @@ pub struct SystemConfig {
     /// `0` means 8 × the soft capacity. Crossing it is a transient
     /// [`crate::SimError::StashOverflow`], not a panic.
     pub stash_hard_limit: usize,
-    /// Host worker threads for intra-batch DRAM scheduling (`1` = serial,
-    /// the default). Purely an execution knob: DRAM channels are
-    /// independent, and the scheduler merges per-channel results in fixed
-    /// channel order, so every value produces byte-identical reports.
-    /// Batches below [`iroram_dram::DramSystem::PARALLEL_MIN_BATCH`]
-    /// requests always schedule serially regardless of this setting
-    /// (`0` is clamped to serial at the scheduler).
-    pub sched_threads: u32,
     /// Access-pipeline depth of the timed controllers (`1` = serial, the
     /// default): how many path accesses may be in flight at once. At depth
     /// `k`, a slot's issue time is floored by the read completion of the
@@ -194,7 +186,6 @@ impl SystemConfig {
             faults: FaultConfig::none(),
             refetch_lat: 100,
             stash_hard_limit: 0,
-            sched_threads: 1,
             pipeline_depth: 1,
             checkpoint_interval: 0,
         };
@@ -317,15 +308,6 @@ impl SystemConfig {
             "audit" => self.audit = flag(key, value)?,
             "refetch_lat" => self.refetch_lat = num(key, value)?,
             "stash_hard_limit" => self.stash_hard_limit = num(key, value)?,
-            "sched_threads" => {
-                let n: u32 = num(key, value)?;
-                if n == 0 {
-                    return Err(
-                        "--set sched_threads: must be >= 1 (1 = serial scheduling)".into()
-                    );
-                }
-                self.sched_threads = n;
-            }
             "pipeline_depth" => {
                 let n: u32 = num(key, value)?;
                 if n == 0 {
@@ -481,8 +463,6 @@ mod tests {
         assert_eq!(cfg.t_interval, 1234);
         cfg.set_field("stash_hard_limit", "4096").unwrap();
         assert_eq!(cfg.effective_stash_hard_limit(), 4096);
-        cfg.set_field("sched_threads", "4").unwrap();
-        assert_eq!(cfg.sched_threads, 4);
         cfg.set_field("pipeline_depth", "4").unwrap();
         assert_eq!(cfg.pipeline_depth, 4);
         // scheme re-derives the ORAM matrix.
@@ -496,14 +476,11 @@ mod tests {
         assert!(cfg.set_field("seed", "not-a-number").is_err());
     }
 
-    /// `--set sched_threads=0` used to slip past the scheduler's
-    /// `set_sched_threads` clamp (clamped-or-not depending on the entry
-    /// point); both zero-rejecting arms now fail at parse time instead.
+    /// `--set pipeline_depth=0` fails at parse time rather than being
+    /// silently clamped to `1` by the controllers.
     #[test]
     fn set_field_rejects_zero_for_clamped_knobs() {
         let mut cfg = SystemConfig::scaled(Scheme::Baseline);
-        assert!(cfg.set_field("sched_threads", "0").is_err());
-        assert_eq!(cfg.sched_threads, 1, "rejected value must not be applied");
         assert!(cfg.set_field("pipeline_depth", "0").is_err());
         assert_eq!(cfg.pipeline_depth, 1, "rejected value must not be applied");
     }

@@ -479,11 +479,7 @@ impl TimedController {
         };
         TimedController {
             chooser,
-            dram: {
-                let mut d = DramSystem::new(cfg.dram);
-                d.set_sched_threads(cfg.sched_threads);
-                d
-            },
+            dram: DramSystem::new(cfg.dram),
             regions,
             reqs_buf: Vec::new(),
             write_buf: Vec::new(),

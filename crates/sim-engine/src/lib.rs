@@ -1,4 +1,4 @@
-//! Discrete-event simulation kernel for the IR-ORAM reproduction.
+//! Simulation kernel for the IR-ORAM reproduction.
 //!
 //! This crate provides the domain-neutral pieces every simulator in the
 //! workspace builds on:
@@ -8,19 +8,13 @@
 //!   800 MHz in the paper's Table I).
 //! * [`SimRng`] — a deterministic, seedable xoshiro256++ generator so every
 //!   experiment is exactly reproducible from its seed.
-//! * [`EventQueue`] — a stable (FIFO-within-same-time) pending-event set.
 //! * [`stats`] — counters, histograms and running statistics with a named
 //!   registry used by the experiment harness to export results.
 //!
 //! # Examples
 //!
 //! ```
-//! use iroram_sim_engine::{Cycle, EventQueue, SimRng};
-//!
-//! let mut q = EventQueue::new();
-//! q.push(Cycle(10), "b");
-//! q.push(Cycle(5), "a");
-//! assert_eq!(q.pop(), Some((Cycle(5), "a")));
+//! use iroram_sim_engine::SimRng;
 //!
 //! let mut rng = SimRng::seed_from(42);
 //! let x = rng.gen_range(0..100);
@@ -32,7 +26,6 @@
 
 pub mod checkpoint;
 mod cycles;
-mod events;
 mod faults;
 mod pipeline;
 pub mod profiler;
@@ -41,7 +34,6 @@ pub mod stats;
 
 pub use checkpoint::{SnapError, SnapReader, SnapWriter};
 pub use cycles::{ClockRatio, Cycle};
-pub use events::EventQueue;
 pub use faults::{FaultConfig, FaultPlan, InjectedFaults};
 pub use pipeline::FloorRing;
 pub use rng::SimRng;

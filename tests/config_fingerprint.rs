@@ -49,7 +49,6 @@ fn single_field_mutations() -> Vec<(&'static str, SystemConfig)> {
     push("faults", &|c| c.faults.seed ^= 1);
     push("refetch_lat", &|c| c.refetch_lat += 1);
     push("stash_hard_limit", &|c| c.stash_hard_limit += 1);
-    push("sched_threads", &|c| c.sched_threads += 1);
     push("pipeline_depth", &|c| c.pipeline_depth += 1);
     push("checkpoint_interval", &|c| c.checkpoint_interval += 1);
     out
@@ -93,11 +92,10 @@ fn mutation_list_covers_every_field() {
         faults: _,
         refetch_lat: _,
         stash_hard_limit: _,
-        sched_threads: _,
         pipeline_depth: _,
         checkpoint_interval: _,
     } = base();
-    assert_eq!(single_field_mutations().len(), 23);
+    assert_eq!(single_field_mutations().len(), 22);
 }
 
 #[test]

@@ -1,16 +1,14 @@
-//! Intra-run parallelism determinism: `sched_threads` (channel-parallel
-//! DRAM scheduling inside one simulation) and `--jobs` (cell-parallel
-//! experiment workers) must both be invisible in every reported number.
+//! Intra-run parallelism determinism: `--jobs` (cell-parallel experiment
+//! workers) must be invisible in every reported number, and the DRAM
+//! scheduler's per-channel queues must reproduce the reference scheduler
+//! on batches that keep every channel busy at once.
 //!
-//! The two knobs compose — a parallel cell worker can itself fan a batch
-//! out across scheduling workers — so this suite pins the full grid:
-//! every scheme reports byte-identically at `sched_threads ∈ {1, 2, 4}`
-//! × `jobs ∈ {1, 4}`, and random over-threshold batches produce the
-//! reference scheduler's exact completions whatever the worker count.
-//!
-//! The worker-count clamp (never more workers than host cores) is lifted
-//! via the test hook so the parallel dispatch + deterministic merge path
-//! really runs, even on a single-core CI host.
+//! Each simulation cell runs on one thread — DRAM scheduling included —
+//! so the worker count of `--jobs` is the only host parallelism inside a
+//! sweep. This suite pins the full scheme grid against it: every scheme
+//! reports byte-identically at `jobs ∈ {1, 2, 4}`, and random batches far
+//! larger than one ORAM path produce the reference scheduler's exact
+//! completions at 2, 4 and 8 channels.
 
 use ir_oram::ALL_SCHEMES;
 use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest};
@@ -21,15 +19,12 @@ use proptest::prelude::*;
 
 const BENCHES: [Bench; 2] = [Bench::Mcf, Bench::Gcc];
 
-/// A small-but-real scale, with the scheduling worker count threaded
-/// through the same `--set` override path the CLI uses.
-fn tiny_opts(sched_threads: u32, jobs: usize) -> ExpOptions {
+/// A small-but-real scale at `jobs` cell workers.
+fn tiny_opts(jobs: usize) -> ExpOptions {
     let mut o = ExpOptions::quick();
     o.mem_ops = 1_500;
     o.timed_levels = 10;
     o.jobs = jobs;
-    o.overrides
-        .push(("sched_threads".to_owned(), sched_threads.to_string()));
     o
 }
 
@@ -38,23 +33,11 @@ fn every_scheme_reports_identically_at_any_thread_and_job_count() {
     for scheme in ALL_SCHEMES {
         // SimReport intentionally has no PartialEq; the Debug form covers
         // every field of every nested stats struct.
-        let baseline = format!("{:?}", run_scheme(&tiny_opts(1, 1), scheme, &BENCHES));
-        for sched_threads in [1u32, 2, 4] {
-            for jobs in [1usize, 4] {
-                if (sched_threads, jobs) == (1, 1) {
-                    continue;
-                }
-                let got = format!(
-                    "{:?}",
-                    run_scheme(&tiny_opts(sched_threads, jobs), scheme, &BENCHES)
-                );
-                assert_eq!(
-                    baseline,
-                    got,
-                    "{} diverged at sched_threads={sched_threads} jobs={jobs}",
-                    scheme.name()
-                );
-            }
+        let baseline = format!("{:?}", run_scheme(&tiny_opts(1), scheme, &BENCHES));
+        // `jobs` is the worker-thread count of the cell pool.
+        for jobs in [2usize, 4] {
+            let got = format!("{:?}", run_scheme(&tiny_opts(jobs), scheme, &BENCHES));
+            assert_eq!(baseline, got, "{} diverged at jobs={jobs}", scheme.name());
         }
     }
 }
@@ -69,8 +52,7 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// A batch of exactly `n` requests whose addresses, kinds, and arrivals
-/// come from `seed`. Callers pick `n` at or above
-/// [`DramSystem::PARALLEL_MIN_BATCH`] so the parallel dispatch engages.
+/// come from `seed`.
 fn random_batch(seed: &mut u64, n: usize) -> Vec<MemRequest> {
     (0..n)
         .map(|_| {
@@ -85,12 +67,16 @@ fn random_batch(seed: &mut u64, n: usize) -> Vec<MemRequest> {
         .collect()
 }
 
+/// Smallest batch the proptest draws: above the largest single-path batch
+/// the timed controllers issue, so every channel's queue holds many
+/// requests for FR-FCFS to reorder.
+const MIN_BATCH: usize = 64;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn parallel_batches_match_the_reference_scheduler(
-        threads in 2u32..9,
         extra in 0usize..192,
         channels_pick in 0usize..3,
         seed in any::<u64>(),
@@ -100,19 +86,17 @@ proptest! {
             mapping: AddressMapping::new(channels, 8, 128, Interleave::CacheLine),
             ..DramConfig::default()
         };
-        let mut par = DramSystem::new(cfg);
-        par.set_sched_threads(threads);
-        par.set_ignore_core_clamp(true);
+        let mut fast = DramSystem::new(cfg);
         let mut naive = DramSystem::new(cfg);
         let mut stream = seed;
-        let n = DramSystem::PARALLEL_MIN_BATCH + extra;
+        let n = MIN_BATCH + extra;
         for _ in 0..3 {
             let batch = random_batch(&mut stream, n);
-            let a = par.schedule_batch(&batch);
+            let a = fast.schedule_batch(&batch);
             let b = naive.schedule_batch_reference(&batch);
             prop_assert_eq!(a, b);
         }
-        prop_assert_eq!(par.stats(), naive.stats());
-        prop_assert_eq!(par.latency_underflows(), naive.latency_underflows());
+        prop_assert_eq!(fast.stats(), naive.stats());
+        prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
     }
 }

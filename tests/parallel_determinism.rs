@@ -1,5 +1,7 @@
 //! Parallel-engine determinism regression: running the experiment matrix
 //! with any `--jobs` value must reproduce the serial results bit for bit.
+//! `--jobs` is the only parallelism inside a sweep: each simulation cell
+//! itself (DRAM scheduling included) runs on one thread.
 //!
 //! Every simulation cell derives all of its randomness from its own config
 //! seed, so the worker count can only change scheduling, never results.

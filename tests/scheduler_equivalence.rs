@@ -55,36 +55,30 @@ fn every_scheme_reports_identically_under_the_reference_scheduler() {
 }
 
 /// Depth 1 is the serial controller: it must report byte-identically at
-/// any worker-pool size and DRAM scheduler thread count — `--jobs` and
-/// `sched_threads` are orthogonal to reported results. The reference is
-/// the fully serial run (`jobs = 1`, `sched_threads = 1`).
+/// any worker-pool size — `--jobs` is orthogonal to reported results. The
+/// reference is the fully serial run (`jobs = 1`).
 #[test]
 fn depth_one_matches_the_serial_pipeline_twin_at_any_parallelism() {
     use ir_oram::Scheme;
 
-    let depth_one = |jobs: usize, sched_threads: u32| {
+    let depth_one = |jobs: usize| {
         let mut o = tiny_opts();
         o.jobs = jobs;
         o.overrides
             .push(("pipeline_depth".to_owned(), "1".to_owned()));
-        o.overrides
-            .push(("sched_threads".to_owned(), sched_threads.to_string()));
         o
     };
     // Rho covers the dual-tree chooser; IrOram covers DWB + the rest.
     for scheme in [Scheme::Baseline, Scheme::Rho, Scheme::IrOram] {
-        let reference = format!("{:?}", run_scheme(&depth_one(1, 1), scheme, &BENCHES));
+        let reference = format!("{:?}", run_scheme(&depth_one(1), scheme, &BENCHES));
         for jobs in [1usize, 4] {
-            for sched_threads in [1u32, 4] {
-                let got = run_scheme(&depth_one(jobs, sched_threads), scheme, &BENCHES);
-                assert_eq!(
-                    format!("{got:?}"),
-                    reference,
-                    "scheme {} diverged from the serial reference at depth 1 \
-                     (jobs={jobs}, sched_threads={sched_threads})",
-                    scheme.name()
-                );
-            }
+            let got = run_scheme(&depth_one(jobs), scheme, &BENCHES);
+            assert_eq!(
+                format!("{got:?}"),
+                reference,
+                "scheme {} diverged from the serial reference at depth 1 (jobs={jobs})",
+                scheme.name()
+            );
         }
     }
 }
