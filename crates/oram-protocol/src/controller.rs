@@ -197,12 +197,19 @@ impl OramConfig {
     /// # Errors
     ///
     /// The first inconsistency found, as a [`ConfigError`]: a tree under
-    /// two levels, an allocation height mismatch, cached levels out of
-    /// range, a tree too small for the block population, or more blocks
-    /// than 32-bit initialization indices address.
+    /// two levels, leaves that do not fit 32 bits below the unmapped
+    /// sentinel, an allocation height mismatch, cached levels out of
+    /// range, a tree too small for the block population, or block
+    /// addresses that do not fit 32 bits below the empty-slot sentinel.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.levels < 2 {
             return Err(ConfigError::TooFewLevels {
+                levels: self.levels,
+            });
+        }
+        // 2^(levels-1) leaves; the largest must stay below `u32::MAX`.
+        if self.levels > 32 {
+            return Err(ConfigError::LeafOverflow {
                 levels: self.levels,
             });
         }
@@ -224,7 +231,8 @@ impl OramConfig {
         if blocks > capacity {
             return Err(ConfigError::Overfull { blocks, capacity });
         }
-        if blocks > 1 << 32 {
+        // Addresses run to `blocks - 1`; `u32::MAX` marks an empty slot.
+        if blocks >= 1 << 32 {
             return Err(ConfigError::AddressOverflow { blocks });
         }
         Ok(())
@@ -260,10 +268,17 @@ pub enum ConfigError {
         /// Tree slots plus soft stash capacity.
         capacity: u64,
     },
-    /// More blocks than initialization's 32-bit insertion order indexes.
+    /// More blocks than 32-bit addresses below the empty-slot sentinel
+    /// name (slots, the insertion order and the leaf table store `u32`s).
     AddressOverflow {
         /// Data plus PosMap blocks to store.
         blocks: u64,
+    },
+    /// More leaves than 32-bit leaf indices below the unmapped sentinel
+    /// name.
+    LeafOverflow {
+        /// Configured tree levels.
+        levels: usize,
     },
 }
 
@@ -288,8 +303,12 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{blocks} blocks cannot fit {capacity} slots")
             }
             ConfigError::AddressOverflow { blocks } => {
-                write!(f, "{blocks} blocks exceed 2^32 block addresses")
+                write!(f, "{blocks} blocks exceed 2^32 - 1 block addresses")
             }
+            ConfigError::LeafOverflow { levels } => write!(
+                f,
+                "a {levels}-level tree has more leaves than 32-bit leaf indices name"
+            ),
         }
     }
 }
@@ -536,7 +555,7 @@ impl PathOram {
 
     /// The paper's insertion order: every block address, shuffled by the
     /// ORAM's RNG. [`OramConfig::validate`] bounds the block count by
-    /// 2^32, so every address fits a `u32`.
+    /// 2^32 - 1, so every address fits a `u32`.
     fn insertion_order(&mut self) -> Vec<u32> {
         let total = self.posmap.space().total_blocks();
         let mut order: Vec<u32> = (0..total).map(|a| a as u32).collect();
@@ -2287,7 +2306,7 @@ mod tests {
         );
         let all_top = OramConfig {
             treetop: TreeTopMode::Dedicated { levels: 8 },
-            ..ok
+            ..ok.clone()
         };
         assert_eq!(
             all_top.validate(),
@@ -2296,6 +2315,36 @@ mod tests {
                 levels: 8
             })
         );
+        // 2^32 leaves: the last one would be the unmapped sentinel.
+        let tall = OramConfig {
+            levels: 33,
+            zalloc: ZAllocation::uniform(33, 4),
+            ..ok.clone()
+        };
+        assert_eq!(
+            tall.validate(),
+            Err(ConfigError::LeafOverflow { levels: 33 })
+        );
+        let tallest = OramConfig {
+            levels: 32,
+            zalloc: ZAllocation::uniform(32, 4),
+            ..ok.clone()
+        };
+        assert_eq!(tallest.validate(), Ok(()));
+        // 4,027,515,120 data blocks make exactly 2^32 with their PosMap
+        // blocks, so the last address would be the empty-slot sentinel.
+        let wide = |data_blocks| OramConfig {
+            levels: 31,
+            data_blocks,
+            zalloc: ZAllocation::uniform(31, 4),
+            ..ok.clone()
+        };
+        assert_eq!(wide(4_027_515_120).total_blocks(), 1 << 32);
+        assert_eq!(
+            wide(4_027_515_120).validate(),
+            Err(ConfigError::AddressOverflow { blocks: 1 << 32 })
+        );
+        assert_eq!(wide(4_027_515_119).validate(), Ok(()));
     }
 
     #[test]

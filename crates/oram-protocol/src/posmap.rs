@@ -27,8 +27,11 @@ use crate::{BlockAddr, BlockKind, Leaf};
 pub const ENTRIES_PER_BLOCK: u64 = 16;
 
 /// Sentinel for "not currently mapped" (delayed-remap blocks living in the
-/// LLC).
-const UNMAPPED: u64 = u64::MAX;
+/// LLC). Leaves are stored as `u32`, so every leaf must sit below it.
+const UNMAPPED: u32 = u32::MAX;
+
+/// [`UNMAPPED`] as snapshots encode it: entries stay `u64` on disk.
+const WIDE_UNMAPPED: u64 = u64::MAX;
 
 /// The unified (Freecursive-merged) block address space.
 ///
@@ -148,7 +151,9 @@ impl PlbStatus {
 pub struct PosMapSystem {
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     space: AddressSpace,
-    leaf_of: Vec<u64>,
+    /// Current leaf per block address, [`UNMAPPED`] if none; 32 bits an
+    /// entry (Stefanov et al.'s position map needs only `L` bits).
+    leaf_of: Vec<u32>,
     plb: SetAssocCache,
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     num_leaves: u64,
@@ -161,10 +166,15 @@ pub struct PosMapSystem {
 impl PosMapSystem {
     /// Creates the subsystem with every block mapped to a uniformly random
     /// leaf.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < num_leaves <= u32::MAX` (leaves are stored as
+    /// `u32` below the unmapped sentinel).
     pub fn new(space: AddressSpace, num_leaves: u64, plb_cfg: CacheConfig, rng: &mut SimRng) -> Self {
-        assert!(num_leaves > 0);
+        assert!(num_leaves > 0 && num_leaves <= u64::from(UNMAPPED));
         let leaf_of = (0..space.total_blocks())
-            .map(|_| rng.next_below(num_leaves))
+            .map(|_| rng.next_below(num_leaves) as u32)
             .collect();
         PosMapSystem {
             space,
@@ -190,13 +200,13 @@ impl PosMapSystem {
     /// block held by the LLC).
     pub fn leaf_of(&self, addr: BlockAddr) -> Option<Leaf> {
         let v = self.leaf_of[addr.0 as usize];
-        (v != UNMAPPED).then_some(Leaf(v))
+        (v != UNMAPPED).then_some(Leaf(u64::from(v)))
     }
 
     /// Remaps `addr` to a fresh uniformly random leaf, returning it.
     pub fn remap(&mut self, addr: BlockAddr, rng: &mut SimRng) -> Leaf {
         let leaf = rng.next_below(self.num_leaves);
-        self.leaf_of[addr.0 as usize] = leaf;
+        self.leaf_of[addr.0 as usize] = leaf as u32;
         Leaf(leaf)
     }
 
@@ -205,7 +215,7 @@ impl PosMapSystem {
     pub fn unmap(&mut self, addr: BlockAddr) -> Option<Leaf> {
         let old = self.leaf_of[addr.0 as usize];
         self.leaf_of[addr.0 as usize] = UNMAPPED;
-        (old != UNMAPPED).then_some(Leaf(old))
+        (old != UNMAPPED).then_some(Leaf(u64::from(old)))
     }
 
     /// Whether `addr` currently has a mapping.
@@ -219,7 +229,11 @@ impl PosMapSystem {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_usize(self.leaf_of.len());
         for &l in &self.leaf_of {
-            w.put_u64(l);
+            w.put_u64(if l == UNMAPPED {
+                WIDE_UNMAPPED
+            } else {
+                u64::from(l)
+            });
         }
         self.plb.save_state(w);
         w.put_u64(self.plb_hits);
@@ -231,15 +245,19 @@ impl PosMapSystem {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Corrupt`] on a geometry mismatch; any [`SnapError`] on
-    /// truncation.
+    /// [`SnapError::Corrupt`] on a geometry mismatch or a mapped leaf
+    /// beyond the tree; any [`SnapError`] on truncation.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.take_seq_len(8)?;
         if n != self.leaf_of.len() {
             return Err(SnapError::Corrupt("position-map size mismatch"));
         }
         for l in &mut self.leaf_of {
-            *l = r.take_u64()?;
+            *l = match r.take_u64()? {
+                WIDE_UNMAPPED => UNMAPPED,
+                leaf if leaf < self.num_leaves => leaf as u32,
+                _ => return Err(SnapError::Corrupt("position-map leaf beyond the tree")),
+            };
         }
         self.plb.restore_state(r)?;
         self.plb_hits = r.take_u64()?;
@@ -437,6 +455,35 @@ mod tests {
         assert!(!fresh.is_mapped(BlockAddr(7)));
         assert_eq!(fresh.plb_status(BlockAddr(0)), PlbStatus::Hit);
         assert_eq!((fresh.plb_hits, fresh.plb_misses), (p.plb_hits, p.plb_misses));
+    }
+
+    #[test]
+    fn restore_rejects_leaves_the_table_cannot_hold() {
+        let mut p = sys(256);
+        p.unmap(BlockAddr(7));
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // The table length, then one u64 per block.
+        let entry = |addr: usize| 8 + addr * 8;
+        let restore = |at: usize, v: u64| {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            let mut fresh = sys(256);
+            fresh
+                .restore_state(&mut SnapReader::new(&patched))
+                .map(|()| fresh)
+        };
+        for v in [64, u64::from(u32::MAX), 1 << 32, u64::MAX - 1] {
+            assert!(
+                matches!(restore(entry(3), v), Err(SnapError::Corrupt(_))),
+                "leaf {v:#x}"
+            );
+        }
+        let unmapped = restore(entry(3), u64::MAX).unwrap();
+        assert!(!unmapped.is_mapped(BlockAddr(3)));
+        let remapped = restore(entry(7), 63).unwrap();
+        assert_eq!(remapped.leaf_of(BlockAddr(7)), Some(Leaf(63)));
     }
 
     #[test]

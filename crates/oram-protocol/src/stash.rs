@@ -61,10 +61,13 @@ pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stash {
-    /// Resident blocks, kept sorted by address. Peak occupancy in any
-    /// configured run stays well under a hundred blocks, so a
-    /// binary-search-plus-memmove vector beats a hash map on the per-path
-    /// hot loop *and* hands the write-back planner an address-ordered
+    /// Resident blocks, kept sorted by address. Most schemes peak near or
+    /// under a hundred blocks, but IR-Alloc runs past the 200-block soft
+    /// capacity: on mcf at L=17 it peaks at 249 (`diag 17 mcf 40000`),
+    /// and the benchmark's `oram-protocol.stash_peak` reads 256. Even at
+    /// that peak the vector is about 6 KB, so a binary search (8 probes)
+    /// plus a memmove within L1 still beats a hash map on the per-path
+    /// hot loop, *and* it hands the write-back planner an address-ordered
     /// iteration for free (its counting sort becomes fully
     /// comparison-free).
     blocks: Vec<StoredBlock>,

@@ -8,21 +8,71 @@ use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
 use crate::{BlockAddr, Leaf, StoredBlock, TreeLayout};
 
-/// Sentinel address marking an empty (dummy) slot.
-const DUMMY: u64 = u64::MAX;
+/// Sentinel address marking an empty (dummy) slot, as stored in the
+/// arena. [`OramConfig::validate`](crate::OramConfig::validate) keeps every
+/// block address below it.
+const DUMMY: u32 = u32::MAX;
 
+/// A dummy's address wherever a slot leaves the arena (checksums and
+/// snapshots), so both read as they did when slots held `u64` fields.
+const WIDE_DUMMY: u64 = u64::MAX;
+
+/// One stored slot, narrowed to 16 bytes: addresses and leaves fit 32 bits
+/// at every configuration `validate` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    addr: u64,
-    leaf: u64,
+    addr: u32,
+    leaf: u32,
     payload: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 const EMPTY_SLOT: Slot = Slot {
     addr: DUMMY,
     leaf: 0,
     payload: 0,
 };
+
+impl Slot {
+    /// Narrows a block into a slot; the caller's configuration guarantees
+    /// its address and leaf fit.
+    #[inline]
+    fn of(b: &StoredBlock) -> Slot {
+        debug_assert!(b.addr.0 < u64::from(DUMMY) && b.leaf.0 <= u64::from(u32::MAX));
+        Slot {
+            addr: b.addr.0 as u32,
+            leaf: b.leaf.0 as u32,
+            payload: b.payload,
+        }
+    }
+
+    #[inline]
+    fn is_dummy(&self) -> bool {
+        self.addr == DUMMY
+    }
+
+    /// The address widened back to `u64`, the dummy to [`WIDE_DUMMY`].
+    #[inline]
+    fn wide_addr(&self) -> u64 {
+        if self.is_dummy() {
+            WIDE_DUMMY
+        } else {
+            u64::from(self.addr)
+        }
+    }
+
+    /// The real block this slot holds (the caller has checked it is not a
+    /// dummy).
+    #[inline]
+    fn block(&self) -> StoredBlock {
+        StoredBlock {
+            addr: BlockAddr(u64::from(self.addr)),
+            leaf: Leaf(u64::from(self.leaf)),
+            payload: self.payload,
+        }
+    }
+}
 
 /// The ORAM tree's slot array (logical storage for every level, including
 /// levels that are mirrored on-chip by a tree-top store).
@@ -103,7 +153,7 @@ impl OramTree {
             .map(|level| {
                 let mut h = 0xCBF2_9CE4_8422_2325u64;
                 for _ in 0..layout.z_of(level) {
-                    h = mix(h, DUMMY);
+                    h = mix(h, WIDE_DUMMY);
                     h = mix(h, 0);
                     h = mix(h, 0);
                 }
@@ -159,8 +209,8 @@ impl OramTree {
         let base = self.layout.slot_index(level, bucket, 0);
         let mut h = 0xCBF2_9CE4_8422_2325u64;
         for slot in &self.slots[base..base + z] {
-            h = mix(h, slot.addr);
-            h = mix(h, slot.leaf);
+            h = mix(h, slot.wide_addr());
+            h = mix(h, u64::from(slot.leaf));
             h = mix(h, slot.payload);
         }
         h
@@ -321,12 +371,8 @@ impl OramTree {
             }
             let base = self.layout.slot_index(level, bucket, 0);
             for slot in &mut self.slots[base..base + used] {
-                debug_assert_ne!(slot.addr, DUMMY, "used count exceeds packed prefix");
-                out.push(StoredBlock {
-                    addr: BlockAddr(slot.addr),
-                    leaf: Leaf(slot.leaf),
-                    payload: slot.payload,
-                });
+                debug_assert!(!slot.is_dummy(), "used count exceeds packed prefix");
+                out.push(slot.block());
                 *slot = EMPTY_SLOT;
             }
             self.used[bidx] = 0;
@@ -346,7 +392,7 @@ impl OramTree {
             if let Some(entries) = self.injected.remove(&bidx) {
                 for &(slot, _mask) in &entries {
                     let idx = self.layout.slot_index(level, bucket, slot);
-                    if self.slots[idx].addr != DUMMY {
+                    if !self.slots[idx].is_dummy() {
                         self.istats.undetected += 1;
                     }
                 }
@@ -356,12 +402,8 @@ impl OramTree {
         for s in 0..z {
             let idx = self.layout.slot_index(level, bucket, s);
             let slot = &mut self.slots[idx];
-            if slot.addr != DUMMY {
-                out.push(StoredBlock {
-                    addr: BlockAddr(slot.addr),
-                    leaf: Leaf(slot.leaf),
-                    payload: slot.payload,
-                });
+            if !slot.is_dummy() {
+                out.push(slot.block());
                 *slot = EMPTY_SLOT;
                 taken += 1;
             }
@@ -414,11 +456,7 @@ impl OramTree {
                     b.addr,
                     b.leaf
                 );
-                *slot = Slot {
-                    addr: b.addr.0,
-                    leaf: b.leaf.0,
-                    payload: b.payload,
-                };
+                *slot = Slot::of(b);
             }
             if old > new {
                 self.slots[base + new..base + old].fill(EMPTY_SLOT);
@@ -434,7 +472,7 @@ impl OramTree {
                     h = mix(h, b.payload);
                 }
                 for _ in new..z as usize {
-                    h = mix(h, DUMMY);
+                    h = mix(h, WIDE_DUMMY);
                     h = mix(h, 0);
                     h = mix(h, 0);
                 }
@@ -447,7 +485,7 @@ impl OramTree {
         let mut removed = 0u64;
         for s in 0..z {
             let idx = self.layout.slot_index(level, bucket, s);
-            if self.slots[idx].addr != DUMMY {
+            if !self.slots[idx].is_dummy() {
                 removed += 1;
             }
             self.slots[idx] = EMPTY_SLOT;
@@ -462,11 +500,7 @@ impl OramTree {
                 b.leaf
             );
             let idx = self.layout.slot_index(level, bucket, s as u32);
-            self.slots[idx] = Slot {
-                addr: b.addr.0,
-                leaf: b.leaf.0,
-                payload: b.payload,
-            };
+            self.slots[idx] = Slot::of(b);
         }
         self.used_per_level[level] += blocks.len() as u64;
         self.used[bidx] = blocks.len() as u16;
@@ -486,11 +520,7 @@ impl OramTree {
         (0..z)
             .filter_map(|s| {
                 let slot = &self.slots[self.layout.slot_index(level, bucket, s)];
-                (slot.addr != DUMMY).then_some(StoredBlock {
-                    addr: BlockAddr(slot.addr),
-                    leaf: Leaf(slot.leaf),
-                    payload: slot.payload,
-                })
+                (!slot.is_dummy()).then(|| slot.block())
             })
             .collect()
     }
@@ -532,8 +562,8 @@ impl OramTree {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_usize(self.slots.len());
         for s in &self.slots {
-            w.put_u64(s.addr);
-            w.put_u64(s.leaf);
+            w.put_u64(s.wide_addr());
+            w.put_u64(u64::from(s.leaf));
             w.put_u64(s.payload);
         }
         w.put_usize(self.used_per_level.len());
@@ -570,18 +600,40 @@ impl OramTree {
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] if the snapshot's geometry or integrity mode
-    /// disagrees with this tree, or its fill counts disagree with its slots
-    /// (a count above `Z`, real and dummy slots out of their packed order,
-    /// or a level total that is not its buckets' sum); any [`SnapError`]
-    /// on truncation.
+    /// disagrees with this tree, a slot does not fit the 16-byte arena (an
+    /// address of 32 bits or more other than the dummy's, a leaf beyond
+    /// the tree), a real slot's leaf path misses its bucket, or its fill
+    /// counts disagree with its slots (a count above `Z`, real and dummy
+    /// slots out of their packed order, or a level total that is not its
+    /// buckets' sum); any [`SnapError`] on truncation.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.take_seq_len(24)?;
         if n != self.slots.len() {
             return Err(SnapError::Corrupt("tree slot count mismatch"));
         }
-        for s in &mut self.slots {
-            s.addr = r.take_u64()?;
-            s.leaf = r.take_u64()?;
+        // The arena is level-major, each bucket's `Z` slots contiguous.
+        let layout = &self.layout;
+        let coords = (0..layout.levels()).flat_map(|level| {
+            (0..1u64 << level)
+                .flat_map(move |bucket| (0..layout.z_of(level)).map(move |_| (level, bucket)))
+        });
+        for (s, (level, bucket)) in self.slots.iter_mut().zip(coords) {
+            let addr = r.take_u64()?;
+            let leaf = r.take_u64()?;
+            if leaf >= layout.num_leaves() {
+                return Err(SnapError::Corrupt("slot leaf beyond the tree"));
+            }
+            s.addr = if addr == WIDE_DUMMY {
+                DUMMY
+            } else if layout.bucket_on_path(Leaf(leaf), level) != bucket {
+                return Err(SnapError::Corrupt("slot leaf off its bucket's path"));
+            } else {
+                u32::try_from(addr)
+                    .ok()
+                    .filter(|&a| a != DUMMY)
+                    .ok_or(SnapError::Corrupt("slot address beyond 32 bits"))?
+            };
+            s.leaf = leaf as u32;
             s.payload = r.take_u64()?;
         }
         let n = r.take_seq_len(8)?;
@@ -657,7 +709,7 @@ impl OramTree {
                 if slots
                     .iter()
                     .enumerate()
-                    .any(|(i, s)| (s.addr != DUMMY) != (i < used))
+                    .any(|(i, s)| s.is_dummy() == (i < used))
                 {
                     return Err(SnapError::Corrupt("bucket fill disagrees with its slots"));
                 }
@@ -677,15 +729,7 @@ impl OramTree {
             (0..(1u64 << level)).flat_map(move |bucket| {
                 (0..self.layout.z_of(level)).filter_map(move |s| {
                     let slot = &self.slots[self.layout.slot_index(level, bucket, s)];
-                    (slot.addr != DUMMY).then_some((
-                        level,
-                        bucket,
-                        StoredBlock {
-                            addr: BlockAddr(slot.addr),
-                            leaf: Leaf(slot.leaf),
-                            payload: slot.payload,
-                        },
-                    ))
+                    (!slot.is_dummy()).then(|| (level, bucket, slot.block()))
                 })
             })
         })
@@ -755,6 +799,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "does not belong")]
     fn wrong_path_panics_in_debug() {
         let mut t = tree3();
@@ -937,6 +982,82 @@ mod tests {
             tree3().restore_state(&mut SnapReader::new(&bytes)),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    /// Byte offset of slot `idx`'s `field` (0 addr, 1 leaf, 2 payload) in a
+    /// tree snapshot: the slot count, then 24 bytes per slot.
+    fn slot_field(idx: usize, field: usize) -> usize {
+        8 + idx * 24 + field * 8
+    }
+
+    fn restore_patched_u64(bytes: &[u8], at: usize, v: u64) -> Result<(), SnapError> {
+        let mut bytes = bytes.to_vec();
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        tree3().restore_state(&mut SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn restore_rejects_slot_fields_the_arena_cannot_hold() {
+        let (bytes, _, _) = snapshot_with_fill_offsets();
+        let layout = tree3().layout().clone();
+        let real = layout.slot_index(2, 1, 0);
+        let dummy = layout.slot_index(2, 1, 1);
+        let corrupt = |at, v| {
+            matches!(
+                restore_patched_u64(&bytes, at, v),
+                Err(SnapError::Corrupt(_))
+            )
+        };
+        // An address at or past the arena's dummy sentinel, on a real slot
+        // or a dummy one: narrowing it would forge or hide a block.
+        for v in [u64::from(u32::MAX), 1 << 32, u64::MAX - 1] {
+            assert!(corrupt(slot_field(real, 0), v), "addr {v:#x}");
+            assert!(corrupt(slot_field(dummy, 0), v), "dummy addr {v:#x}");
+        }
+        // A leaf beyond the tree's 4 leaves, on either kind of slot.
+        for v in [4, u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            assert!(corrupt(slot_field(real, 1), v), "leaf {v:#x}");
+            assert!(corrupt(slot_field(dummy, 1), v), "dummy leaf {v:#x}");
+        }
+        // A leaf inside the tree whose path misses the bucket: leaf 3's
+        // level-2 bucket is 3, not 1.
+        assert!(corrupt(slot_field(real, 1), 3));
+        assert_eq!(restore_patched_u64(&bytes, slot_field(real, 1), 1), Ok(()));
+    }
+
+    #[test]
+    fn restore_never_panics_and_never_truncates_a_slot() {
+        // Every slot's address and leaf, patched to each hostile value: the
+        // restore returns (no panic), and whatever it accepts re-saves to
+        // the very bytes it read.
+        let (bytes, _, _) = snapshot_with_fill_offsets();
+        let hostile = [
+            0,
+            1,
+            3,
+            4,
+            10,
+            u64::from(u32::MAX) - 1,
+            u64::from(u32::MAX),
+            1 << 32,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for idx in 0..14 {
+            for field in 0..2 {
+                for v in hostile {
+                    let mut patched = bytes.clone();
+                    let at = slot_field(idx, field);
+                    patched[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    let mut t = tree3();
+                    if t.restore_state(&mut SnapReader::new(&patched)).is_ok() {
+                        let mut w = SnapWriter::new();
+                        t.save_state(&mut w);
+                        assert_eq!(w.into_bytes(), patched, "slot {idx} field {field} = {v:#x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
