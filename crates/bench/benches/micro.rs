@@ -164,7 +164,12 @@ fn bench_stash(c: &mut Criterion) {
         g.bench_function(&format!("plan_writeback_{occupancy}"), |b| {
             let mut rng = SimRng::seed_from(9);
             b.iter_batched(
-                || (filled_stash(&mut rng, occupancy), Leaf(rng.next_below(1 << 16))),
+                || {
+                    (
+                        filled_stash(&mut rng, occupancy),
+                        Leaf(rng.next_below(1 << 16)),
+                    )
+                },
                 |(mut s, leaf)| {
                     std::hint::black_box(s.plan_writeback(&layout, leaf, 0, |_, _| true))
                 },
@@ -177,7 +182,12 @@ fn bench_stash(c: &mut Criterion) {
             let mut rng = SimRng::seed_from(9);
             let mut plan = WritebackPlan::new();
             b.iter_batched(
-                || (filled_stash(&mut rng, occupancy), Leaf(rng.next_below(1 << 16))),
+                || {
+                    (
+                        filled_stash(&mut rng, occupancy),
+                        Leaf(rng.next_below(1 << 16)),
+                    )
+                },
                 |(mut s, leaf)| {
                     s.plan_writeback_into(&layout, leaf, 0, |_, _| true, &mut plan);
                     std::hint::black_box(plan.total_planned())

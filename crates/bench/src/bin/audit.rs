@@ -39,7 +39,10 @@ fn main() {
 
     let mut total_checks = 0u64;
     let mut total_violations = 0u64;
-    println!("{:<24} {:<14} {:>10} {:>10}", "scheme", "bench", "checks", "violations");
+    println!(
+        "{:<24} {:<14} {:>10} {:>10}",
+        "scheme", "bench", "checks", "violations"
+    );
     for (scheme, bench, audit) in &results {
         total_checks += audit.checks;
         total_violations += audit.violations;

@@ -92,9 +92,14 @@ fn run_child(trial: usize, snap: &str, out: &str) -> ! {
 fn reference_report(trial: usize) -> String {
     let (cfg, bench) = cell_config(trial);
     let gen = WorkloadGen::for_bench(bench, cfg.data_blocks(), cfg.seed);
-    let (report, _) =
-        Simulation::try_run_checkpointed(&cfg, gen, RunLimit::mem_ops(CELL_OPS), bench.name(), None)
-            .expect("reference run");
+    let (report, _) = Simulation::try_run_checkpointed(
+        &cfg,
+        gen,
+        RunLimit::mem_ops(CELL_OPS),
+        bench.name(),
+        None,
+    )
+    .expect("reference run");
     format!("{report:?}")
 }
 

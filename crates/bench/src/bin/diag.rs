@@ -77,9 +77,8 @@ fn main() {
         cfg.oram.zalloc = iroram_protocol::ZAllocation::uniform(levels, 4);
         let top = (levels * 2 / 5).max(1);
         cfg.oram.treetop = iroram_protocol::TreeTopMode::Dedicated { levels: top };
-        cfg.hierarchy = iroram_cache::HierarchyConfig::scaled(
-            (32usize << (17 - levels.min(17))).min(128),
-        );
+        cfg.hierarchy =
+            iroram_cache::HierarchyConfig::scaled((32usize << (17 - levels.min(17))).min(128));
         cfg.t_interval = SystemConfig::t_for(&cfg.oram);
         let cfg = cfg.with_scheme(scheme);
         let r = Simulation::run_bench(&cfg, args.bench, RunLimit::mem_ops(args.ops));

@@ -144,9 +144,8 @@ fn main() {
         );
         failures += check(scheme, bench, *depth, clean, faulted, slowdown);
     }
-    let (injected, detected): (u64, u64) = results
-        .iter()
-        .fold((0, 0), |(i, d), (_, _, _, _, r)| {
+    let (injected, detected): (u64, u64) =
+        results.iter().fold((0, 0), |(i, d), (_, _, _, _, r)| {
             (i + r.faults.injected_corruptions, d + r.faults.detected)
         });
     println!(

@@ -219,7 +219,10 @@ fn run_one(opts: &BenchOptions, shards: usize) -> RunResult {
             k += 1;
             let key = 1 + (mix64(k) % opts.keys) as u32;
             if kv
-                .submit(KvOp::Put { key, value: key.wrapping_mul(2_654_435_761) })
+                .submit(KvOp::Put {
+                    key,
+                    value: key.wrapping_mul(2_654_435_761),
+                })
                 .is_err()
             {
                 break;
@@ -253,7 +256,10 @@ fn run_one(opts: &BenchOptions, shards: usize) -> RunResult {
                 };
                 let op = match rng.next_below(100) {
                     0..=69 => KvOp::Get { key },
-                    70..=94 => KvOp::Put { key, value: rng.next_u64() as u32 },
+                    70..=94 => KvOp::Put {
+                        key,
+                        value: rng.next_u64() as u32,
+                    },
                     _ => KvOp::Delete { key },
                 };
                 kv.submit(op).expect("queue sized for the window");
@@ -272,7 +278,12 @@ fn run_one(opts: &BenchOptions, shards: usize) -> RunResult {
         }
         let wall_seconds = t0.elapsed().as_secs_f64();
         mixed_wall += wall_seconds;
-        phases.push(Phase { name, ops: opts.mixed_ops, wall_seconds, hist });
+        phases.push(Phase {
+            name,
+            ops: opts.mixed_ops,
+            wall_seconds,
+            hist,
+        });
     }
 
     let total_mixed: u64 = phases.iter().map(|p| p.ops).sum();
@@ -439,7 +450,9 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"wall_speedup_4_vs_1\": {wall_speedup:.4},\n"));
-    json.push_str(&format!("  \"capacity_speedup_4_vs_1\": {capacity_speedup:.4}\n"));
+    json.push_str(&format!(
+        "  \"capacity_speedup_4_vs_1\": {capacity_speedup:.4}\n"
+    ));
     json.push_str("}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv_latency.json");
     match std::fs::write(path, &json) {
@@ -488,7 +501,10 @@ fn main() {
             .and_then(|mut f| {
                 let prior = std::fs::read_to_string(hist_path).unwrap_or_default();
                 if r.shards == 4 {
-                    gated = Some((key.clone(), key.latest_rate(&prior, "kv_ops_per_sec").unwrap_or(-1.0)));
+                    gated = Some((
+                        key.clone(),
+                        key.latest_rate(&prior, "kv_ops_per_sec").unwrap_or(-1.0),
+                    ));
                 }
                 f.write_all(line.as_bytes())
             });

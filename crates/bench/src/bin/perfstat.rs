@@ -233,7 +233,10 @@ fn main() {
     json.push_str(&format!("  \"total_build_seconds\": {total_build:.6}\n"));
     json.push_str("}\n");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_throughput.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_sim_throughput.json"
+    );
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => {
@@ -255,9 +258,10 @@ fn main() {
     let mut cfg_fp = 0u64;
     for scheme in ALL_SCHEMES {
         for &bench in &benches {
-            cfg_fp = cfg_fp
-                .rotate_left(9)
-                .wrapping_add(fingerprint(&opts.system(scheme), bench, limit));
+            cfg_fp =
+                cfg_fp
+                    .rotate_left(9)
+                    .wrapping_add(fingerprint(&opts.system(scheme), bench, limit));
         }
     }
 
@@ -415,9 +419,15 @@ mod tests {
             cfg_fp: 0xff,
         };
         assert!(key.matches(&line));
-        assert_eq!(key.latest_rate(&line, "total_mem_ops_per_sec"), Some(74880.0));
+        assert_eq!(
+            key.latest_rate(&line, "total_mem_ops_per_sec"),
+            Some(74880.0)
+        );
         assert_eq!(key.latest_rate(&line, "total_build_seconds"), Some(0.021));
-        let kv = HistoryKey { bench: "kv".to_owned(), ..key };
+        let kv = HistoryKey {
+            bench: "kv".to_owned(),
+            ..key
+        };
         assert!(!kv.matches(&line), "kv ratchet must not see sim entries");
     }
 }

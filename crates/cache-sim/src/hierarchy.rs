@@ -298,7 +298,7 @@ mod tests {
     fn dirty_writeback_on_llc_eviction() {
         let mut h = small();
         h.access(0, true); // dirty in set 0 of LLC (llc sets=4: addr%4)
-        // Fill two more lines mapping to LLC set 0 to force eviction.
+                           // Fill two more lines mapping to LLC set 0 to force eviction.
         h.access(4, false);
         let (_, wb) = h.access(8, false);
         assert_eq!(wb, Some(0), "dirty line 0 must be written back");
@@ -319,7 +319,7 @@ mod tests {
         let mut h = small();
         h.access(0, true); // dirty in both
         h.access(2, false); // evicts 0 from L1 (set 0), dirtiness folds to LLC
-        // Evict 0 from LLC: sets=4, so 0,4,8 map to set 0.
+                            // Evict 0 from LLC: sets=4, so 0,4,8 map to set 0.
         h.access(4, false);
         let (_, wb) = h.access(8, false);
         assert_eq!(wb, Some(0), "dirtiness must survive the L1→LLC fold");
@@ -331,7 +331,7 @@ mod tests {
         h.access(0, false); // in L1 + LLC
         h.access(4, false); // LLC set 0 now {0,4}; L1 set 0 holds 4
         h.access(8, false); // evicts LRU (0) from LLC
-        // 0 must now be a full miss again, not an L1 hit.
+                            // 0 must now be a full miss again, not an L1 hit.
         assert_eq!(h.access(0, false).0, AccessOutcome::Miss);
     }
 
@@ -386,7 +386,10 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(fresh.stats(), h.stats());
         for i in 0..32u64 {
-            assert_eq!(fresh.access_full(i % 5, i % 4 == 0), h.access_full(i % 5, i % 4 == 0));
+            assert_eq!(
+                fresh.access_full(i % 5, i % 4 == 0),
+                h.access_full(i % 5, i % 4 == 0)
+            );
         }
         assert_eq!(fresh.stats(), h.stats());
     }

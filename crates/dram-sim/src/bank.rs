@@ -208,7 +208,10 @@ mod tests {
         fresh.restore_state(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(fresh, b);
-        assert_eq!(fresh.access(9, false, Cycle(30), &tm), b.access(9, false, Cycle(30), &tm));
+        assert_eq!(
+            fresh.access(9, false, Cycle(30), &tm),
+            b.access(9, false, Cycle(30), &tm)
+        );
     }
 
     #[test]

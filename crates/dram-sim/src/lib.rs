@@ -45,7 +45,7 @@ mod timing;
 pub use address::{AddressMapping, DecodedAddr, Interleave};
 pub use bank::BankState;
 pub use subtree::{PathTable, SubtreeLayout};
-pub use system::{Completion, DramConfig, DramStats, DramSystem, MemRequest};
 #[cfg(any(test, feature = "reference-scheduler"))]
 pub use system::reference;
+pub use system::{Completion, DramConfig, DramStats, DramSystem, MemRequest};
 pub use timing::DramTimings;

@@ -57,8 +57,7 @@ mod tests {
         let mut speedups = Vec::new();
         for b in benches {
             let base = Simulation::run_bench(&opts.system(Scheme::LlcD), b, limit);
-            let ir =
-                Simulation::run_bench(&opts.system(Scheme::IrAllocStashOnLlcD), b, limit);
+            let ir = Simulation::run_bench(&opts.system(Scheme::IrAllocStashOnLlcD), b, limit);
             speedups.push(ir.speedup_over(&base));
         }
         let g = geomean(&speedups);

@@ -39,9 +39,7 @@ mod tests {
         let levels = last_base.len();
         // Compare mean utilization over the shrunken middle band.
         let mid = levels / 2..levels - 2;
-        let mean = |v: &[f64]| {
-            v[mid.clone()].iter().sum::<f64>() / mid.len() as f64
-        };
+        let mean = |v: &[f64]| v[mid.clone()].iter().sum::<f64>() / mid.len() as f64;
         assert!(
             mean(last_ir) > mean(last_base),
             "IR-Alloc middle {:.3} should exceed baseline {:.3}",

@@ -35,12 +35,7 @@ pub fn run(opts: &ExpOptions) -> Table {
     for (name, b, s) in rows {
         let ratio = s as f64 / b.max(1) as f64;
         ratios.push(ratio);
-        t.row([
-            name,
-            b.to_string(),
-            s.to_string(),
-            fmt_f(ratio, 3),
-        ]);
+        t.row([name, b.to_string(), s.to_string(), fmt_f(ratio, 3)]);
     }
     t.row([
         "geomean".to_owned(),

@@ -90,9 +90,8 @@ mod tests {
         let limit = RunLimit::mem_ops(6_000);
         let base = Simulation::run_bench(&opts.system(Scheme::Baseline), Bench::Gcc, limit);
         let dwb = Simulation::run_bench(&opts.system(Scheme::IrDwb), Bench::Gcc, limit);
-        let share = |r: &ir_oram::SimReport| {
-            r.slots.dummy_slots as f64 / r.slots.total_slots.max(1) as f64
-        };
+        let share =
+            |r: &ir_oram::SimReport| r.slots.dummy_slots as f64 / r.slots.total_slots.max(1) as f64;
         assert!(
             share(&dwb) < share(&base),
             "dummy share {} vs {}",

@@ -6,10 +6,10 @@
 //! real traffic), and `PT_m` (dummies). Paper shape: `PT_d` ≈ 56%, `PT_p` ≈
 //! 33% with Pos1 ≈ 4× Pos2, `PT_m` ≈ 11% on average.
 
-use ir_oram::{Scheme, SimReport};
 use crate::render::{fmt_pct, Table};
 use crate::runner::{perf_benches, run_scheme};
 use crate::ExpOptions;
+use ir_oram::{Scheme, SimReport};
 
 /// The per-benchmark breakdown.
 #[derive(Debug, Clone, PartialEq)]

@@ -69,7 +69,10 @@ pub fn collect(
 /// Builds the Fig. 3 table (levels as rows, snapshots as columns).
 pub fn run(opts: &ExpOptions) -> Table {
     let snaps = collect(opts, |l, _| ZAllocation::uniform(l, 4));
-    render(snaps, "Fig. 3: space utilization per tree level (Baseline allocation)")
+    render(
+        snaps,
+        "Fig. 3: space utilization per tree level (Baseline allocation)",
+    )
 }
 
 /// Renders snapshots as a table (shared with Fig. 13).
@@ -98,9 +101,7 @@ mod tests {
         let levels = last.per_level.len();
         // Bottom level clearly higher than the middle levels.
         let bottom = last.per_level[levels - 1];
-        let middle: f64 = last.per_level[levels / 2..levels - 2]
-            .iter()
-            .sum::<f64>()
+        let middle: f64 = last.per_level[levels / 2..levels - 2].iter().sum::<f64>()
             / (levels - 2 - levels / 2) as f64;
         assert!(
             bottom > middle + 0.15,

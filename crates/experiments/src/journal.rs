@@ -23,9 +23,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ir_oram::{
-    FaultStats, RunLimit, Scheme, SimReport, StashPressure, SystemConfig, ALL_SCHEMES,
-};
+use ir_oram::{FaultStats, RunLimit, Scheme, SimReport, StashPressure, SystemConfig, ALL_SCHEMES};
 use iroram_trace::Bench;
 
 /// Fingerprints one simulation cell: every input that determines its
@@ -579,11 +577,7 @@ impl<'a> Parser<'a> {
     fn number(&mut self) -> Option<u64> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_digit)
-        {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
         (self.pos > start)
@@ -824,7 +818,10 @@ mod tests {
         let a = opts.system(Scheme::Baseline);
         let b = opts.system(Scheme::IrOram);
         let lim = RunLimit::mem_ops(100);
-        assert_ne!(fingerprint(&a, Bench::Gcc, lim), fingerprint(&b, Bench::Gcc, lim));
+        assert_ne!(
+            fingerprint(&a, Bench::Gcc, lim),
+            fingerprint(&b, Bench::Gcc, lim)
+        );
         assert_ne!(
             fingerprint(&a, Bench::Gcc, lim),
             fingerprint(&a, Bench::Mcf, lim)

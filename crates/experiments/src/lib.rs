@@ -35,9 +35,9 @@ pub mod runner;
 pub mod table1;
 pub mod table2;
 
-pub use render::Table;
 pub use journal::Journal;
+pub use render::Table;
 pub use runner::{
-    geomean, par_map, run_cell_checked, run_matrix, run_scheme, CellError, CellOutcome,
-    ExpOptions, MAX_CELL_RETRIES,
+    geomean, par_map, run_cell_checked, run_matrix, run_scheme, CellError, CellOutcome, ExpOptions,
+    MAX_CELL_RETRIES,
 };

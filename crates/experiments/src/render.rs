@@ -32,7 +32,7 @@ impl Table {
         Table {
             title: title.to_owned(),
             headers: headers.into_iter().map(Into::into).collect(),
-        rows: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -136,8 +136,7 @@ mod tests {
         assert!(s.contains("# title"));
         assert!(s.lines().count() >= 6);
         // All data lines have equal width.
-        let widths: std::collections::HashSet<usize> =
-            s.lines().skip(1).map(str::len).collect();
+        let widths: std::collections::HashSet<usize> = s.lines().skip(1).map(str::len).collect();
         assert_eq!(widths.len(), 1, "all lines aligned: {s}");
     }
 

@@ -270,9 +270,8 @@ impl ExpOptions {
             // Shrink the caches with the tree so miss behaviour scales,
             // but keep them big enough that workload hot sets stay resident
             // (tiny quick-scale caches would otherwise thrash).
-            cfg.hierarchy = iroram_cache::HierarchyConfig::scaled(
-                (32usize << (17 - levels.min(17))).min(128),
-            );
+            cfg.hierarchy =
+                iroram_cache::HierarchyConfig::scaled((32usize << (17 - levels.min(17))).min(128));
             cfg.t_interval = SystemConfig::t_for(&cfg.oram);
         }
         cfg.audit = self.audit;
@@ -479,8 +478,7 @@ fn try_run_cell(
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SimError> {
     let gen = iroram_trace::WorkloadGen::for_bench(bench, cfg.data_blocks(), cfg.seed);
-    let (report, audit) =
-        Simulation::try_run_checkpointed(cfg, gen, limit, bench.name(), ckpt)?;
+    let (report, audit) = Simulation::try_run_checkpointed(cfg, gen, limit, bench.name(), ckpt)?;
     if !cfg.audit {
         return Ok(report);
     }
@@ -523,7 +521,10 @@ fn open_journal(opts: &ExpOptions) -> Option<Journal> {
             Some(j)
         }
         Err(e) => {
-            eprintln!("resume: cannot open {}: {e}; journaling disabled", path.display());
+            eprintln!(
+                "resume: cannot open {}: {e}; journaling disabled",
+                path.display()
+            );
             None
         }
     }
@@ -533,8 +534,7 @@ fn open_journal(opts: &ExpOptions) -> Option<Journal> {
 /// if set, else `iroram-ckpt` in the working directory.
 pub fn checkpoint_dir() -> PathBuf {
     // lint: allow(determinism, CHECKPOINT_DIR_ENV is the documented snapshot-directory knob; it picks a file path and cannot affect reported numbers)
-    std::env::var_os(CHECKPOINT_DIR_ENV)
-        .map_or_else(|| PathBuf::from("iroram-ckpt"), PathBuf::from)
+    std::env::var_os(CHECKPOINT_DIR_ENV).map_or_else(|| PathBuf::from("iroram-ckpt"), PathBuf::from)
 }
 
 /// The checkpoint spec for one cell, or `None` when the config disables
@@ -595,11 +595,7 @@ pub fn run_scheme(opts: &ExpOptions, scheme: Scheme, benches: &[Bench]) -> Vec<S
 ///
 /// Panics with the cell's classified failure if a cell still fails after
 /// its bounded retries (batch figures have no partial-output mode).
-pub fn run_matrix(
-    opts: &ExpOptions,
-    schemes: &[Scheme],
-    benches: &[Bench],
-) -> Vec<Vec<SimReport>> {
+pub fn run_matrix(opts: &ExpOptions, schemes: &[Scheme], benches: &[Bench]) -> Vec<Vec<SimReport>> {
     // Batch figures have no partial-output mode: a cell that failed its
     // bounded retries must abort the whole figure, not publish a hole.
     // lint: allow(panic, documented batch-abort contract; the typed path is try_run_matrix)
@@ -732,7 +728,10 @@ mod tests {
 
     #[test]
     fn parse_scales_and_jobs() {
-        assert_eq!(ExpOptions::parse(&args(&[])).unwrap(), ExpOptions::standard());
+        assert_eq!(
+            ExpOptions::parse(&args(&[])).unwrap(),
+            ExpOptions::standard()
+        );
         assert_eq!(
             ExpOptions::parse(&args(&["--quick"])).unwrap(),
             ExpOptions::quick()

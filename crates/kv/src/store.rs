@@ -458,7 +458,10 @@ fn relocate(
     }
     stats.overflow_parked += 1;
     let prev = overflow.insert(key_of(carry), value_of(carry));
-    debug_assert!(prev.is_none(), "displaced key cannot already be in overflow");
+    debug_assert!(
+        prev.is_none(),
+        "displaced key cannot already be in overflow"
+    );
 }
 
 /// The identity write-phase access: remaps and re-encrypts `slot` exactly
@@ -534,12 +537,12 @@ mod tests {
         let mut s = shard();
         // Ops that cannot trigger displacement on an empty table.
         let script = [
-            KvOp::Get { key: 11 },            // miss
-            KvOp::Put { key: 11, value: 1 },  // fresh insert
-            KvOp::Get { key: 11 },            // hit
-            KvOp::Put { key: 11, value: 2 },  // update
-            KvOp::Delete { key: 11 },         // hit delete
-            KvOp::Delete { key: 11 },         // miss delete
+            KvOp::Get { key: 11 },           // miss
+            KvOp::Put { key: 11, value: 1 }, // fresh insert
+            KvOp::Get { key: 11 },           // hit
+            KvOp::Put { key: 11, value: 2 }, // update
+            KvOp::Delete { key: 11 },        // hit delete
+            KvOp::Delete { key: 11 },        // miss delete
         ];
         for op in script {
             let before = s.oram().stats().accesses;
@@ -569,7 +572,10 @@ mod tests {
         let mut stored = Vec::new();
         let mut full = 0u32;
         for k in 1..=200u32 {
-            match s.run_op(KvOp::Put { key: k, value: k * 3 }) {
+            match s.run_op(KvOp::Put {
+                key: k,
+                value: k * 3,
+            }) {
                 Ok(_) => stored.push(k),
                 Err(KvError::StoreFull) => full += 1,
                 Err(e) => panic!("unexpected {e:?}"),
@@ -603,7 +609,12 @@ mod tests {
         }
         let parked_keys: Vec<u32> = s.overflow.keys().copied().collect();
         for k in parked_keys {
-            let prev = s.run_op(KvOp::Put { key: k, value: k + 1 }).unwrap();
+            let prev = s
+                .run_op(KvOp::Put {
+                    key: k,
+                    value: k + 1,
+                })
+                .unwrap();
             assert!(prev.is_some(), "parked key {k} must still be present");
         }
         assert!(
@@ -616,7 +627,11 @@ mod tests {
     fn dump_reflects_contents() {
         let mut s = shard();
         for k in [3u32, 1, 7] {
-            s.run_op(KvOp::Put { key: k, value: k * 10 }).unwrap();
+            s.run_op(KvOp::Put {
+                key: k,
+                value: k * 10,
+            })
+            .unwrap();
         }
         let mut d = s.dump();
         d.sort_unstable();

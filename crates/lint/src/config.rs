@@ -89,7 +89,9 @@ pub fn struct_fields(file: &SourceFile, struct_name: &str) -> Option<Vec<Field>>
         loop {
             let t = toks.get(i)?;
             match t.kind {
-                TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{')
+                TokKind::Punct(b'(')
+                | TokKind::Punct(b'[')
+                | TokKind::Punct(b'{')
                 | TokKind::Punct(b'<') => depth += 1,
                 TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'>') => depth -= 1,
                 TokKind::Punct(b'}') => {

@@ -117,7 +117,8 @@ mod tests {
 
     #[test]
     fn annotation_silences_with_reason_only() {
-        let f = findings("let m = HashMap::new(); // lint: allow(determinism, lookup-only oracle)\n");
+        let f =
+            findings("let m = HashMap::new(); // lint: allow(determinism, lookup-only oracle)\n");
         assert!(f.is_empty());
         let f = findings("let m = HashMap::new(); // lint: allow(determinism)\n");
         assert_eq!(f.len(), 1, "reasonless annotation must not silence");

@@ -94,7 +94,12 @@ pub fn parse_findings(text: &str) -> Result<Vec<Finding>, String> {
                         match p.next_tok()? {
                             b',' => {}
                             b']' => break,
-                            c => return Err(format!("expected , or ] after finding, got {}", c as char)),
+                            c => {
+                                return Err(format!(
+                                    "expected , or ] after finding, got {}",
+                                    c as char
+                                ))
+                            }
                         }
                     }
                 }
@@ -231,7 +236,9 @@ impl Parser<'_> {
             self.expect(b':')?;
             match key.as_str() {
                 "file" => f.file = self.string()?,
-                "line" => f.line = u32::try_from(self.number()?).map_err(|_| "line out of range")?,
+                "line" => {
+                    f.line = u32::try_from(self.number()?).map_err(|_| "line out of range")?
+                }
                 "rule" => f.rule = self.string()?,
                 "message" => f.message = self.string()?,
                 other => return Err(format!("unknown finding key `{other}`")),

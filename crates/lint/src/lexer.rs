@@ -107,9 +107,7 @@ pub fn lex(src: &str) -> Vec<Token> {
                 i = ni;
                 line = nl;
             }
-            b'r' | b'b'
-                if is_raw_string_start(b, i) =>
-            {
+            b'r' | b'b' if is_raw_string_start(b, i) => {
                 let tok_line = line;
                 let (s, ni, nl) = lex_raw_string(src, i, line);
                 toks.push(Token {
@@ -169,8 +167,7 @@ pub fn lex(src: &str) -> Vec<Token> {
                 });
             }
             c if c.is_ascii_digit() => {
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.')
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.')
                 {
                     // `0..10` range: do not swallow the second dot.
                     if b[i] == b'.' && b.get(i + 1) == Some(&b'.') {
@@ -320,7 +317,10 @@ mod tests {
     #[test]
     fn comments_do_not_leak_identifiers() {
         assert_eq!(idents("// HashMap here\nlet x = 1;"), ["let", "x"]);
-        assert_eq!(idents("/* HashMap /* nested */ still */ let x = 1;"), ["let", "x"]);
+        assert_eq!(
+            idents("/* HashMap /* nested */ still */ let x = 1;"),
+            ["let", "x"]
+        );
     }
 
     #[test]

@@ -156,7 +156,10 @@ pub fn run(root: &Path, fix_ratchet: bool) -> Result<Outcome, String> {
     let mut counted = ratchet::Ratchet::new();
     for hot in HOT_PATH_FILES {
         let Some(f) = files.iter().find(|f| f.rel_path == hot) else {
-            return Err(format!("hot-path file {hot} not found under {}", root.display()));
+            return Err(format!(
+                "hot-path file {hot} not found under {}",
+                root.display()
+            ));
         };
         counted.insert(hot.to_owned(), panics::count(f));
     }

@@ -76,7 +76,11 @@ fn main() {
                 "iroram-lint: {} file(s) scanned, {} finding(s){}",
                 outcome.files_scanned,
                 outcome.findings.len(),
-                if fix_ratchet { " (ratchet rewritten)" } else { "" }
+                if fix_ratchet {
+                    " (ratchet rewritten)"
+                } else {
+                    ""
+                }
             );
             std::process::exit(i32::from(!outcome.findings.is_empty()));
         }

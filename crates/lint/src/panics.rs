@@ -188,7 +188,9 @@ mod tests {
         let f = check_against_ratchet(&counted, &budget, "lint-ratchet.toml");
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().any(|x| x.message.contains("ratchet allows 0")));
-        assert!(f.iter().any(|x| x.message.contains("lock the improvement in")));
+        assert!(f
+            .iter()
+            .any(|x| x.message.contains("lock the improvement in")));
     }
 
     #[test]
@@ -197,8 +199,12 @@ mod tests {
         counted.insert("new.rs".into(), counts(""));
         let budget = crate::ratchet::parse("[\"old.rs\"]\nunwrap = 1\n").unwrap();
         let f = check_against_ratchet(&counted, &budget, "lint-ratchet.toml");
-        assert!(f.iter().any(|x| x.file == "new.rs" && x.message.contains("missing")));
-        assert!(f.iter().any(|x| x.file == "old.rs" && x.message.contains("stale")));
+        assert!(f
+            .iter()
+            .any(|x| x.file == "new.rs" && x.message.contains("missing")));
+        assert!(f
+            .iter()
+            .any(|x| x.file == "old.rs" && x.message.contains("stale")));
     }
 
     #[test]

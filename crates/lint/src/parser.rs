@@ -191,9 +191,12 @@ fn parse_fn(tokens: &[Token], at: usize, impls: &[ImplSpan]) -> Option<(FnDef, u
             TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'<') => depth += 1,
             TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
             TokKind::Punct(b'>')
-                if !tokens.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(b'-')) => {
-                    depth -= 1;
-                }
+                if !tokens
+                    .get(i.wrapping_sub(1))
+                    .is_some_and(|p| p.is_punct(b'-')) =>
+            {
+                depth -= 1;
+            }
             TokKind::Punct(b'{') if depth <= 0 => {
                 let close = matching_brace(tokens, i)?;
                 break Some((i, close + 1));
@@ -276,14 +279,7 @@ fn parse_struct(tokens: &[Token], at: usize) -> Option<(StructDef, usize)> {
     let open = i;
     let close = matching_brace(tokens, open)?;
     let fields = parse_fields(tokens, open + 1, close);
-    Some((
-        StructDef {
-            name,
-            line,
-            fields,
-        },
-        close + 1,
-    ))
+    Some((StructDef { name, line, fields }, close + 1))
 }
 
 /// Parses `pub? name : <type> ,` field declarations between token indices
@@ -355,13 +351,18 @@ fn parse_fields(tokens: &[Token], start: usize, end: usize) -> Vec<FieldDef> {
         let mut depth = 0i32;
         while i < end {
             match tokens[i].kind {
-                TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{')
+                TokKind::Punct(b'(')
+                | TokKind::Punct(b'[')
+                | TokKind::Punct(b'{')
                 | TokKind::Punct(b'<') => depth += 1,
                 TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => depth -= 1,
                 TokKind::Punct(b'>')
-                    if !tokens.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(b'-')) => {
-                        depth -= 1;
-                    }
+                    if !tokens
+                        .get(i.wrapping_sub(1))
+                        .is_some_and(|p| p.is_punct(b'-')) =>
+                {
+                    depth -= 1;
+                }
                 TokKind::Punct(b',') if depth <= 0 => {
                     i += 1;
                     fields.push(def);
@@ -422,7 +423,13 @@ mod tests {
             [("free", None), ("m", Some("S")), ("clone", Some("S"))]
         );
         assert_eq!(p.structs.len(), 1);
-        assert_eq!(p.structs[0].fields, [FieldDef { name: "a".into(), line: 2 }]);
+        assert_eq!(
+            p.structs[0].fields,
+            [FieldDef {
+                name: "a".into(),
+                line: 2
+            }]
+        );
     }
 
     #[test]
@@ -467,12 +474,17 @@ mod tests {
 
     #[test]
     fn tuple_unit_and_where_structs_parse() {
-        let src = "struct T(u64, u32);\nstruct U;\nstruct W<K> where K: Ord { k: K, v: Vec<(K, K)> }\n";
+        let src =
+            "struct T(u64, u32);\nstruct U;\nstruct W<K> where K: Ord { k: K, v: Vec<(K, K)> }\n";
         let p = parse(&lex(src));
         assert_eq!(p.structs.len(), 3);
         assert!(p.structs[0].fields.is_empty());
         assert!(p.structs[1].fields.is_empty());
-        let names: Vec<&str> = p.structs[2].fields.iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = p.structs[2]
+            .fields
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
         assert_eq!(names, ["k", "v"]);
     }
 

@@ -148,7 +148,9 @@ fn calls_in(file: &SourceFile, body: (usize, usize)) -> BTreeSet<&str> {
     let toks = &file.tokens;
     let mut out = BTreeSet::new();
     for i in body.0..body.1.min(toks.len()) {
-        let Some(name) = toks[i].ident() else { continue };
+        let Some(name) = toks[i].ident() else {
+            continue;
+        };
         if !toks.get(i + 1).is_some_and(|n| n.is_punct(b'(')) {
             continue;
         }
@@ -268,12 +270,10 @@ mod tests {
 
     #[test]
     fn hot_path_files_are_not_double_counted() {
-        let files = ws(&[
-            (
-                "crates/oram-ctrl/src/controller.rs",
-                "impl C {\n    pub fn process_slot(&mut self) { self.v[0].unwrap(); }\n}\n",
-            ),
-        ]);
+        let files = ws(&[(
+            "crates/oram-ctrl/src/controller.rs",
+            "impl C {\n    pub fn process_slot(&mut self) { self.v[0].unwrap(); }\n}\n",
+        )]);
         let a = analyze(&files);
         assert!(a.sites.is_empty(), "{:?}", a.sites);
     }
@@ -308,10 +308,8 @@ mod tests {
         let mut sites: BTreeMap<String, Vec<(&'static str, u32)>> = BTreeMap::new();
         sites.insert("a.rs".into(), vec![("unwrap", 9), ("unwrap", 12)]);
         sites.insert("b.rs".into(), vec![("index", 3)]);
-        let budget = crate::ratchet::parse(
-            "[\"a.rs\"]\nunwrap = 1\n[\"gone.rs\"]\nindex = 2\n",
-        )
-        .unwrap();
+        let budget =
+            crate::ratchet::parse("[\"a.rs\"]\nunwrap = 1\n[\"gone.rs\"]\nindex = 2\n").unwrap();
         let f = check(&sites, &budget, "lint-ratchet.toml");
         let over = f
             .iter()

@@ -136,11 +136,13 @@ fn cond_span(file: &SourceFile, from: usize, end: usize) -> (usize, usize) {
             TokKind::Punct(b'{') => depth += 1,
             TokKind::Punct(b'}') => depth -= 1,
             TokKind::Punct(b';') if depth <= 0 => return (from, i),
-            TokKind::Punct(b'>') if depth <= 0
+            TokKind::Punct(b'>')
+                if depth <= 0
                 // `=>` terminates a match-guard condition.
-                && toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(b'=')) => {
-                    return (from, i);
-                }
+                && toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(b'=')) =>
+            {
+                return (from, i);
+            }
             _ => {}
         }
         i += 1;
@@ -252,7 +254,9 @@ fn tainted_locals(file: &SourceFile, body: (usize, usize)) -> BTreeSet<String> {
 /// not a pattern keyword).
 fn is_binding_ident(s: &str) -> bool {
     !matches!(s, "mut" | "ref" | "box" | "_" | "let" | "else" | "move")
-        && s.chars().next().is_some_and(|c| c.is_ascii_lowercase() || c == '_')
+        && s.chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
 }
 
 /// End of a `let` initializer starting at `from`: the `;`, a `{` (an
@@ -284,7 +288,9 @@ fn span_hits(
 ) -> Option<(usize, String, Why)> {
     let toks = &file.tokens;
     for i in span.0..span.1.min(toks.len()) {
-        let Some(name) = toks[i].ident() else { continue };
+        let Some(name) = toks[i].ident() else {
+            continue;
+        };
         let after_dot = i > 0 && toks[i - 1].is_punct(b'.');
         let before_call = toks.get(i + 1).is_some_and(|t| t.is_punct(b'('));
         let before_colon = toks.get(i + 1).is_some_and(|t| t.is_punct(b':'));
@@ -414,9 +420,8 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let f = findings(
-            "#[cfg(test)]\nmod tests {\n    fn t(b: &Blk) { if b.payload == 0 {} }\n}\n",
-        );
+        let f =
+            findings("#[cfg(test)]\nmod tests {\n    fn t(b: &Blk) { if b.payload == 0 {} }\n}\n");
         assert!(f.is_empty(), "{f:?}");
     }
 

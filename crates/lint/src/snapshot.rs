@@ -164,10 +164,7 @@ mod tests {
     fn methods_in_a_sibling_file_of_the_same_crate_are_found() {
         let def = "pub struct S { a: u64, b: u64 }\n";
         let imp = "impl S {\n    fn save_state(&self, w: &mut W) { w.u64(self.a); }\n    fn restore_state(&mut self, r: &mut R) { self.a = r.u64(); }\n}\n";
-        let f = findings(&[
-            ("crates/a/src/def.rs", def),
-            ("crates/a/src/imp.rs", imp),
-        ]);
+        let f = findings(&[("crates/a/src/def.rs", def), ("crates/a/src/imp.rs", imp)]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].file, "crates/a/src/def.rs");
         assert!(f[0].message.contains("`b`"));
@@ -178,10 +175,7 @@ mod tests {
         let here = "pub struct S { a: u64 }\n";
         let other =
             "pub struct S { z: u64 }\nimpl S {\n    fn save_state(&self, w: &mut W) { w.u64(self.z); }\n    fn restore_state(&mut self, r: &mut R) { self.z = r.u64(); }\n}\n";
-        let f = findings(&[
-            ("crates/a/src/x.rs", here),
-            ("crates/b/src/y.rs", other),
-        ]);
+        let f = findings(&[("crates/a/src/x.rs", here), ("crates/b/src/y.rs", other)]);
         assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -121,9 +121,7 @@ impl SourceFile {
         self.allows
             .iter()
             .enumerate()
-            .filter(|(i, a)| {
-                !used[*i] && RULES.contains(&a.rule.as_str()) && !a.reason.is_empty()
-            })
+            .filter(|(i, a)| !used[*i] && RULES.contains(&a.rule.as_str()) && !a.reason.is_empty())
             .map(|(_, a)| a)
             .collect()
     }
@@ -238,8 +236,7 @@ fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
             }
             // Skip any further attributes (and doc comments) before the item.
             while j < tokens.len() {
-                if tokens[j].is_punct(b'#') && tokens.get(j + 1).is_some_and(|t| t.is_punct(b'['))
-                {
+                if tokens[j].is_punct(b'#') && tokens.get(j + 1).is_some_and(|t| t.is_punct(b'[')) {
                     let mut d = 0i32;
                     j += 1;
                     while j < tokens.len() {
@@ -448,7 +445,8 @@ mod tests {
 
     #[test]
     fn trailing_allow_covers_the_statement_it_starts() {
-        let src = "let x = first() // lint: allow(thread-order, fixture)\n    .second();\nlet y = 2;\n";
+        let src =
+            "let x = first() // lint: allow(thread-order, fixture)\n    .second();\nlet y = 2;\n";
         let f = SourceFile::new("x.rs".into(), src);
         assert!(f.allowed(1, "thread-order"));
         assert!(f.allowed(2, "thread-order"));

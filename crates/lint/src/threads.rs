@@ -95,7 +95,12 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                         "`thread::spawn`",
                         "unscoped threads outlive the call and make joins order-dependent; use std::thread::scope",
                     );
-                } else if is_call && !sanctioned && toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(b'.')) {
+                } else if is_call
+                    && !sanctioned
+                    && toks
+                        .get(i.wrapping_sub(1))
+                        .is_some_and(|p| p.is_punct(b'.'))
+                {
                     push(
                         file,
                         t.line,
@@ -125,15 +130,18 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                     "cross-thread state merged in nondeterministic order can leak into reports",
                 );
             }
-            TokKind::Ident(s) if s == "static" && !sanctioned
-                && toks.get(i + 1).and_then(|t| t.ident()) == Some("mut") => {
-                    push(
-                        file,
-                        t.line,
-                        "`static mut`",
-                        "unsynchronized global mutable state is order-dependent by construction",
-                    );
-                }
+            TokKind::Ident(s)
+                if s == "static"
+                    && !sanctioned
+                    && toks.get(i + 1).and_then(|t| t.ident()) == Some("mut") =>
+            {
+                push(
+                    file,
+                    t.line,
+                    "`static mut`",
+                    "unsynchronized global mutable state is order-dependent by construction",
+                );
+            }
             _ => {}
         }
     }
@@ -225,12 +233,18 @@ mod tests {
             "fn run_batch() {\n    static CORES: OnceLock<usize> = OnceLock::new();\n    std::thread::scope(|s| {});\n}\n",
         );
         assert!(f.iter().any(|f| f.message.contains("`OnceLock`")), "{f:?}");
-        assert!(f.iter().any(|f| f.message.contains("`thread::scope`")), "{f:?}");
+        assert!(
+            f.iter().any(|f| f.message.contains("`thread::scope`")),
+            "{f:?}"
+        );
     }
 
     #[test]
     fn static_mut_is_flagged() {
-        let f = findings("crates/cache-sim/src/cache.rs", "static mut HITS: u64 = 0;\n");
+        let f = findings(
+            "crates/cache-sim/src/cache.rs",
+            "static mut HITS: u64 = 0;\n",
+        );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("`static mut`"));
     }

@@ -153,8 +153,8 @@ impl SystemConfig {
     /// *read-phase* block. Security is unaffected — `T` is a public
     /// constant per configuration, identical for every scheme compared.
     pub fn t_for(oram: &OramConfig) -> u64 {
-        let baseline_pl = ZAllocation::uniform(oram.levels, 4)
-            .path_len(oram.treetop.cached_levels());
+        let baseline_pl =
+            ZAllocation::uniform(oram.levels, 4).path_len(oram.treetop.cached_levels());
         // ×25/3 ≈ 8.33 CPU cycles per block.
         (baseline_pl * 25 / 3).max(100)
     }
@@ -311,9 +311,7 @@ impl SystemConfig {
             "pipeline_depth" => {
                 let n: u32 = num(key, value)?;
                 if n == 0 {
-                    return Err(
-                        "--set pipeline_depth: must be >= 1 (1 = serial pipeline)".into()
-                    );
+                    return Err("--set pipeline_depth: must be >= 1 (1 = serial pipeline)".into());
                 }
                 self.pipeline_depth = n;
             }
@@ -374,12 +372,13 @@ impl SystemConfig {
             ("ORAM tree levels".into(), self.oram.levels.to_string()),
             (
                 "Bucket size / Block size".into(),
-                format!("{} / {}B", self.oram.zalloc.z_of(self.oram.levels - 1), block_bytes),
+                format!(
+                    "{} / {}B",
+                    self.oram.zalloc.z_of(self.oram.levels - 1),
+                    block_bytes
+                ),
             ),
-            (
-                "Stash entries".into(),
-                self.oram.stash_capacity.to_string(),
-            ),
+            ("Stash entries".into(), self.oram.stash_capacity.to_string()),
             (
                 "Dedicated tree top cache".into(),
                 format!(
@@ -402,8 +401,7 @@ mod tests {
 
     #[test]
     fn scheme_names_unique() {
-        let names: std::collections::HashSet<_> =
-            ALL_SCHEMES.iter().map(|s| s.name()).collect();
+        let names: std::collections::HashSet<_> = ALL_SCHEMES.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), ALL_SCHEMES.len());
     }
 
@@ -415,7 +413,10 @@ mod tests {
 
         let alloc = SystemConfig::scaled(Scheme::IrAlloc);
         assert!(
-            alloc.oram.zalloc.path_len(alloc.oram.treetop.cached_levels())
+            alloc
+                .oram
+                .zalloc
+                .path_len(alloc.oram.treetop.cached_levels())
                 < base.oram.zalloc.path_len(base.oram.treetop.cached_levels())
         );
 

@@ -353,7 +353,9 @@ impl PathChooser {
         match (r.take_u8()?, self) {
             (0, PathChooser::SingleTree(s)) => s.restore_state(r),
             (1, PathChooser::RhoTrees(t)) => t.restore_state(r),
-            _ => Err(SnapError::Corrupt("path-chooser mismatch (single tree vs ρ)")),
+            _ => Err(SnapError::Corrupt(
+                "path-chooser mismatch (single tree vs ρ)",
+            )),
         }
     }
 }
@@ -564,15 +566,15 @@ impl TimedController {
     /// Integrity-layer counters (injected / detected / recovered /
     /// undetected corruptions), summed over every tree.
     pub fn integrity_stats(&self) -> IntegrityStats {
-        self.chooser
-            .trees()
-            .map(PathOram::integrity_stats)
-            .fold(IntegrityStats::default(), |a, s| IntegrityStats {
+        self.chooser.trees().map(PathOram::integrity_stats).fold(
+            IntegrityStats::default(),
+            |a, s| IntegrityStats {
                 injected: a.injected + s.injected,
                 detected: a.detected + s.detected,
                 recovered: a.recovered + s.recovered,
                 undetected: a.undetected + s.undetected,
-            })
+            },
+        )
     }
 
     /// Counters for faults the plan actually injected (zeros with no plan).
@@ -594,8 +596,12 @@ impl TimedController {
     pub fn stash_pressure(&self) -> StashPressure {
         StashPressure {
             soft_capacity: self.chooser.main().config().stash_capacity as u64,
-            max_occupancy: self.chooser.trees().map(PathOram::stash_peak).max().unwrap_or(0)
-                as u64,
+            max_occupancy: self
+                .chooser
+                .trees()
+                .map(PathOram::stash_peak)
+                .max()
+                .unwrap_or(0) as u64,
             overflow_slots: self.overflow_slots,
             bg_escalations: self.bg_escalations,
             degraded_slots: self.degraded_slots,
@@ -735,7 +741,11 @@ impl TimedController {
         // stash; over the hard limit itself a bounded grace of degraded
         // slots runs before the typed transient error fires. Clean runs
         // never cross the watermark, so the schedule is unchanged.
-        let occupancy = self.chooser.trees().map(|o| o.stash_len()).fold(0, usize::max);
+        let occupancy = self
+            .chooser
+            .trees()
+            .map(|o| o.stash_len())
+            .fold(0, usize::max);
         // lint: allow(secret-flow, overflow stats counter; occupancy never alters the issued DRAM schedule)
         if occupancy > self.chooser.main().config().stash_capacity {
             self.overflow_slots += 1;
@@ -1409,9 +1419,7 @@ pub(crate) fn save_addr_deque(w: &mut SnapWriter, pm: &VecDeque<BlockAddr>) {
 }
 
 /// Restores a FIFO of block addresses.
-pub(crate) fn restore_addr_deque(
-    r: &mut SnapReader<'_>,
-) -> Result<VecDeque<BlockAddr>, SnapError> {
+pub(crate) fn restore_addr_deque(r: &mut SnapReader<'_>) -> Result<VecDeque<BlockAddr>, SnapError> {
     let n = r.take_seq_len(8)?;
     let mut pm = VecDeque::with_capacity(n);
     for _ in 0..n {

@@ -51,7 +51,10 @@ impl TraceCpu {
     ///
     /// Panics if any parameter is zero.
     pub fn new(rob: u64, ipc: u64, mshrs: usize) -> Self {
-        assert!(rob > 0 && ipc > 0 && mshrs > 0, "core parameters must be nonzero");
+        assert!(
+            rob > 0 && ipc > 0 && mshrs > 0,
+            "core parameters must be nonzero"
+        );
         TraceCpu {
             rob,
             ipc,
@@ -113,8 +116,7 @@ impl TraceCpu {
     pub fn issue(&mut self, gap: u32, at: Cycle, latency: u64) {
         let inst_next = self.inst_count + gap as u64 + 1;
         self.outstanding.retain(|m| {
-            !(inst_next.saturating_sub(m.inst_no) > self.rob
-                && m.done.is_some_and(|d| d <= at))
+            !(inst_next.saturating_sub(m.inst_no) > self.rob && m.done.is_some_and(|d| d <= at))
         });
         if self.outstanding.len() >= self.mshrs {
             // The Ready check guaranteed the oldest is complete.

@@ -383,7 +383,11 @@ mod tests {
         h.llc_mark_clean(3);
         let _ = e.try_convert(&mut p, &mut h, Cycle(1000));
         assert_eq!(e.victim(), Some(BlockAddr(4)));
-        assert_eq!(e.stats().aborted, 1, "re-point aborts the old sequence once");
+        assert_eq!(
+            e.stats().aborted,
+            1,
+            "re-point aborts the old sequence once"
+        );
         // The old victim now leaves the LLC normally: no double count.
         e.on_eviction(BlockAddr(3));
         assert_eq!(e.stats().aborted, 1);

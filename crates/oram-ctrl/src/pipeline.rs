@@ -354,7 +354,10 @@ mod tests {
         let mut p = PipelineState::new(4).expect("depth 4");
         p.record(0b0000, false, Cycle(500));
         // Same top bucket, same tree, unretired: held until write_done.
-        assert_eq!(p.conflict_hold(&table, 0b0001, false, Cycle(100)), Some(Cycle(500)));
+        assert_eq!(
+            p.conflict_hold(&table, 0b0001, false, Cycle(100)),
+            Some(Cycle(500))
+        );
         // Different tree: disjoint DRAM regions, no conflict.
         assert_eq!(p.conflict_hold(&table, 0b0001, true, Cycle(100)), None);
         // Disjoint top bucket: no shared memory bucket.

@@ -21,8 +21,8 @@ use iroram_sim_engine::{profiler, Cycle, SnapError, SnapReader, SnapWriter};
 
 use crate::audit::AuditState;
 use crate::controller::{
-    front_serve, posmap_step, restore_addr_deque, restore_opt_work, restore_req,
-    save_addr_deque, save_opt_work, save_req, Pick, SlotCtx, Tree, Work,
+    front_serve, posmap_step, restore_addr_deque, restore_opt_work, restore_req, save_addr_deque,
+    save_opt_work, save_req, Pick, SlotCtx, Tree, Work,
 };
 use crate::{OramRequest, SimError, SystemConfig};
 
@@ -35,10 +35,7 @@ enum SmallWork {
         pm: VecDeque<BlockAddr>,
     },
     /// Installation of a freshly fetched block into its small slot.
-    Install {
-        slot: u64,
-        pm: VecDeque<BlockAddr>,
-    },
+    Install { slot: u64, pm: VecDeque<BlockAddr> },
 }
 
 /// Serializes an optional [`SmallWork`] item (tag 0 = none).
@@ -236,16 +233,15 @@ impl RhoTrees {
         let n = r.take_seq_len(9)?;
         self.main_queue.clear();
         for _ in 0..n {
-            let work =
-                restore_opt_work(r)?.ok_or(SnapError::Corrupt("empty main-queue entry"))?;
+            let work = restore_opt_work(r)?.ok_or(SnapError::Corrupt("empty main-queue entry"))?;
             self.main_queue.push_back(work);
         }
         self.current_main = restore_opt_work(r)?;
         let n = r.take_seq_len(9)?;
         self.small_queue.clear();
         for _ in 0..n {
-            let work = restore_opt_small_work(r)?
-                .ok_or(SnapError::Corrupt("empty small-queue entry"))?;
+            let work =
+                restore_opt_small_work(r)?.ok_or(SnapError::Corrupt("empty small-queue entry"))?;
             self.small_queue.push_back(work);
         }
         self.current_small = restore_opt_small_work(r)?;
@@ -519,9 +515,7 @@ impl RhoTrees {
                 let victim = (0..self.slots.len())
                     .min_by_key(|&i| self.last_use[i])
                     .expect("small tree has slots") as u64;
-                let old = self.slots[victim as usize]
-                    .take()
-                    .expect("occupied victim");
+                let old = self.slots[victim as usize].take().expect("occupied victim");
                 self.directory.remove(&old);
                 // The evicted block returns to the main tree.
                 let pm = {
@@ -696,7 +690,11 @@ mod tests {
         );
         // Evicted blocks must be back in the main tree (not escrowed).
         let escrowed: usize = trees(&rho).main.escrowed().count();
-        assert_eq!(escrowed, trees(&rho).directory.len(), "escrow == small residents");
+        assert_eq!(
+            escrowed,
+            trees(&rho).directory.len(),
+            "escrow == small residents"
+        );
     }
 
     #[test]

@@ -14,9 +14,7 @@ use crate::audit::AuditReport;
 use crate::controller::StashPressure;
 use crate::cpu::IssueCheck;
 use crate::dwb::DwbStats;
-use crate::{
-    OramRequest, Scheme, SimError, SlotStats, SystemConfig, TimedController, TraceCpu,
-};
+use crate::{OramRequest, Scheme, SimError, SlotStats, SystemConfig, TimedController, TraceCpu};
 
 /// Demand-queue depth at which the core stalls (miss-queue back-pressure).
 const MAX_QUEUE: usize = 16;
@@ -174,8 +172,7 @@ impl Simulation {
     /// Panics on [`SimError`]; use [`Simulation::try_run_bench`] to handle
     /// failures.
     pub fn run_bench(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> SimReport {
-        Self::try_run_bench(cfg, bench, limit)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+        Self::try_run_bench(cfg, bench, limit).unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
     /// Fallible form of [`Simulation::run_bench`].
@@ -306,8 +303,7 @@ impl Simulation {
             // cut of the whole simulation state.
             if let Some(spec) = ckpt {
                 let slots = ctl.slots_done();
-                if cfg.checkpoint_interval > 0
-                    && slots >= last_ckpt_slots + cfg.checkpoint_interval
+                if cfg.checkpoint_interval > 0 && slots >= last_ckpt_slots + cfg.checkpoint_interval
                 {
                     let mut w = SnapWriter::new();
                     w.put_u64(ops);
@@ -582,8 +578,7 @@ mod tests {
     #[test]
     fn audit_report_absent_when_disabled() {
         let cfg = tiny(Scheme::Baseline);
-        let (_, audit) =
-            Simulation::run_bench_audited(&cfg, Bench::Gcc, RunLimit::mem_ops(500));
+        let (_, audit) = Simulation::run_bench_audited(&cfg, Bench::Gcc, RunLimit::mem_ops(500));
         assert!(audit.is_none());
     }
 

@@ -216,9 +216,7 @@ impl PathOram {
         // Completeness: every block address is somewhere.
         for a in 0..self.posmap().space().total_blocks() {
             if !seen.contains_key(&a) {
-                return Err(InvariantError::Missing {
-                    addr: BlockAddr(a),
-                });
+                return Err(InvariantError::Missing { addr: BlockAddr(a) });
             }
         }
         Ok(())

@@ -169,7 +169,10 @@ mod tests {
             }
         }
         assert_eq!(seen.len() as u64, t.total_slots());
-        assert_eq!(seen.iter().max().copied().unwrap() as u64, t.total_slots() - 1);
+        assert_eq!(
+            seen.iter().max().copied().unwrap() as u64,
+            t.total_slots() - 1
+        );
     }
 
     #[test]
@@ -185,11 +188,7 @@ mod tests {
                         break;
                     }
                 }
-                assert_eq!(
-                    t.common_depth(Leaf(a), Leaf(b)),
-                    expect,
-                    "leaves {a},{b}"
-                );
+                assert_eq!(t.common_depth(Leaf(a), Leaf(b)), expect, "leaves {a},{b}");
             }
         }
     }

@@ -34,8 +34,8 @@ mod invariants;
 mod layout;
 mod posmap;
 mod stash;
-mod treetop;
 mod tree;
+mod treetop;
 mod types;
 mod zalloc;
 
@@ -49,6 +49,8 @@ pub use posmap::{AddressSpace, PlbStatus, PosMapSystem, ENTRIES_PER_BLOCK};
 pub use stash::{Stash, WritebackPlan};
 pub use tree::{IntegrityStats, OramTree};
 pub use treetop::{DedicatedTreeTop, IrStashTop, TreeTopStore};
-pub use types::{BlockAddr, BlockKind, Leaf, PathList, PathRecord, PathType, ServedFrom, StoredBlock};
+pub use types::{
+    BlockAddr, BlockKind, Leaf, PathList, PathRecord, PathType, ServedFrom, StoredBlock,
+};
 pub use zalloc::preset_consts as zalloc_preset;
 pub use zalloc::{AllocPreset, GreedySearchOutcome, ZAllocation};

@@ -45,8 +45,12 @@ pub trait TreeTopStore {
     /// blocks that could **not** be stored (S-Stash set conflicts); the
     /// caller returns them to the stash ("we skip picking this block for
     /// this round", Section IV-C).
-    fn write_bucket(&mut self, level: usize, bucket: u64, blocks: Vec<StoredBlock>)
-        -> Vec<StoredBlock>;
+    fn write_bucket(
+        &mut self,
+        level: usize,
+        bucket: u64,
+        blocks: Vec<StoredBlock>,
+    ) -> Vec<StoredBlock>;
 
     /// [`TreeTopStore::write_bucket`] draining a caller-owned buffer;
     /// rejected blocks are appended to `rejected` instead of returned.
@@ -70,7 +74,9 @@ pub trait TreeTopStore {
     /// override it to scan their storage directly — path probes run this on
     /// every cached level of every access, so it must not allocate.
     fn bucket_contains(&self, level: usize, bucket: u64, addr: BlockAddr) -> bool {
-        self.peek_bucket(level, bucket).iter().any(|b| b.addr == addr)
+        self.peek_bucket(level, bucket)
+            .iter()
+            .any(|b| b.addr == addr)
     }
 
     /// Whether a block could currently be stored into bucket
@@ -388,8 +394,7 @@ impl IrStashTop {
 
     fn find_entry(&self, addr: BlockAddr) -> Option<usize> {
         let range = self.set_range(self.set_of(addr));
-        (range.start..range.end)
-            .find(|&i| self.entries[i].is_some_and(|e| e.block.addr == addr))
+        (range.start..range.end).find(|&i| self.entries[i].is_some_and(|e| e.block.addr == addr))
     }
 }
 
@@ -657,7 +662,10 @@ impl TreeTopStore for IrStashTop {
                         e.level, e.bucket
                     ));
                 }
-                if !self.set_range(self.set_of(e.block.addr)).contains(&(p as usize)) {
+                if !self
+                    .set_range(self.set_of(e.block.addr))
+                    .contains(&(p as usize))
+                {
                     return Err(format!(
                         "S-Stash: entry {p} ({}) outside its MD5-indexed set",
                         e.block.addr
@@ -832,7 +840,9 @@ mod tests {
             for addr in [1u64, 2, 3] {
                 assert_eq!(
                     top.bucket_contains(2, 3, BlockAddr(addr)),
-                    top.peek_bucket(2, 3).iter().any(|b| b.addr == BlockAddr(addr)),
+                    top.peek_bucket(2, 3)
+                        .iter()
+                        .any(|b| b.addr == BlockAddr(addr)),
                     "bucket_contains diverged from peek_bucket for addr {addr}"
                 );
             }
@@ -869,7 +879,10 @@ mod tests {
         // Placement (which entry slot each block occupies) must survive
         // verbatim — the front door and TT views agree with the original.
         assert_eq!(ir2.blocks(), ir.blocks());
-        assert_eq!(ir2.front_probe(BlockAddr(10)), ir.front_probe(BlockAddr(10)));
+        assert_eq!(
+            ir2.front_probe(BlockAddr(10)),
+            ir.front_probe(BlockAddr(10))
+        );
         assert_eq!(ir2.peek_bucket(2, 1), ir.peek_bucket(2, 1));
         ir2.check_coherence().unwrap();
     }

@@ -72,9 +72,7 @@ impl ZAllocation {
     pub fn uniform(levels: usize, z: u32) -> Self {
         assert!(levels > 0, "tree needs at least one level");
         assert!(z > 0, "uniform Z must be nonzero");
-        ZAllocation {
-            z: vec![z; levels],
-        }
+        ZAllocation { z: vec![z; levels] }
     }
 
     /// Explicit per-level capacities.
@@ -108,8 +106,8 @@ impl ZAllocation {
             "cannot cache all {levels} levels on-chip"
         );
         let m = levels - top_cached; // memory-resident level count
-        // Breakpoints expressed in fifteenths of the memory region, from the
-        // paper's L=25/top=10 configuration.
+                                     // Breakpoints expressed in fifteenths of the memory region, from the
+                                     // paper's L=25/top=10 configuration.
         let frac = |n: usize| (n * m + 7) / 15; // round-half-up of n/15 × m
         let mut z = vec![4u32; levels];
         match preset {

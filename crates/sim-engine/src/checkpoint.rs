@@ -198,10 +198,7 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        let (head, tail) = self
-            .buf
-            .split_at_checked(n)
-            .ok_or(SnapError::Truncated)?;
+        let (head, tail) = self.buf.split_at_checked(n).ok_or(SnapError::Truncated)?;
         self.buf = tail;
         Ok(head)
     }
@@ -213,19 +210,13 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self) -> Result<u32, SnapError> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| SnapError::Truncated)?;
+        let b: [u8; 4] = self.take(4)?.try_into().map_err(|_| SnapError::Truncated)?;
         Ok(u32::from_le_bytes(b))
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, SnapError> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| SnapError::Truncated)?;
+        let b: [u8; 8] = self.take(8)?.try_into().map_err(|_| SnapError::Truncated)?;
         Ok(u64::from_le_bytes(b))
     }
 
@@ -371,7 +362,8 @@ pub fn persist(
 ) -> Result<(), SnapError> {
     let frame = encode_snapshot(fingerprint, slots_done, payload);
     let tmp = temp_path(path);
-    let io = |step: &str, e: std::io::Error| SnapError::Io(format!("{step} {}: {e}", tmp.display()));
+    let io =
+        |step: &str, e: std::io::Error| SnapError::Io(format!("{step} {}: {e}", tmp.display()));
     let mut f = std::fs::File::create(&tmp).map_err(|e| io("create", e))?;
     f.write_all(&frame).map_err(|e| io("write", e))?;
     f.sync_all().map_err(|e| io("fsync", e))?;
@@ -542,7 +534,10 @@ mod tests {
         // A frame of an older layout is refused by version, never misread.
         let mut frame = encode_snapshot(1, 2, b"x");
         frame[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(decode_snapshot(&frame).unwrap_err(), SnapError::BadVersion(1));
+        assert_eq!(
+            decode_snapshot(&frame).unwrap_err(),
+            SnapError::BadVersion(1)
+        );
     }
 
     #[test]

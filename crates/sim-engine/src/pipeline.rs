@@ -132,7 +132,11 @@ mod tests {
         assert_eq!(ring.floor(), Cycle::ZERO);
         for f in [100u64, 250, 90, 4000] {
             ring.push(Cycle(f));
-            assert_eq!(ring.floor(), Cycle(f), "depth 1 floor must be the last push");
+            assert_eq!(
+                ring.floor(),
+                Cycle(f),
+                "depth 1 floor must be the last push"
+            );
         }
         assert_eq!(ring.len(), 1);
     }

@@ -48,12 +48,7 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in table order.
-    pub const ALL: [Phase; PHASES] = [
-        Phase::DramSchedule,
-        Phase::Stash,
-        Phase::PosMap,
-        Phase::Llc,
-    ];
+    pub const ALL: [Phase; PHASES] = [Phase::DramSchedule, Phase::Stash, Phase::PosMap, Phase::Llc];
 
     /// Human-readable phase name.
     pub fn name(self) -> &'static str {
@@ -195,8 +190,7 @@ mod tests {
 
     #[test]
     fn phase_names_are_distinct() {
-        let names: std::collections::BTreeSet<&str> =
-            Phase::ALL.iter().map(|p| p.name()).collect();
+        let names: std::collections::BTreeSet<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), PHASES);
     }
 }

@@ -232,8 +232,7 @@ mod tests {
 
     #[test]
     fn all_benches_have_distinct_names() {
-        let names: std::collections::HashSet<&str> =
-            ALL_BENCHES.iter().map(|b| b.name()).collect();
+        let names: std::collections::HashSet<&str> = ALL_BENCHES.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), ALL_BENCHES.len());
     }
 

@@ -150,9 +150,11 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
     let mut buf = raw.as_slice();
-    let (Some(magic), Some(version), Some(count)) =
-        (take::<4>(&mut buf), take::<4>(&mut buf), take::<8>(&mut buf))
-    else {
+    let (Some(magic), Some(version), Some(count)) = (
+        take::<4>(&mut buf),
+        take::<4>(&mut buf),
+        take::<8>(&mut buf),
+    ) else {
         return Err(TraceError::TruncatedHeader { len: raw.len() });
     };
     if &magic != MAGIC {
@@ -172,9 +174,11 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError
     }
     let mut out = Vec::with_capacity(count as usize);
     for record_index in 0..count {
-        let (Some(addr), Some([flags]), Some(gap)) =
-            (take::<8>(&mut buf), take::<1>(&mut buf), take::<4>(&mut buf))
-        else {
+        let (Some(addr), Some([flags]), Some(gap)) = (
+            take::<8>(&mut buf),
+            take::<1>(&mut buf),
+            take::<4>(&mut buf),
+        ) else {
             return Err(TraceError::TruncatedBody {
                 record_index,
                 expected: count,

@@ -369,7 +369,10 @@ mod tests {
             }
             cold += 1;
         }
-        assert!(seq * 3 > cold / 4, "streaming should look sequential ({seq}/{cold})");
+        assert!(
+            seq * 3 > cold / 4,
+            "streaming should look sequential ({seq}/{cold})"
+        );
     }
 
     #[test]

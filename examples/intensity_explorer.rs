@@ -34,8 +34,13 @@ fn main() {
         "{:<10} {:>6} {:>12} {:>8} {:>8} {:>8} {:>9}",
         "scheme", "T", "cycles", "real%", "dummy%", "conv%", "KB moved"
     );
-    for scheme in [Scheme::Baseline, Scheme::IrAlloc, Scheme::IrStash, Scheme::IrDwb, Scheme::IrOram]
-    {
+    for scheme in [
+        Scheme::Baseline,
+        Scheme::IrAlloc,
+        Scheme::IrStash,
+        Scheme::IrDwb,
+        Scheme::IrOram,
+    ] {
         for t in [500u64, 1000, 2000, 4000] {
             let cfg = small_system(scheme, t);
             let r = Simulation::run_bench(&cfg, bench, limit);

@@ -26,7 +26,8 @@ fn main() {
     println!("  served from  : {:?}", record.served);
     println!("  path accesses: {:?}", record.paths);
 
-    oram.check_invariants().expect("protocol structure is sound");
+    oram.check_invariants()
+        .expect("protocol structure is sound");
     let stats = oram.stats();
     println!(
         "protocol: {} accesses, {} paths ({} PosMap), stash peak {}",

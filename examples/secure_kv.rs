@@ -35,7 +35,11 @@ fn main() {
     // batch and merges replies by submission order.
     for k in 1..=40u32 {
         kv.submit(KvOp::Get { key: k }).unwrap();
-        kv.submit(KvOp::Put { key: k + 100, value: k }).unwrap();
+        kv.submit(KvOp::Put {
+            key: k + 100,
+            value: k,
+        })
+        .unwrap();
     }
     let outcome = kv.flush();
     assert_eq!(outcome.replies.len(), 80);
@@ -73,7 +77,10 @@ fn main() {
         PROBES + 1
     );
     for shard in kv.shards() {
-        shard.oram().check_invariants().expect("ORAM structure sound");
+        shard
+            .oram()
+            .check_invariants()
+            .expect("ORAM structure sound");
     }
     println!("invariants hold; every block is on its mapped path.");
 }

@@ -170,15 +170,31 @@ fn assert_roundtrip_mid_flight(scheme: Scheme, stride: u64, every: u64, gap: u64
     }
     let end_a = a.drain(&mut hier_a).expect("drain a");
     let end_b = b.drain(&mut hier_b).expect("drain b");
-    assert_eq!(end_a, end_b, "{scheme:?}: drain cycles diverged after restore");
+    assert_eq!(
+        end_a, end_b,
+        "{scheme:?}: drain cycles diverged after restore"
+    );
     let mut rest_a = done_a.clone();
     rest_a.extend(a.take_completions());
     let mut rest_b = done_a; // the twin resumed after these completed
     rest_b.extend(b.take_completions());
-    assert_eq!(rest_a, rest_b, "{scheme:?}: completion streams diverged after restore");
     assert_eq!(
-        format!("{:?}{:?}{:?}", a.slot_stats(), a.stash_pressure(), a.dram_stats()),
-        format!("{:?}{:?}{:?}", b.slot_stats(), b.stash_pressure(), b.dram_stats()),
+        rest_a, rest_b,
+        "{scheme:?}: completion streams diverged after restore"
+    );
+    assert_eq!(
+        format!(
+            "{:?}{:?}{:?}",
+            a.slot_stats(),
+            a.stash_pressure(),
+            a.dram_stats()
+        ),
+        format!(
+            "{:?}{:?}{:?}",
+            b.slot_stats(),
+            b.stash_pressure(),
+            b.dram_stats()
+        ),
         "{scheme:?}: controller statistics diverged after restore"
     );
 }
@@ -200,7 +216,10 @@ fn rho_controller_roundtrips_mid_flight() {
 /// [`SnapError::Corrupt`], not a misread.
 #[test]
 fn snapshot_of_one_chooser_never_restores_into_the_other() {
-    for (from, into) in [(Scheme::Rho, Scheme::Baseline), (Scheme::Baseline, Scheme::Rho)] {
+    for (from, into) in [
+        (Scheme::Rho, Scheme::Baseline),
+        (Scheme::Baseline, Scheme::Rho),
+    ] {
         let mut w = SnapWriter::new();
         TimedController::new(&tiny(from)).save_state(&mut w);
         let bytes = w.into_bytes();

@@ -28,7 +28,10 @@ fn fig10_shape_iroram_wins() {
     }
     let ir = geomean(&iroram_speedups);
     let alloc = geomean(&alloc_speedups);
-    assert!(ir > 1.05, "IR-ORAM geomean speedup {ir:.3} ({iroram_speedups:?})");
+    assert!(
+        ir > 1.05,
+        "IR-ORAM geomean speedup {ir:.3} ({iroram_speedups:?})"
+    );
     assert!(alloc > 1.0, "IR-Alloc geomean speedup {alloc:.3}");
 }
 
@@ -45,7 +48,10 @@ fn fig2_shape_path_mix() {
     ));
     assert!(heavy.data > 0.3, "data paths dominate: {heavy:?}");
     assert!(heavy.pos1 >= heavy.pos2, "{heavy:?}");
-    assert!(heavy.pos1 + heavy.pos2 > 0.05, "PosMap non-negligible: {heavy:?}");
+    assert!(
+        heavy.pos1 + heavy.pos2 > 0.05,
+        "PosMap non-negligible: {heavy:?}"
+    );
 
     let light = fig2::mix_of(&Simulation::run_bench(
         &cfg,

@@ -99,7 +99,10 @@ fn undetected_corruption_is_counted_when_integrity_is_off() {
     cfg.oram.integrity = false;
     let r = Simulation::run_bench(&cfg, Bench::Mcf, RunLimit::mem_ops(3_000));
     assert!(r.faults.injected_corruptions > 0, "faults must fire");
-    assert_eq!(r.faults.detected, 0, "nothing can be detected without checksums");
+    assert_eq!(
+        r.faults.detected, 0,
+        "nothing can be detected without checksums"
+    );
     assert!(
         r.faults.undetected > 0,
         "consumed corruption must be visible in the ledger"

@@ -93,7 +93,12 @@ fn protocol_invariants_hold_after_timed_runs() {
     use iroram_protocol::BlockAddr;
     use iroram_sim_engine::Cycle;
 
-    for scheme in [Scheme::Baseline, Scheme::IrAlloc, Scheme::IrStash, Scheme::IrOram] {
+    for scheme in [
+        Scheme::Baseline,
+        Scheme::IrAlloc,
+        Scheme::IrStash,
+        Scheme::IrOram,
+    ] {
         let cfg = tiny(scheme);
         let mut ctl = TimedController::new(&cfg);
         let mut h = MemoryHierarchy::new(cfg.hierarchy);

@@ -18,7 +18,11 @@ fn drive(workers: usize) -> (Vec<FlushOutcome>, KvService) {
     let mut outcomes = Vec::new();
     // Load.
     for k in 1..=1_500u32 {
-        kv.submit(KvOp::Put { key: k, value: k.wrapping_mul(31) }).unwrap();
+        kv.submit(KvOp::Put {
+            key: k,
+            value: k.wrapping_mul(31),
+        })
+        .unwrap();
     }
     outcomes.push(kv.flush());
     // Mixed phases.
@@ -27,7 +31,10 @@ fn drive(workers: usize) -> (Vec<FlushOutcome>, KvService) {
             let key = 1 + rng.next_below(2_000) as u32;
             let op = match rng.next_below(10) {
                 0..=4 => KvOp::Get { key },
-                5..=8 => KvOp::Put { key, value: rng.next_u64() as u32 },
+                5..=8 => KvOp::Put {
+                    key,
+                    value: rng.next_u64() as u32,
+                },
                 _ => KvOp::Delete { key },
             };
             kv.submit(op).unwrap();
@@ -65,7 +72,11 @@ fn clock_injection_changes_no_deterministic_output() {
         cfg.workers = 2;
         let mut kv = KvService::new(cfg);
         for k in 1..=800u32 {
-            kv.submit(KvOp::Put { key: k, value: k ^ 0xABCD }).unwrap();
+            kv.submit(KvOp::Put {
+                key: k,
+                value: k ^ 0xABCD,
+            })
+            .unwrap();
         }
         for k in 1..=400u32 {
             kv.submit(KvOp::Get { key: k * 2 }).unwrap();
@@ -128,7 +139,10 @@ fn posmap_paths_are_zero_for_hot_and_uniform_keys() {
         let mut kv = KvService::new(KvConfig::for_keys(KEYS, 2));
         for (i, &key) in keys.iter().enumerate() {
             let op = if i % 2 == 0 {
-                KvOp::Put { key, value: i as u32 }
+                KvOp::Put {
+                    key,
+                    value: i as u32,
+                }
             } else {
                 KvOp::Get { key }
             };
@@ -144,7 +158,11 @@ fn posmap_paths_are_zero_for_hot_and_uniform_keys() {
             }
         }
         let served: u64 = kv.reports().iter().map(|r| r.oram.accesses).sum();
-        assert_eq!(served, (OPS * (PROBES + 1)) as u64, "{name}: every op reached an ORAM");
+        assert_eq!(
+            served,
+            (OPS * (PROBES + 1)) as u64,
+            "{name}: every op reached an ORAM"
+        );
         for s in kv.shards() {
             let (hits, misses) = s.oram().plb_counters();
             assert_eq!(misses, 0, "{name}: PLB never misses");

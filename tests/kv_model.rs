@@ -14,11 +14,7 @@ use proptest::prelude::*;
 /// Applies one op to both the KV under test (via a closure) and the
 /// model, asserting agreement. `full` tracks keys the store refused with
 /// `StoreFull`, which the model then must not contain.
-fn step_model(
-    model: &mut BTreeMap<u32, u32>,
-    op: KvOp,
-    got: Result<Option<u32>, KvError>,
-) {
+fn step_model(model: &mut BTreeMap<u32, u32>, op: KvOp, got: Result<Option<u32>, KvError>) {
     match op {
         KvOp::Put { key, value } => match got {
             Ok(prev) => {
@@ -125,7 +121,10 @@ fn queue_full_is_reported_and_recoverable() {
     }
     assert_eq!(kv.submit(KvOp::Get { key: 5 }), Err(KvError::QueueFull));
     kv.flush();
-    assert!(kv.submit(KvOp::Get { key: 5 }).is_ok(), "flush drains the queue");
+    assert!(
+        kv.submit(KvOp::Get { key: 5 }).is_ok(),
+        "flush drains the queue"
+    );
 }
 
 #[test]

@@ -87,7 +87,10 @@ fn dummy_and_real_leaves_are_equally_distributed() {
         chi2 += (dummy[b] - expect_dummy).powi(2) / expect_dummy;
     }
     // 14 degrees of freedom, p=0.001 critical value ≈ 36.1.
-    assert!(chi2 < 36.1, "leaf distributions distinguishable: chi2 {chi2}");
+    assert!(
+        chi2 < 36.1,
+        "leaf distributions distinguishable: chi2 {chi2}"
+    );
 }
 
 /// With timing protection, the number of slots issued over a window is the
@@ -292,8 +295,7 @@ fn dummy_dram_footprint_equals_real() {
         (oram.stats().blocks_from_memory - before) / rec.paths.len() as u64
     };
     assert_eq!(
-        dummy_blocks,
-        per_real,
+        dummy_blocks, per_real,
         "dummy and real paths must move the same number of blocks"
     );
 }

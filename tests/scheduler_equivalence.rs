@@ -17,9 +17,7 @@
 //! reference runs must stay on the calling thread.
 
 use ir_oram::ALL_SCHEMES;
-use iroram_dram::{
-    reference, AddressMapping, DramConfig, DramSystem, Interleave, MemRequest,
-};
+use iroram_dram::{reference, AddressMapping, DramConfig, DramSystem, Interleave, MemRequest};
 use iroram_experiments::runner::{run_scheme, ExpOptions};
 use iroram_sim_engine::Cycle;
 use iroram_trace::Bench;
