@@ -115,13 +115,6 @@ pub enum PathType {
     DwbConverted,
 }
 
-impl PathType {
-    /// Whether this is a position-map (`PT_p`) path.
-    pub fn is_posmap(self) -> bool {
-        matches!(self, PathType::Pos1 | PathType::Pos2)
-    }
-}
-
 /// One path access performed by the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathRecord {
@@ -310,14 +303,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(BlockAddr(7).to_string(), "blk#7");
         assert_eq!(Leaf(3).to_string(), "leaf#3");
-    }
-
-    #[test]
-    fn path_type_classification() {
-        assert!(PathType::Pos1.is_posmap());
-        assert!(PathType::Pos2.is_posmap());
-        assert!(!PathType::Data.is_posmap());
-        assert!(!PathType::Dummy.is_posmap());
     }
 
     #[test]
