@@ -1,13 +1,12 @@
 //! Criterion micro-benchmarks for the substrate crates: the hot kernels
 //! every simulated path leans on (stash write-back planning, DRAM batch
-//! scheduling, path request tables, path checksums, the payload Feistel
-//! permutation).
+//! scheduling, path request tables, the payload Feistel permutation).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest, SubtreeLayout};
 use iroram_hash::FeistelCipher;
-use iroram_protocol::{Leaf, OramTree, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation};
+use iroram_protocol::{Leaf, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation};
 use iroram_sim_engine::{Cycle, SimRng};
 
 /// A mixed read/write batch with shuffled addresses (no subtree locality),
@@ -45,45 +44,8 @@ fn bench_schedule_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// The read-phase integrity kernel: per-bucket FNV folds of one path,
-/// bucket-at-a-time (the pre-batching call shape from the controllers)
-/// vs the arena-sequential whole-path kernel the read phase runs now.
-fn bench_checksum_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("checksum_path");
-    for levels in [12usize, 16, 20] {
-        let layout = TreeLayout::new(ZAllocation::uniform(levels, 4));
-        let tree = OramTree::new(layout.clone());
-        let leaves = 1u64 << (levels - 1);
-        g.throughput(Throughput::Elements(levels as u64));
-        g.bench_function(&format!("bucket_at_a_time_L{levels}"), |b| {
-            let mut leaf = 0u64;
-            let mut out: Vec<u64> = Vec::with_capacity(levels);
-            b.iter(|| {
-                leaf = (leaf + 12_345) % leaves;
-                out.clear();
-                for level in 0..levels {
-                    let bucket = layout.bucket_on_path(Leaf(leaf), level);
-                    out.push(tree.bucket_sum(level, bucket));
-                }
-                std::hint::black_box(out.len())
-            })
-        });
-        g.bench_function(&format!("batched_L{levels}"), |b| {
-            let mut leaf = 0u64;
-            let mut out: Vec<u64> = Vec::with_capacity(levels);
-            b.iter(|| {
-                leaf = (leaf + 12_345) % leaves;
-                out.clear();
-                tree.path_sums_into(Leaf(leaf), 0, &mut out);
-                std::hint::black_box(out.len())
-            })
-        });
-    }
-    g.finish();
-}
-
 /// The payload permutation over one path's worth of blocks (`Z = 4` slots
-/// per bucket): element-at-a-time `encrypt` calls vs the slice kernel.
+/// per bucket): element-at-a-time `encrypt` calls vs the four-lane kernel.
 fn bench_feistel(c: &mut Criterion) {
     let mut g = c.benchmark_group("feistel");
     for levels in [12usize, 16, 20] {
@@ -99,10 +61,10 @@ fn bench_feistel(c: &mut Criterion) {
                 std::hint::black_box(buf[0])
             })
         });
-        g.bench_function(&format!("batch_L{levels}"), |b| {
+        g.bench_function(&format!("lanes_L{levels}"), |b| {
             let mut buf: Vec<u64> = (0..n as u64).collect();
             b.iter(|| {
-                cipher.encrypt_slice(&mut buf);
+                cipher.encrypt_each(&mut buf, |v| v);
                 std::hint::black_box(buf[0])
             })
         });
@@ -202,6 +164,6 @@ fn bench_stash(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_schedule_batch, bench_checksum_path, bench_feistel, bench_path_requests, bench_stash
+    targets = bench_schedule_batch, bench_feistel, bench_path_requests, bench_stash
 }
 criterion_main!(micro);

@@ -376,24 +376,6 @@ impl SetAssocCache {
         };
         Ok(())
     }
-
-    /// Invalidates everything (context-switch model). Returns the dirty
-    /// lines that would need write-back.
-    pub fn flush(&mut self) -> Vec<EvictedLine> {
-        let mut out = Vec::new();
-        for line in &mut self.lines {
-            if line.valid {
-                if line.dirty {
-                    out.push(EvictedLine {
-                        addr: line.addr,
-                        dirty: true,
-                    });
-                }
-                line.valid = false;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -501,18 +483,6 @@ mod tests {
         }
         assert_eq!(low.len(), 1, "low-bits: all conflict into one set");
         assert!(hashed.len() > 32, "hashed: most addresses survive");
-    }
-
-    #[test]
-    fn flush_returns_dirty_lines() {
-        let mut c = SetAssocCache::new(CacheConfig::new(4, 2));
-        c.insert(1, true);
-        c.insert(2, false);
-        c.insert(3, true);
-        let mut dirty: Vec<u64> = c.flush().into_iter().map(|e| e.addr).collect();
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![1, 3]);
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -247,19 +247,6 @@ impl MemoryHierarchy {
         };
         Ok(())
     }
-
-    /// Flushes both levels (context switch), returning dirty line addresses
-    /// needing memory write-back.
-    pub fn flush(&mut self) -> Vec<u64> {
-        let mut dirty: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for e in self.l1.flush() {
-            dirty.insert(e.addr);
-        }
-        for e in self.llc.flush() {
-            dirty.insert(e.addr);
-        }
-        dirty.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -342,17 +329,6 @@ mod tests {
         h.access(4, false);
         let (_, wb) = h.access(8, false); // evict 0 from LLC while L1 copy dirty
         assert_eq!(wb, Some(0));
-    }
-
-    #[test]
-    fn flush_collects_all_dirty() {
-        let mut h = small();
-        h.access(0, true);
-        h.access(1, true);
-        h.access(2, false);
-        let dirty = h.flush();
-        assert_eq!(dirty, vec![0, 1]);
-        assert_eq!(h.access(0, false).0, AccessOutcome::Miss);
     }
 
     #[test]

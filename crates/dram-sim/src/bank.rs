@@ -115,14 +115,6 @@ impl BankState {
         self.next_pre = Cycle(r.take_u64()?);
         Ok(())
     }
-
-    /// Models a refresh-like event: closes the row.
-    pub fn close_row(&mut self, at: Cycle, t: &DramTimings) {
-        if self.open_row.take().is_some() {
-            let pre_issue = self.next_pre.max(at);
-            self.next_act = self.next_act.max(pre_issue + t.t_rp);
-        }
-    }
 }
 
 impl Default for BankState {
@@ -212,16 +204,5 @@ mod tests {
             fresh.access(9, false, Cycle(30), &tm),
             b.access(9, false, Cycle(30), &tm)
         );
-    }
-
-    #[test]
-    fn close_row_forces_empty_activate() {
-        let tm = t();
-        let mut b = BankState::new();
-        b.access(3, false, Cycle(0), &tm);
-        b.close_row(Cycle(100), &tm);
-        assert_eq!(b.open_row(), None);
-        let a = b.access(3, false, Cycle(200), &tm);
-        assert!(!a.row_hit && a.row_empty);
     }
 }

@@ -10,11 +10,15 @@
 //! one write-phase access — whether it hits, misses, inserts, updates or
 //! deletes; when no real write is needed the write phase is an identity
 //! read-modify-write ("refresh") of the first candidate, which remaps and
-//! re-encrypts the block exactly like a real write. An insert that finds
-//! all candidates occupied displaces a victim cuckoo-style for at most
-//! [`MAX_KICKS`] relocation rounds (each again [`PROBES`] reads + 1
-//! write); the last displaced entry parks in a bounded *client-side*
-//! overflow stash that never touches the server.
+//! re-encrypts the block exactly like a real write. The access sequence is
+//! fixed, the path count is not: an access served on-chip takes no path,
+//! and the write phase usually is, since its block is one the probes just
+//! left in the stash or the tree top. A uniform-key op therefore averages
+//! about 3.02 paths, not 4 (see DESIGN.md § "Service layer" on this
+//! leak). An insert that finds all candidates occupied displaces a victim
+//! cuckoo-style for at most [`MAX_KICKS`] relocation rounds (each again
+//! [`PROBES`] reads + 1 write); the last displaced entry parks in a
+//! bounded *client-side* overflow stash that never touches the server.
 
 use std::collections::BTreeMap;
 

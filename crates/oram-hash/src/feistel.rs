@@ -70,48 +70,34 @@ impl FeistelCipher {
         ((l as u64) << 32) | r as u64
     }
 
-    /// Encrypts a whole slice in place — the batch form the controllers
-    /// feed a path's payloads through. Processed in fixed-width chunks so
-    /// the independent per-block permutations pipeline (no branches or
-    /// data dependences between lanes inside a chunk).
-    pub fn encrypt_slice(&self, blocks: &mut [u64]) {
-        let mut chunks = blocks.chunks_exact_mut(4);
-        for c in &mut chunks {
-            let [a, b, d, e] = [
-                self.encrypt(c[0]),
-                self.encrypt(c[1]),
-                self.encrypt(c[2]),
-                self.encrypt(c[3]),
-            ];
-            c[0] = a;
-            c[1] = b;
-            c[2] = d;
-            c[3] = e;
-        }
-        for v in chunks.into_remainder() {
-            *v = self.encrypt(*v);
-        }
+    /// Encrypts, in place, the block `field` picks out of each item — the
+    /// form the controller feeds a bucket's payloads through. Four items
+    /// run at a time, so their independent permutations pipeline (no
+    /// branches or data dependences between lanes inside a chunk).
+    pub fn encrypt_each<T>(&self, items: &mut [T], field: impl Fn(&mut T) -> &mut u64) {
+        in_lanes(items, field, |v| self.encrypt(v));
     }
 
-    /// Decrypts a whole slice in place (inverse of
-    /// [`FeistelCipher::encrypt_slice`]).
-    pub fn decrypt_slice(&self, blocks: &mut [u64]) {
-        let mut chunks = blocks.chunks_exact_mut(4);
-        for c in &mut chunks {
-            let [a, b, d, e] = [
-                self.decrypt(c[0]),
-                self.decrypt(c[1]),
-                self.decrypt(c[2]),
-                self.decrypt(c[3]),
-            ];
-            c[0] = a;
-            c[1] = b;
-            c[2] = d;
-            c[3] = e;
+    /// Decrypts, in place, the block `field` picks out of each item (the
+    /// inverse of [`FeistelCipher::encrypt_each`]).
+    pub fn decrypt_each<T>(&self, items: &mut [T], field: impl Fn(&mut T) -> &mut u64) {
+        in_lanes(items, field, |v| self.decrypt(v));
+    }
+}
+
+/// Applies `f` to the `field` of every item, four lanes at a time.
+#[inline]
+fn in_lanes<T>(items: &mut [T], field: impl Fn(&mut T) -> &mut u64, f: impl Fn(u64) -> u64) {
+    let mut chunks = items.chunks_exact_mut(4);
+    for chunk in &mut chunks {
+        if let [a, b, c, d] = chunk {
+            let [a, b, c, d] = [field(a), field(b), field(c), field(d)];
+            [*a, *b, *c, *d] = [f(*a), f(*b), f(*c), f(*d)];
         }
-        for v in chunks.into_remainder() {
-            *v = self.decrypt(*v);
-        }
+    }
+    for item in chunks.into_remainder() {
+        let v = field(item);
+        *v = f(*v);
     }
 }
 
@@ -138,19 +124,21 @@ mod tests {
     }
 
     #[test]
-    fn slice_forms_match_scalar_at_every_length() {
-        // Lengths straddling the chunk width exercise both the unrolled
+    fn lane_forms_match_scalar_at_every_length() {
+        // Lengths straddling the lane width exercise both the unrolled
         // body and the remainder tail.
         let c = FeistelCipher::new(0xABCD);
         for n in 0..13usize {
-            let pts: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let pts: Vec<(u32, u64)> = (0..n as u64)
+                .map(|i| (i as u32, i.wrapping_mul(0x9E37_79B9)))
+                .collect();
             let mut enc = pts.clone();
-            c.encrypt_slice(&mut enc);
-            let scalar: Vec<u64> = pts.iter().map(|&v| c.encrypt(v)).collect();
-            assert_eq!(enc, scalar, "encrypt_slice diverged at n={n}");
+            c.encrypt_each(&mut enc, |(_, v)| v);
+            let scalar: Vec<(u32, u64)> = pts.iter().map(|&(k, v)| (k, c.encrypt(v))).collect();
+            assert_eq!(enc, scalar, "encrypt_each diverged at n={n}");
             let mut dec = enc.clone();
-            c.decrypt_slice(&mut dec);
-            assert_eq!(dec, pts, "decrypt_slice is not the inverse at n={n}");
+            c.decrypt_each(&mut dec, |(_, v)| v);
+            assert_eq!(dec, pts, "decrypt_each is not the inverse at n={n}");
         }
     }
 

@@ -453,10 +453,6 @@ pub struct PathOram {
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     read_buf: Vec<StoredBlock>,
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    pay_buf: Vec<u64>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    bounds: Vec<usize>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     rej_buf: Vec<StoredBlock>,
 }
 
@@ -497,11 +493,10 @@ impl PathOram {
             oram.insert_in_order();
         }
         oram.reset_stats();
-        // Checksums are derived data: enabling integrity before init would
-        // re-sum every touched bucket across the ~N initialization paths.
-        // One O(total-slots) pass over the populated tree yields the same
-        // sums (they are recomputed from slot contents; the rng stream and
-        // statistics are untouched, so reports cannot change).
+        // Checksums are derived data while the tree is pristine: enabling
+        // integrity only allocates the table, which the first injected
+        // fault fills from the slots (the rng stream and statistics are
+        // untouched, so reports cannot change).
         oram.tree.set_integrity(oram.cfg.integrity);
         (oram, by_subtree)
     }
@@ -539,8 +534,6 @@ impl PathOram {
             rng,
             plan: WritebackPlan::new(),
             read_buf: Vec::new(),
-            pay_buf: Vec::new(),
-            bounds: Vec::new(),
             rej_buf: Vec::new(),
             stats: ProtocolStats {
                 served_level: vec![0; cfg.levels],
@@ -1358,10 +1351,11 @@ impl PathOram {
         let levels = self.cfg.levels;
         let cached = self.top.as_ref().map_or(0, |t| t.cached_levels());
 
-        // --- Read phase: pull the whole path into the stash. ---
-        // `read_buf` is controller-owned scratch: taking it out and putting
-        // it back keeps its capacity across path accesses, so memory levels
-        // are read without allocating.
+        // --- Read phase: gather the whole path, tree top then memory
+        //     levels, into `read_buf`, then merge it into the stash once.
+        //     `read_buf` is controller-owned scratch: taking it out and
+        //     putting it back keeps its capacity across path accesses, so
+        //     the path is read without allocating. ---
         let mut read_buf = std::mem::take(&mut self.read_buf);
         let mut found_level: Option<usize> = None;
         read_buf.clear();
@@ -1372,57 +1366,33 @@ impl PathOram {
                 .as_mut()
                 .expect("cached levels imply a top store")
                 .take_bucket_into(level, bucket, &mut read_buf);
-            if let Some(addr) = target {
-                // lint: allow(panic, start was read_buf.len() before the append)
-                if read_buf[start..].iter().any(|b| b.addr == addr) {
-                    found_level = Some(level);
-                }
+            if found_level.is_none() && holds(&read_buf, start, target) {
+                found_level = Some(level);
             }
         }
-        // One merged insert for the whole cached segment: the stash is
-        // keyed by address, so batch order cannot change its contents.
-        self.stash.insert_batch(&mut read_buf);
         // Integrity layer: verify the whole path's checksums up front, before
-        // any of its contents are trusted; detected corruption is repaired
-        // (re-fetch) and the timing layer charges the penalty. Buckets on the
-        // path are level-distinct, so one hoisted pass performs exactly the
-        // per-level verifications the read loop used to interleave.
+        // any memory bucket is taken and its contents trusted; detected
+        // corruption is repaired (re-fetch) and the timing layer charges the
+        // penalty. Buckets on the path are level-distinct, so one pass ahead
+        // of the takes performs exactly the per-level verifications.
         self.tree.verify_and_repair_path(leaf, cached);
-        // Gather every memory bucket into one buffer, recording per-level
-        // boundaries so the serve attribution below survives the batching,
-        // then run payload decryption through the slice kernel instead of
-        // block-at-a-time.
-        read_buf.clear();
-        let mut bounds = std::mem::take(&mut self.bounds);
-        bounds.clear();
+        let memory_start = read_buf.len();
         for level in cached..levels {
             let bucket = self.layout.bucket_on_path(leaf, level);
-            bounds.push(read_buf.len());
+            let start = read_buf.len();
             self.tree.take_bucket_into(level, bucket, &mut read_buf);
+            if found_level.is_none() && holds(&read_buf, start, target) {
+                found_level = Some(level);
+            }
         }
-        bounds.push(read_buf.len());
         if self.cfg.encrypt_payloads {
-            let mut pay = std::mem::take(&mut self.pay_buf);
-            pay.clear();
-            pay.extend(read_buf.iter().map(|b| b.payload));
-            self.cipher.decrypt_slice(&mut pay);
-            for (b, &p) in read_buf.iter_mut().zip(&pay) {
-                b.payload = p;
-            }
-            self.pay_buf = pay;
-        }
-        if let Some(addr) = target {
-            for (i, w) in bounds.windows(2).enumerate() {
-                // lint: allow(panic, windows(2) yields pairs; bounds entries are read_buf lengths recorded above, so the range is in bounds)
-                if read_buf[w[0]..w[1]].iter().any(|b| b.addr == addr) {
-                    found_level = Some(cached + i);
-                }
+            if let Some(fetched) = read_buf.get_mut(memory_start..) {
+                self.cipher.decrypt_each(fetched, |b| &mut b.payload);
             }
         }
-        // Batch merge (sorts and clears `read_buf`; the per-level order is
-        // no longer needed once attribution above has run).
+        // The stash is keyed by address, so one merge of the whole path
+        // holds what level-by-level inserts would.
         self.stash.insert_batch(&mut read_buf);
-        self.bounds = bounds;
         self.read_buf = read_buf;
         self.stats.blocks_from_memory += self.layout.path_len_memory(cached);
 
@@ -1483,26 +1453,6 @@ impl PathOram {
             |level, b| top_accepts(top, cached, level, b),
             &mut plan,
         );
-        if self.cfg.encrypt_payloads {
-            // Batch-encrypt every memory-bound payload through the slice
-            // kernel before the write loop; encryption is a per-block
-            // permutation, so order does not matter.
-            let mut pay = std::mem::take(&mut self.pay_buf);
-            pay.clear();
-            for level in cached..plan.len() {
-                pay.extend(plan.level_mut(level).iter().map(|b| b.payload));
-            }
-            self.cipher.encrypt_slice(&mut pay);
-            let mut i = 0;
-            for level in cached..plan.len() {
-                for b in plan.level_mut(level).iter_mut() {
-                    // lint: allow(panic, pay holds exactly one payload per memory-level plan block, gathered in this same iteration order)
-                    b.payload = pay[i];
-                    i += 1;
-                }
-            }
-            self.pay_buf = pay;
-        }
         let mut rej_buf = std::mem::take(&mut self.rej_buf);
         for level in 0..plan.len() {
             let bucket = self.layout.bucket_on_path(leaf, level);
@@ -1517,8 +1467,11 @@ impl PathOram {
                     self.stash.insert(r);
                 }
             } else {
-                self.tree
-                    .write_bucket_from(level, bucket, plan.level_mut(level));
+                let blocks = plan.level_mut(level);
+                if self.cfg.encrypt_payloads {
+                    self.cipher.encrypt_each(blocks, |b| &mut b.payload);
+                }
+                self.tree.write_bucket_from(level, bucket, blocks);
             }
         }
         self.rej_buf = rej_buf;
@@ -1527,6 +1480,11 @@ impl PathOram {
 
         (PathRecord { leaf, ptype }, served, payload_out)
     }
+}
+
+/// Whether `blocks[from..]` holds `target`.
+fn holds(blocks: &[StoredBlock], from: usize, target: Option<BlockAddr>) -> bool {
+    target.is_some_and(|addr| blocks.iter().skip(from).any(|b| b.addr == addr))
 }
 
 /// The write-back placement predicate: a memory level takes any block; a
@@ -2211,6 +2169,36 @@ mod tests {
                 assert_eq!(a.stash_len(), b.stash_len());
             }
         }
+    }
+
+    #[test]
+    fn checksums_filled_on_demand_equal_checksums_kept_up_to_date() {
+        // One tree leaves its pristine state at step 0 and keeps its
+        // checksum table on every take and write from then on; the other
+        // stays pristine until step `steps`, where its first fault fills
+        // the table from the slots. Zero masks flip nothing, so both run
+        // the same accesses on the same slots.
+        let steps = 240u64;
+        let run = |fault_at: u64| {
+            let mut oram = tiny_with(TreeTopMode::Dedicated { levels: 3 }, RemapPolicy::Immediate);
+            let mut rng = SimRng::seed_from(0xF111);
+            for step in 0..=steps {
+                if step == fault_at {
+                    oram.inject_tree_fault(7, 5, 0, 0);
+                }
+                if step < steps {
+                    oram.run_access(BlockAddr(rng.next_below(256)), Some(step));
+                    if step % 5 == 0 {
+                        oram.dummy_path();
+                    }
+                }
+            }
+            oram
+        };
+        let kept = run(0);
+        let filled = run(steps);
+        assert!(kept.tree.checksums().iter().any(|&s| s != 0));
+        assert_eq!(kept.tree.checksums(), filled.tree.checksums());
     }
 
     #[test]

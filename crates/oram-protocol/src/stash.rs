@@ -117,12 +117,6 @@ impl WritebackPlan {
         self.len == 0
     }
 
-    /// The blocks planned for plan level `i`.
-    pub fn level(&self, i: usize) -> &[StoredBlock] {
-        assert!(i < self.len, "plan level {i} out of range {}", self.len);
-        &self.levels[i]
-    }
-
     /// Mutable access to plan level `i` (the write phase drains these).
     pub fn level_mut(&mut self, i: usize) -> &mut Vec<StoredBlock> {
         assert!(i < self.len, "plan level {i} out of range {}", self.len);
@@ -717,7 +711,7 @@ mod tests {
             b.plan_writeback_into(&layout, Leaf(seed % leaves), 1, |_, _| true, &mut plan);
             assert_eq!(plan.len(), expect.len());
             for (i, lvl) in expect.iter().enumerate() {
-                assert_eq!(plan.level(i), &lvl[..], "seed {seed} level {i}");
+                assert_eq!(plan.level_mut(i), lvl, "seed {seed} level {i}");
             }
             assert_eq!(
                 plan.total_planned(),
@@ -746,7 +740,7 @@ mod tests {
             }
             s.plan_writeback_into(&layout, Leaf(3), 0, |_, _| true, plan);
             (0..plan.len())
-                .map(|i| plan.level(i).to_vec())
+                .map(|i| plan.level_mut(i).clone())
                 .collect::<Vec<_>>()
         };
         let first = run(&mut plan);

@@ -112,17 +112,15 @@ pub struct OramTree {
     /// real blocks into slots `0..used` (dummies fill the tail), so a take
     /// walks exactly `used` contiguous slots instead of scanning all `Z`.
     used: Vec<u16>,
-    /// Whether per-bucket checksums are maintained and verified (the
-    /// IRO-style integrity layer; see [`OramTree::set_integrity`]).
+    /// Whether per-bucket checksums are verified (the IRO-style integrity
+    /// layer; see [`OramTree::set_integrity`]).
     integrity: bool,
     /// Per-bucket checksums, indexed by flat bucket index
-    /// `(1 << level) - 1 + bucket`. Empty while integrity is off.
+    /// `(1 << level) - 1 + bucket`. Empty while integrity is off. While
+    /// the tree is pristine they are derived data, not kept: the table is
+    /// filled from the slots by the first [`OramTree::inject_fault`] and
+    /// kept up to date from then on.
     sums: Vec<u64>,
-    /// Checksum of an all-dummy bucket at each level (a function of `Z`
-    /// alone): what a bucket's checksum becomes after a take, precomputed
-    /// so the fault-free fast paths never re-read slots to re-sum.
-    // lint: allow(snapshot-drift, derived from the layout at construction)
-    empty_sums: Vec<u64>,
     /// Outstanding injected corruptions: flat bucket index → `(slot, mask)`
     /// pairs whose XOR has been applied to the stored payload but not yet
     /// repaired or consumed.
@@ -161,17 +159,6 @@ impl OramTree {
         let slots = vec![EMPTY_SLOT; layout.total_slots() as usize];
         let used_per_level = vec![0; layout.levels()];
         let used = vec![0u16; (1usize << layout.levels()) - 1];
-        let empty_sums = (0..layout.levels())
-            .map(|level| {
-                let mut h = 0xCBF2_9CE4_8422_2325u64;
-                for _ in 0..layout.z_of(level) {
-                    h = mix(h, WIDE_DUMMY);
-                    h = mix(h, 0);
-                    h = mix(h, 0);
-                }
-                h
-            })
-            .collect();
         OramTree {
             layout,
             slots,
@@ -179,7 +166,6 @@ impl OramTree {
             used,
             integrity: false,
             sums: Vec::new(),
-            empty_sums,
             injected: BTreeMap::new(),
             istats: IntegrityStats::default(),
             gathered: Vec::new(),
@@ -188,13 +174,13 @@ impl OramTree {
     }
 
     /// Whether no corruption has ever been injected. While pristine, every
-    /// stored checksum matches its bucket by construction (the only
-    /// mutations are take/write, which both refresh the sum), every dummy
-    /// slot holds the canonical empty pattern, and the fast paths below may
-    /// skip re-scanning slots. One `inject_fault` call permanently drops
-    /// the tree back to the exhaustive legacy scans — fault campaigns pay
-    /// full price, fault-free runs (the default) never re-read a bucket to
-    /// checksum it.
+    /// bucket's checksum is by definition the sum of its slots (nothing
+    /// else could have changed them), so the table is not kept at all;
+    /// every dummy slot holds the canonical empty pattern, and the fast
+    /// paths below may skip re-scanning slots. One `inject_fault` call
+    /// fills the table and permanently drops the tree back to the
+    /// exhaustive legacy scans — fault campaigns pay full price, fault-free
+    /// runs (the default) never checksum a bucket on a path access.
     #[inline]
     fn pristine(&self) -> bool {
         self.istats.injected == 0
@@ -230,16 +216,26 @@ impl OramTree {
         h
     }
 
-    /// The batched checksum kernel: one sum per level of the path to
-    /// `leaf`, from `from_level` to the leaves, appended to `out`. The
-    /// per-bucket folds are the same as [`OramTree::bucket_sum`], but the
-    /// whole path is summed in one pass over the arena, which is what the
-    /// read-phase verification consumes.
-    pub fn path_sums_into(&self, leaf: Leaf, from_level: usize, out: &mut Vec<u64>) {
-        for level in from_level..self.layout.levels() {
-            let bucket = self.layout.bucket_on_path(leaf, level);
-            out.push(self.bucket_sum(level, bucket));
-        }
+    /// Every bucket's checksum computed from its slots, in flat bucket
+    /// index order: the checksum table of a pristine tree.
+    fn derived_sums(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.layout.levels()).flat_map(move |level| {
+            (0..1u64 << level).map(move |bucket| self.bucket_sum(level, bucket))
+        })
+    }
+
+    /// The checksum table (stale while the tree is pristine).
+    #[cfg(test)]
+    pub(crate) fn checksums(&self) -> &[u64] {
+        &self.sums
+    }
+
+    /// Fills the checksum table from the slots, in place.
+    fn fill_sums(&mut self) {
+        let mut sums = std::mem::take(&mut self.sums);
+        sums.clear();
+        sums.extend(self.derived_sums());
+        self.sums = sums;
     }
 
     /// Refreshes a bucket's stored checksum after a legitimate mutation.
@@ -251,21 +247,19 @@ impl OramTree {
         }
     }
 
-    /// Turns the per-bucket checksum layer on or off. Enabling computes the
-    /// checksum of every bucket once (O(total slots)); disabling drops them.
+    /// Turns the per-bucket checksum layer on or off. Enabling allocates
+    /// the checksum table; a pristine tree leaves it to be filled by the
+    /// first fault, any other computes every bucket's sum once (O(total
+    /// slots)). Disabling drops the table.
     pub fn set_integrity(&mut self, enabled: bool) {
         if enabled == self.integrity {
             return;
         }
         self.integrity = enabled;
         if enabled {
-            let buckets = (1usize << self.layout.levels()) - 1;
-            self.sums = vec![0; buckets];
-            for level in 0..self.layout.levels() {
-                for bucket in 0..(1u64 << level) {
-                    let idx = self.bucket_index(level, bucket);
-                    self.sums[idx] = self.bucket_sum(level, bucket);
-                }
+            self.sums = vec![0; (1usize << self.layout.levels()) - 1];
+            if !self.pristine() {
+                self.fill_sums();
             }
         } else {
             self.sums = Vec::new();
@@ -286,7 +280,12 @@ impl OramTree {
     /// of bucket `(level, bucket)` — a bit flip in off-chip memory. The
     /// stored checksum is deliberately *not* refreshed: it still reflects
     /// the legitimate contents, which is what detection compares against.
+    /// The first fault into a pristine tree fills the checksum table from
+    /// the slots before flipping, and it is kept up to date from then on.
     pub fn inject_fault(&mut self, level: usize, bucket: u64, slot: u32, mask: u64) {
+        if self.integrity && self.pristine() {
+            self.fill_sums();
+        }
         let idx = self.layout.slot_index(level, bucket, slot);
         self.slots[idx].payload ^= mask;
         let bidx = self.bucket_index(level, bucket);
@@ -305,12 +304,8 @@ impl OramTree {
             return 0;
         }
         if self.pristine() {
-            // Nothing was ever corrupted, so the stored sum matches by
-            // construction; skip the O(Z) re-scan (checked in debug).
-            debug_assert_eq!(
-                self.bucket_sum(level, bucket),
-                self.sums[self.bucket_index(level, bucket)]
-            );
+            // Nothing was ever corrupted, so the bucket's checksum is by
+            // definition the sum of its slots: nothing to compare.
             return 0;
         }
         let bidx = self.bucket_index(level, bucket);
@@ -340,15 +335,6 @@ impl OramTree {
     /// bucket at most once, so the per-bucket order is the same).
     pub fn verify_and_repair_path(&mut self, leaf: Leaf, from_level: usize) -> u64 {
         if !self.integrity || self.pristine() {
-            #[cfg(debug_assertions)]
-            if self.integrity {
-                let mut sums = Vec::new();
-                self.path_sums_into(leaf, from_level, &mut sums);
-                for (level, sum) in (from_level..self.layout.levels()).zip(sums) {
-                    let bucket = self.layout.bucket_on_path(leaf, level);
-                    debug_assert_eq!(sum, self.sums[self.bucket_index(level, bucket)]);
-                }
-            }
             return 0;
         }
         let mut detections = 0;
@@ -374,9 +360,7 @@ impl OramTree {
         let z = self.layout.z_of(level);
         if self.pristine() {
             // Fast path: real blocks are packed into slots `0..used`, so
-            // read exactly those and reset them; the bucket is all-dummy
-            // afterwards, so its checksum is the precomputed per-level
-            // empty sum — no slots are re-read. An empty bucket mutates
+            // read exactly those and reset them. An empty bucket mutates
             // nothing at all.
             let bidx = self.bucket_index(level, bucket);
             let used = self.used[bidx] as usize;
@@ -384,16 +368,15 @@ impl OramTree {
                 return;
             }
             let base = self.layout.slot_index(level, bucket, 0);
-            for slot in &mut self.slots[base..base + used] {
-                debug_assert!(!slot.is_dummy(), "used count exceeds packed prefix");
-                out.push(slot.block());
-                *slot = EMPTY_SLOT;
-            }
+            let taken = &mut self.slots[base..base + used];
+            debug_assert!(
+                taken.iter().all(|s| !s.is_dummy()),
+                "used count exceeds packed prefix"
+            );
+            out.extend(taken.iter().map(Slot::block));
+            taken.fill(EMPTY_SLOT);
             self.used[bidx] = 0;
             self.used_per_level[level] -= used as u64;
-            if self.integrity {
-                self.sums[bidx] = self.empty_sums[level];
-            }
             return;
         }
         if !self.injected.is_empty() {
@@ -456,9 +439,7 @@ impl OramTree {
         if self.pristine() {
             // Fast path: slots beyond the packed prefix are already the
             // canonical empty pattern, so only `max(old_used, new_len)`
-            // slots are touched, and the new checksum folds straight from
-            // the incoming blocks plus the dummy tail — the written slots
-            // are never read back.
+            // slots are touched.
             let old = self.used[bidx] as usize;
             let new = blocks.len();
             let base = self.layout.slot_index(level, bucket, 0);
@@ -478,20 +459,6 @@ impl OramTree {
             self.used[bidx] = new as u16;
             self.used_per_level[level] += new as u64;
             self.used_per_level[level] -= old as u64;
-            if self.integrity {
-                let mut h = 0xCBF2_9CE4_8422_2325u64;
-                for b in blocks.iter() {
-                    h = mix(h, b.addr.0);
-                    h = mix(h, b.leaf.0);
-                    h = mix(h, b.payload);
-                }
-                for _ in new..z as usize {
-                    h = mix(h, WIDE_DUMMY);
-                    h = mix(h, 0);
-                    h = mix(h, 0);
-                }
-                self.sums[bidx] = h;
-            }
             blocks.clear();
             return;
         }
@@ -660,7 +627,8 @@ impl OramTree {
     /// Serializes the full slot arena, occupancy ledgers, checksum table,
     /// outstanding-fault ledger and integrity counters for a checkpoint.
     /// The layout and the integrity *flag* come from configuration and are
-    /// written only as cross-checks. Checksums are serialized verbatim (not
+    /// written only as cross-checks. A pristine tree writes the checksums
+    /// derived from its slots; any other writes its table verbatim (not
     /// recomputed on restore) because with an outstanding injected
     /// corruption the stored sum deliberately reflects the legitimate
     /// contents, not the corrupted slots.
@@ -681,8 +649,10 @@ impl OramTree {
         }
         w.put_bool(self.integrity);
         w.put_usize(self.sums.len());
-        for &s in &self.sums {
-            w.put_u64(s);
+        if self.integrity && self.pristine() {
+            self.derived_sums().for_each(|s| w.put_u64(s));
+        } else {
+            self.sums.iter().for_each(|&s| w.put_u64(s));
         }
         w.put_usize(self.injected.len());
         for (&bidx, entries) in &self.injected {
@@ -710,7 +680,8 @@ impl OramTree {
     /// the tree), a real slot's leaf path misses its bucket, or its fill
     /// counts disagree with its slots (a count above `Z`, real and dummy
     /// slots out of their packed order, or a level total that is not its
-    /// buckets' sum); any [`SnapError`] on truncation.
+    /// buckets' sum), or a pristine snapshot's checksum table disagrees
+    /// with its slots; any [`SnapError`] on truncation.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.take_seq_len(24)?;
         if n != self.slots.len() {
@@ -791,6 +762,11 @@ impl OramTree {
             recovered: r.take_u64()?,
             undetected: r.take_u64()?,
         };
+        if self.integrity && self.pristine() && !self.derived_sums().eq(self.sums.iter().copied()) {
+            return Err(SnapError::Corrupt(
+                "checksum table disagrees with its slots",
+            ));
+        }
         Ok(())
     }
 
@@ -1027,6 +1003,28 @@ mod tests {
         let mut fresh = tree3(); // integrity off
         let mut r = SnapReader::new(&bytes);
         assert!(fresh.restore_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_pristine_checksum_table_that_disagrees_with_its_slots() {
+        let mut t = tree3();
+        t.set_integrity(true);
+        t.write_bucket(2, 1, vec![blk(10, 1)]);
+        let mut w = SnapWriter::new();
+        t.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut fresh = tree3();
+            fresh.set_integrity(true);
+            fresh.restore_state(&mut SnapReader::new(bytes))
+        };
+        assert_eq!(restore(&bytes), Ok(()));
+        // The last of the 7 checksums precedes the empty fault ledger's
+        // length (8 bytes) and the 4 integrity counters (32).
+        let last_sum = bytes.len() - 40 - 8;
+        let mut patched = bytes;
+        patched[last_sum] ^= 1;
+        assert!(matches!(restore(&patched), Err(SnapError::Corrupt(_))));
     }
 
     /// A tree snapshot with its integrity flag off, the fill counts of

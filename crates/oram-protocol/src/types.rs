@@ -285,16 +285,6 @@ pub enum ServedFrom {
     Escrow,
 }
 
-impl ServedFrom {
-    /// The tree level for tree/tree-top hits (stash hits report `None`).
-    pub fn level(self) -> Option<usize> {
-        match self {
-            ServedFrom::TreeTop { level } | ServedFrom::Tree { level } => Some(level),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,14 +293,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(BlockAddr(7).to_string(), "blk#7");
         assert_eq!(Leaf(3).to_string(), "leaf#3");
-    }
-
-    #[test]
-    fn served_from_level() {
-        assert_eq!(ServedFrom::Tree { level: 5 }.level(), Some(5));
-        assert_eq!(ServedFrom::TreeTop { level: 2 }.level(), Some(2));
-        assert_eq!(ServedFrom::FStash.level(), None);
-        assert_eq!(ServedFrom::Escrow.level(), None);
     }
 
     #[test]
