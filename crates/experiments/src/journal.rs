@@ -31,8 +31,9 @@ use iroram_trace::Bench;
 ///
 /// The config is destructured **exhaustively** (no `..`): adding a field
 /// to [`SystemConfig`] without extending this key is a compile error, and
-/// the config-drift lint additionally checks that every field name appears
-/// in this function. Structured fields (`oram`, `hierarchy`, `dram`,
+/// a field bound here but left out of the key is an unused variable.
+/// `tests/config_fingerprint.rs` checks behaviorally that mutating any
+/// single field changes the fingerprint. Structured fields (`oram`, `hierarchy`, `dram`,
 /// `clock`, `faults`) contribute their full `Debug` rendering.
 pub fn fingerprint(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> u64 {
     let SystemConfig {

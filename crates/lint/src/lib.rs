@@ -1,23 +1,21 @@
 //! `iroram-lint`: an offline, dependency-free static-analysis engine that
-//! enforces the simulator's determinism, panic-freedom, config-coverage,
-//! obliviousness, crash-consistency and scheduling contracts (see
-//! `DESIGN.md` § "Static guarantees").
+//! enforces the simulator's determinism, panic-freedom, obliviousness,
+//! crash-consistency and scheduling contracts (see `DESIGN.md` § "Static
+//! guarantees").
 //!
-//! Seven passes run over the workspace:
+//! Six passes run over the workspace:
 //!
 //! 1. **determinism** — no `HashMap`/`HashSet`/`Instant`/`SystemTime`/env
 //!    reads in report-affecting crates outside test code, unless annotated.
 //! 2. **panic** — panic-capable sites in designated hot-path modules are
 //!    ratcheted by `lint-ratchet.toml`: counts can only go down.
-//! 3. **config** — every `SystemConfig` field participates in the resume
-//!    journal fingerprint, the CLI `--set` table, and `DESIGN.md`.
-//! 4. **secret-flow** — taint tracking from secret sources (payloads,
+//! 3. **secret-flow** — taint tracking from secret sources (payloads,
 //!    PosMap leaves, stash occupancy) to branches and indexing.
-//! 5. **snapshot-drift** — every field of a `save_state`/`restore_state`
+//! 4. **snapshot-drift** — every field of a `save_state`/`restore_state`
 //!    type is referenced in both methods.
-//! 6. **panic-reach** — a cross-crate call-graph walk from the per-slot
+//! 5. **panic-reach** — a cross-crate call-graph walk from the per-slot
 //!    entry points budgets transitively reachable panic sites.
-//! 7. **thread-order** — parallelism primitives stay confined to the
+//! 6. **thread-order** — parallelism primitives stay confined to the
 //!    sanctioned scoped-worker/merge sites.
 //!
 //! Findings are machine-readable lines (`file:line rule message`) or a
@@ -27,7 +25,6 @@
 //! mandatory, and allows that no longer suppress anything are themselves
 //! findings.
 
-pub mod config;
 pub mod determinism;
 pub mod json;
 pub mod lexer;
@@ -52,7 +49,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule name (`determinism`, `panic`, `config`, `annotation`).
+    /// Rule name (one of [`source::RULES`], `panic-reach` or `annotation`).
     pub rule: String,
     /// Human-readable description.
     pub message: String,
@@ -95,15 +92,7 @@ pub const HOT_PATH_FILES: [&str; 8] = [
     "crates/oram-protocol/src/stash.rs",
 ];
 
-/// Path (from the workspace root) of the file declaring `SystemConfig`.
-pub const CONFIG_FILE: &str = "crates/oram-ctrl/src/config.rs";
-/// Path of the file holding `fn fingerprint`.
-pub const JOURNAL_FILE: &str = "crates/experiments/src/journal.rs";
-/// Path of the CLI parsing layer.
-pub const RUNNER_FILE: &str = "crates/experiments/src/runner.rs";
-/// Path of the design document.
-pub const DESIGN_FILE: &str = "DESIGN.md";
-/// Path of the panic ratchet.
+/// Path (from the workspace root) of the panic ratchet.
 pub const RATCHET_FILE: &str = "lint-ratchet.toml";
 
 /// The outcome of a lint run.
@@ -123,7 +112,7 @@ pub struct Outcome {
 /// # Errors
 ///
 /// Returns a message for I/O-level problems (unreadable root, missing
-/// pass-input files, unwritable ratchet) — everything else is a finding.
+/// hot-path files, unwritable ratchet) — everything else is a finding.
 pub fn run(root: &Path, fix_ratchet: bool) -> Result<Outcome, String> {
     let mut files: Vec<SourceFile> = Vec::new();
     for krate in REPORT_AFFECTING_CRATES {
@@ -148,7 +137,7 @@ pub fn run(root: &Path, fix_ratchet: bool) -> Result<Outcome, String> {
         findings.extend(determinism::check(f));
     }
 
-    // Pass 2: panic-freedom ratchet over the hot-path files, and pass 6:
+    // Pass 2: panic-freedom ratchet over the hot-path files, and pass 5:
     // panic reachability from the per-slot entry points through helper
     // crates. Both budget against `lint-ratchet.toml` (reach counts under
     // `reach:`-prefixed sections), so --fix-ratchet rewrites one combined
@@ -207,31 +196,15 @@ pub fn run(root: &Path, fix_ratchet: bool) -> Result<Outcome, String> {
         }),
     }
 
-    // Pass 3: config drift.
-    let get = |rel: &str| -> Result<&SourceFile, String> {
-        files
-            .iter()
-            .find(|f| f.rel_path == rel)
-            .ok_or_else(|| format!("{rel} not found under {}", root.display()))
-    };
-    let design = std::fs::read_to_string(root.join(DESIGN_FILE)).unwrap_or_default();
-    findings.extend(config::check(&config::ConfigInputs {
-        config: get(CONFIG_FILE)?,
-        journal: get(JOURNAL_FILE)?,
-        runner: get(RUNNER_FILE)?,
-        design: &design,
-        design_path: DESIGN_FILE,
-    }));
-
-    // Pass 4: secret-flow taint tracking.
+    // Pass 3: secret-flow taint tracking.
     for f in &files {
         findings.extend(secret::check(f));
     }
 
-    // Pass 5: snapshot-drift (cross-file, crate-scoped method lookup).
+    // Pass 4: snapshot-drift (cross-file, crate-scoped method lookup).
     findings.extend(snapshot::check(&files));
 
-    // Pass 7: thread-order.
+    // Pass 6: thread-order.
     for f in &files {
         findings.extend(threads::check(f));
     }

@@ -11,10 +11,9 @@ use crate::parser::{self, ParsedFile};
 /// are exempted at the *site* level with `allow(panic, ...)` — a declared
 /// can't-panic invariant means the same thing wherever the site is — so it
 /// is not a valid annotation rule.)
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "determinism",
     "panic",
-    "config",
     "secret-flow",
     "snapshot-drift",
     "thread-order",
@@ -124,14 +123,6 @@ impl SourceFile {
             .filter(|(i, a)| !used[*i] && RULES.contains(&a.rule.as_str()) && !a.reason.is_empty())
             .map(|(_, a)| a)
             .collect()
-    }
-
-    /// All string-literal contents in the file.
-    pub fn strings(&self) -> impl Iterator<Item = &str> {
-        self.tokens.iter().filter_map(|t| match &t.kind {
-            TokKind::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
     }
 }
 

@@ -1,4 +1,2 @@
 //! Fixture crate root.
-pub mod journal;
-pub mod runner;
 pub mod workers;

@@ -1,5 +1,4 @@
 //! Fixture crate root.
-pub mod config;
 pub mod controller;
 pub mod dwb;
 pub mod rho;

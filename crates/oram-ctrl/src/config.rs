@@ -261,7 +261,7 @@ impl SystemConfig {
 
     /// Sets one scalar field from its CLI spelling (the `--set KEY=VALUE`
     /// override table — every [`SystemConfig`] field has an arm here, which
-    /// is what the config-drift lint checks).
+    /// `tests/config_fingerprint.rs` checks).
     ///
     /// Structured fields (`oram`, `hierarchy`, `dram`, `clock`, `faults`)
     /// are deliberately *not* settable from one `KEY=VALUE` pair; their

@@ -182,7 +182,7 @@ impl Simulation {
         limit: RunLimit,
     ) -> Result<SimReport, SimError> {
         let gen = WorkloadGen::for_bench(bench, cfg.data_blocks(), cfg.seed);
-        Ok(Self::try_run_audited(cfg, gen, limit, bench.name())?.0)
+        Ok(Self::try_run_checkpointed(cfg, gen, limit, bench.name(), None)?.0)
     }
 
     /// Like [`Simulation::run_bench`], also returning the audit results
@@ -190,24 +190,16 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics on [`SimError`]; use [`Simulation::try_run_bench_audited`].
+    /// Panics on [`SimError`]; use [`Simulation::try_run_checkpointed`]
+    /// to handle failures.
     pub fn run_bench_audited(
         cfg: &SystemConfig,
         bench: Bench,
         limit: RunLimit,
     ) -> (SimReport, Option<AuditReport>) {
-        Self::try_run_bench_audited(cfg, bench, limit)
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`Simulation::run_bench_audited`].
-    pub fn try_run_bench_audited(
-        cfg: &SystemConfig,
-        bench: Bench,
-        limit: RunLimit,
-    ) -> Result<(SimReport, Option<AuditReport>), SimError> {
         let gen = WorkloadGen::for_bench(bench, cfg.data_blocks(), cfg.seed);
-        Self::try_run_audited(cfg, gen, limit, bench.name())
+        Self::try_run_checkpointed(cfg, gen, limit, bench.name(), None)
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
     /// Runs an arbitrary workload generator on `cfg`, also returning the
@@ -216,27 +208,19 @@ impl Simulation {
     /// controller-level failure (stash overflow past the hard limit, stuck
     /// requests, malformed trace records with no fault plan to blame)
     /// surfaces as a typed [`SimError`] instead of a panic.
-    pub fn try_run_audited(
-        cfg: &SystemConfig,
-        gen: WorkloadGen,
-        limit: RunLimit,
-        workload: &str,
-    ) -> Result<(SimReport, Option<AuditReport>), SimError> {
-        Self::try_run_checkpointed(cfg, gen, limit, workload, None)
-    }
-
-    /// Like [`Simulation::try_run_audited`], with crash-consistent
-    /// checkpointing. With `Some(spec)` and `cfg.checkpoint_interval > 0`,
-    /// the complete simulation state is snapshotted to `spec.path` every
-    /// `checkpoint_interval` path slots; on entry an existing snapshot for
-    /// the same fingerprint resumes the run mid-cell, and the finished
-    /// report is byte-identical to an uninterrupted run's. The last
-    /// mid-run snapshot is left on disk; callers that no longer need to
-    /// resume (the sweep runner, once the report is journaled) delete it.
+    ///
+    /// With `Some(spec)` and `cfg.checkpoint_interval > 0`, the run is
+    /// crash-consistent: the complete simulation state is snapshotted to
+    /// `spec.path` every `checkpoint_interval` path slots; on entry an
+    /// existing snapshot for the same fingerprint resumes the run mid-cell,
+    /// and the finished report is byte-identical to an uninterrupted run's.
+    /// The last mid-run snapshot is left on disk; callers that no longer
+    /// need to resume (the sweep runner, once the report is journaled)
+    /// delete it.
     ///
     /// # Errors
     ///
-    /// [`SimError`] as for the uncheckpointed form, plus
+    /// [`SimError`] for a controller-level failure,
     /// [`SimError::Snapshot`] for a corrupt, mismatched, or unwritable
     /// snapshot, and [`SimError::Config`] for an inconsistent ORAM
     /// configuration (checked before anything is built).

@@ -52,5 +52,4 @@ pub use treetop::{DedicatedTreeTop, IrStashTop, TreeTopStore};
 pub use types::{
     BlockAddr, BlockKind, Leaf, PathList, PathRecord, PathType, ServedFrom, StoredBlock,
 };
-pub use zalloc::preset_consts as zalloc_preset;
 pub use zalloc::{AllocPreset, GreedySearchOutcome, ZAllocation};

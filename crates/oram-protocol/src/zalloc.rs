@@ -38,29 +38,14 @@ pub enum AllocPreset {
 /// # Examples
 ///
 /// ```
-/// use iroram_protocol::ZAllocation;
+/// use iroram_protocol::{AllocPreset, ZAllocation};
 /// // The paper's IR-Alloc1 at full scale: 25 levels, top 10 cached on-chip.
-/// let a = ZAllocation::preset(iroram_protocol::zalloc_preset::IR_ALLOC1, 25, 10);
+/// let a = ZAllocation::preset(AllocPreset::IrAlloc1, 25, 10);
 /// assert_eq!(a.path_len(10), 43);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZAllocation {
     z: Vec<u32>,
-}
-
-/// Re-exported preset constants for ergonomic call sites.
-pub mod preset_consts {
-    pub use super::AllocPreset;
-    /// Uniform `Z=4`.
-    pub const BASELINE: AllocPreset = AllocPreset::Baseline;
-    /// The IR-Alloc1 / integrated IR-ORAM setting.
-    pub const IR_ALLOC1: AllocPreset = AllocPreset::IrAlloc1;
-    /// The IR-Alloc2 setting.
-    pub const IR_ALLOC2: AllocPreset = AllocPreset::IrAlloc2;
-    /// The IR-Alloc3 setting.
-    pub const IR_ALLOC3: AllocPreset = AllocPreset::IrAlloc3;
-    /// The IR-Alloc4 / standalone IR-Alloc setting.
-    pub const IR_ALLOC4: AllocPreset = AllocPreset::IrAlloc4;
 }
 
 impl ZAllocation {

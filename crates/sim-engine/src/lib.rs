@@ -8,8 +8,8 @@
 //!   800 MHz in the paper's Table I).
 //! * [`SimRng`] — a deterministic, seedable xoshiro256++ generator so every
 //!   experiment is exactly reproducible from its seed.
-//! * [`stats`] — counters, histograms and running statistics with a named
-//!   registry used by the experiment harness to export results.
+//! * [`stats`] — a running mean / variance the experiment harness uses to
+//!   report the spread of repeated trials.
 //!
 //! # Examples
 //!

@@ -1,9 +1,14 @@
-//! Regression guard for the resume-journal fingerprint: two configurations
-//! differing in any single [`SystemConfig`] field must fingerprint
-//! differently, for **every** field. A field the fingerprint ignored would
+//! Regression guard for the [`SystemConfig`] surface. Two configurations
+//! differing in any single field must fingerprint differently, for
+//! **every** field: a field the resume-journal fingerprint ignored would
 //! let `--resume` answer a cell from a run with different inputs — silent
-//! result corruption. (The config-drift pass of `iroram-lint` checks the
-//! same property lexically; this test checks it behaviorally.)
+//! result corruption. Every field must also have an arm in the `--set`
+//! override table and a row in DESIGN.md's field table.
+//!
+//! The field names come from [`single_field_mutations`], which
+//! [`mutation_list_covers_every_field`] keeps exhaustive: a new field
+//! breaks its destructuring at compile time, and its count until the field
+//! has a mutation. From then on the checks here cover it.
 
 use ir_oram::{RunLimit, Scheme, SystemConfig};
 use iroram_sim_engine::ClockRatio;
@@ -96,6 +101,26 @@ fn mutation_list_covers_every_field() {
         checkpoint_interval: _,
     } = base();
     assert_eq!(single_field_mutations().len(), 22);
+}
+
+#[test]
+fn every_field_is_settable_and_documented() {
+    let design = include_str!("../DESIGN.md");
+    for (field, _) in single_field_mutations() {
+        // Structured fields answer with a pointer to their own knob, and a
+        // value may fail to parse; only an unknown key is a gap.
+        if let Err(e) = base().set_field(field, "0") {
+            assert!(
+                !e.contains("unknown SystemConfig field"),
+                "SystemConfig::{field} has no arm in SystemConfig::set_field: {e}"
+            );
+        }
+        let row = format!("| `{field}` |");
+        assert!(
+            design.lines().any(|l| l.starts_with(&row)),
+            "DESIGN.md lacks a row for {field}"
+        );
+    }
 }
 
 #[test]
