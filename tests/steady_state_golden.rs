@@ -6,6 +6,10 @@
 //! `construction_golden.rs`; these digests pin what the path access does
 //! afterwards, so a change to the read or write phase that moves one
 //! slot, stash entry, checksum, counter or RNG word fails here first.
+//!
+//! The standard-scale KV shard (131,072 keys, L=17) is `#[ignore]`d in a
+//! debug build, where it is slow; run it with
+//! `cargo test --release --test steady_state_golden -- --include-ignored`.
 
 use iroram_hash::md5_hex;
 use iroram_kv::{KvConfig, KvOp, KvService};
@@ -184,6 +188,59 @@ fn kv_smoke_run_reaches_its_golden_state() {
             "bc07f510fcd7b1a44e206d645322c44c",
             "058ff359233cab454465ca57b1f17201",
             "138b1c6433d7111fa5612a721e022234"
+        ]
+    );
+}
+
+/// The benchmark's `kv-large-uniform` shape: one L=17 shard, past a core's
+/// L2, where the stash holds blocks across paths and every access misses
+/// the tree top. Half the keys are loaded, then a seeded uniform get/put
+/// mix runs in four flushes.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in a debug build; run with --release --include-ignored"
+)]
+fn kv_large_shard_reaches_its_golden_state() {
+    const KEYS: u64 = 131_072;
+    let mut kv = KvService::new(KvConfig::for_keys(KEYS, 1));
+    let mut rng = SimRng::seed_from(0x4C41_5247);
+    for _ in 0..KEYS / 2 {
+        let key = 1 + rng.next_below(KEYS) as u32;
+        kv.submit(KvOp::Put {
+            key,
+            value: rng.next_u64() as u32,
+        })
+        .unwrap();
+    }
+    let mut replies = format!("{:?}\n", kv.flush().replies);
+    for _ in 0..4 {
+        for _ in 0..5_000 {
+            let key = 1 + rng.next_below(KEYS) as u32;
+            let op = if rng.next_below(2) == 0 {
+                KvOp::Get { key }
+            } else {
+                KvOp::Put {
+                    key,
+                    value: rng.next_u64() as u32,
+                }
+            };
+            kv.submit(op).unwrap();
+        }
+        replies.push_str(&format!("{:?}\n", kv.flush().replies));
+    }
+    let reports = format!("{:?}", kv.reports());
+    let dump = format!("{:?}", kv.dump());
+    assert_eq!(
+        [
+            md5_hex(replies.as_bytes()),
+            md5_hex(reports.as_bytes()),
+            md5_hex(dump.as_bytes())
+        ],
+        [
+            "b236dc6030f2f0608ed9af9003c686d0",
+            "427a2bab6299bda9c80c27aaab9180e7",
+            "d76aaf67460dba1f3840d4f88f08fdd8"
         ]
     );
 }
