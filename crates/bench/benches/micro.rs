@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 
 use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest, SubtreeLayout};
 use iroram_hash::FeistelCipher;
-use iroram_protocol::{Leaf, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation};
+use iroram_protocol::{
+    BlockAddr, Leaf, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation,
+};
 use iroram_sim_engine::{Cycle, SimRng};
 
 /// A mixed read/write batch with shuffled addresses (no subtree locality),
@@ -108,7 +110,7 @@ fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Stash {
     let mut s = Stash::new(occupancy as usize);
     for i in 0..occupancy {
         s.insert(StoredBlock {
-            addr: iroram_protocol::BlockAddr(i),
+            addr: BlockAddr(i),
             leaf: Leaf(rng.next_below(1 << 16)),
             payload: i,
         });
@@ -116,42 +118,42 @@ fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Stash {
     s
 }
 
+/// A path read to `leaf` of the L=17, Z=4 tree: `len` blocks filling the
+/// buckets of the deepest levels, four apiece, each mapped to a leaf under
+/// its bucket, with addresses from `first_addr` up.
+fn read_path(rng: &mut SimRng, leaf: Leaf, len: u64, first_addr: u64) -> Vec<StoredBlock> {
+    (0..len)
+        .map(|i| {
+            let below = i / 4;
+            StoredBlock {
+                addr: BlockAddr(first_addr + i),
+                leaf: Leaf((leaf.0 >> below << below) | rng.next_below(1 << below)),
+                payload: i,
+            }
+        })
+        .collect()
+}
+
 fn bench_stash(c: &mut Criterion) {
     let mut g = c.benchmark_group("stash");
     let layout = TreeLayout::new(ZAllocation::uniform(17, 4));
-    // Occupancies straddling the soft capacity of 200: a lightly loaded
-    // stash, the paper's configured size, and a deep over-capacity backlog
-    // (background-eviction storms).
-    for occupancy in [50u64, 200, 800] {
+    // Resident occupancies from none through the soft capacity of 200 to
+    // a deep over-capacity backlog (background-eviction storms), each
+    // planned together with a 40-block path the way a path access does.
+    // Scratch and plan buffers persist across iterations.
+    for occupancy in [0u64, 50, 200, 800] {
         g.bench_function(&format!("plan_writeback_{occupancy}"), |b| {
-            let mut rng = SimRng::seed_from(9);
-            b.iter_batched(
-                || {
-                    (
-                        filled_stash(&mut rng, occupancy),
-                        Leaf(rng.next_below(1 << 16)),
-                    )
-                },
-                |(mut s, leaf)| {
-                    std::hint::black_box(s.plan_writeback(&layout, leaf, 0, |_, _| true))
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        // The allocation-free entry point the controller actually uses:
-        // scratch and plan buffers persist across iterations.
-        g.bench_function(&format!("plan_writeback_into_{occupancy}"), |b| {
             let mut rng = SimRng::seed_from(9);
             let mut plan = WritebackPlan::new();
             b.iter_batched(
                 || {
-                    (
-                        filled_stash(&mut rng, occupancy),
-                        Leaf(rng.next_below(1 << 16)),
-                    )
+                    let leaf = Leaf(rng.next_below(1 << 16));
+                    let path = read_path(&mut rng, leaf, 40, occupancy);
+                    (filled_stash(&mut rng, occupancy), leaf, path)
                 },
-                |(mut s, leaf)| {
-                    s.plan_writeback_into(&layout, leaf, 0, |_, _| true, &mut plan);
+                |(mut s, leaf, path)| {
+                    s.hold_path(&path);
+                    s.plan_writeback(&layout, leaf, 0, &path, |_, _| true, &mut plan);
                     std::hint::black_box(plan.total_planned())
                 },
                 BatchSize::SmallInput,

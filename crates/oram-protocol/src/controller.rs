@@ -1122,7 +1122,7 @@ impl PathOram {
     /// mode, PosMap size, escrow ordering, per-level counter count).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.tree.restore_state(r)?;
-        self.stash.restore_state(r)?;
+        self.stash.restore_state(r, &self.layout)?;
         self.posmap.restore_state(r)?;
         let top_tag = r.take_u8()?;
         match (&mut self.top, top_tag) {
@@ -1352,12 +1352,14 @@ impl PathOram {
         let cached = self.top.as_ref().map_or(0, |t| t.cached_levels());
 
         // --- Read phase: gather the whole path, tree top then memory
-        //     levels, into `read_buf`, then merge it into the stash once.
-        //     `read_buf` is controller-owned scratch: taking it out and
-        //     putting it back keeps its capacity across path accesses, so
-        //     the path is read without allocating. ---
+        //     levels, into `read_buf`, noting where the target landed.
+        //     The path stays there until the write-back plan: the stash
+        //     holds it only logically. `read_buf` is controller-owned
+        //     scratch: taking it out and putting it back keeps its capacity
+        //     across path accesses, so the path is read without
+        //     allocating. ---
         let mut read_buf = std::mem::take(&mut self.read_buf);
-        let mut found_level: Option<usize> = None;
+        let mut found: Option<(usize, usize)> = None;
         read_buf.clear();
         for level in 0..cached {
             let bucket = self.layout.bucket_on_path(leaf, level);
@@ -1366,9 +1368,7 @@ impl PathOram {
                 .as_mut()
                 .expect("cached levels imply a top store")
                 .take_bucket_into(level, bucket, &mut read_buf);
-            if found_level.is_none() && holds(&read_buf, start, target) {
-                found_level = Some(level);
-            }
+            found = found.or_else(|| position(&read_buf, start, target).map(|i| (level, i)));
         }
         // Integrity layer: verify the whole path's checksums up front, before
         // any memory bucket is taken and its contents trusted; detected
@@ -1381,19 +1381,14 @@ impl PathOram {
             let bucket = self.layout.bucket_on_path(leaf, level);
             let start = read_buf.len();
             self.tree.take_bucket_into(level, bucket, &mut read_buf);
-            if found_level.is_none() && holds(&read_buf, start, target) {
-                found_level = Some(level);
-            }
+            found = found.or_else(|| position(&read_buf, start, target).map(|i| (level, i)));
         }
         if self.cfg.encrypt_payloads {
             if let Some(fetched) = read_buf.get_mut(memory_start..) {
                 self.cipher.decrypt_each(fetched, |b| &mut b.payload);
             }
         }
-        // The stash is keyed by address, so one merge of the whole path
-        // holds what level-by-level inserts would.
-        self.stash.insert_batch(&mut read_buf);
-        self.read_buf = read_buf;
+        self.stash.hold_path(&read_buf);
         self.stats.blocks_from_memory += self.layout.path_len_memory(cached);
 
         // --- Serve + remap phase (before the write phase, so payload
@@ -1401,8 +1396,8 @@ impl PathOram {
         let mut served = None;
         let mut payload_out = 0;
         if let Some(addr) = target {
-            served = Some(match found_level {
-                Some(level) => {
+            served = Some(match found {
+                Some((level, _)) => {
                     self.stats.served_level[level] += 1;
                     if level < cached {
                         ServedFrom::TreeTop { level }
@@ -1417,22 +1412,25 @@ impl PathOram {
                     ServedFrom::FStash
                 }
             });
+            let index = found.map(|(_, i)| i);
             match action {
                 RemapAction::Remap => {
                     let new_leaf = self.posmap.remap(addr, &mut self.rng);
-                    let b = self
-                        .stash
-                        .get_mut(addr)
-                        .expect("target must be resident after the read phase");
+                    let b = match index {
+                        Some(i) => read_buf.get_mut(i),
+                        None => self.stash.get_mut(addr),
+                    }
+                    .expect("target must be held after the read phase");
                     payload_out = b.payload;
                     b.payload = write.apply(payload_out);
                     b.leaf = new_leaf;
                 }
                 RemapAction::UnmapEscrow => {
-                    let b = self
-                        .stash
-                        .take(addr)
-                        .expect("target must be resident after the read phase");
+                    let b = match index {
+                        Some(i) => Some(read_buf.swap_remove(i)),
+                        None => self.stash.take(addr),
+                    }
+                    .expect("target must be held after the read phase");
                     self.posmap.unmap(addr);
                     payload_out = b.payload;
                     self.escrow.insert(addr.0, write.apply(b.payload));
@@ -1440,19 +1438,22 @@ impl PathOram {
             }
         }
 
-        // --- Write phase: push stash blocks as deep as possible. ---
+        // --- Write phase: push the stash and path blocks as deep as
+        //     possible. ---
         // The plan is controller-owned scratch too: its per-level vectors
         // are refilled in place and drained below, so steady-state write
         // phases reallocate nothing.
         let mut plan = std::mem::take(&mut self.plan);
         let top = self.top.as_deref();
-        self.stash.plan_writeback_into(
+        self.stash.plan_writeback(
             &self.layout,
             leaf,
             0,
+            &read_buf,
             |level, b| top_accepts(top, cached, level, b),
             &mut plan,
         );
+        self.read_buf = read_buf;
         let mut rej_buf = std::mem::take(&mut self.rej_buf);
         for level in 0..plan.len() {
             let bucket = self.layout.bucket_on_path(leaf, level);
@@ -1482,9 +1483,11 @@ impl PathOram {
     }
 }
 
-/// Whether `blocks[from..]` holds `target`.
-fn holds(blocks: &[StoredBlock], from: usize, target: Option<BlockAddr>) -> bool {
-    target.is_some_and(|addr| blocks.iter().skip(from).any(|b| b.addr == addr))
+/// The index of `target` in `blocks[from..]`, if it is there.
+fn position(blocks: &[StoredBlock], from: usize, target: Option<BlockAddr>) -> Option<usize> {
+    let addr = target?;
+    let at = blocks.get(from..)?.iter().position(|b| b.addr == addr)?;
+    Some(from + at)
 }
 
 /// The write-back placement predicate: a memory level takes any block; a
@@ -2232,6 +2235,26 @@ mod tests {
         assert!(used <= 4, "offset lands on a fill count ({used})");
         bytes[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
         let mut b = PathOram::new(cfg);
+        assert!(matches!(
+            b.restore_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    /// A snapshot whose stash holds a block mapped past the last leaf is
+    /// corrupt: restored, it would make the next write-back plan compute
+    /// a common depth below the root.
+    #[test]
+    fn restore_rejects_a_stash_block_past_the_last_leaf() {
+        let mut a = PathOram::new(OramConfig::tiny());
+        let past_last = a.layout().num_leaves();
+        a.stash.insert(StoredBlock {
+            addr: BlockAddr(0),
+            leaf: Leaf(past_last),
+            payload: 0,
+        });
+        let bytes = snapshot(&a);
+        let mut b = PathOram::new(OramConfig::tiny());
         assert!(matches!(
             b.restore_state(&mut SnapReader::new(&bytes)),
             Err(SnapError::Corrupt(_))

@@ -129,6 +129,48 @@ impl TreeLayout {
     }
 }
 
+// A placement sort key: the inverse common depth of a block's leaf with
+// the path's (6 bits), then the block's address (32), then its index among
+// the caller's candidates (26). Ascending keys are the Path ORAM placement
+// order, deepest common depth first and ascending address within a depth,
+// so one `u64` sort puts every candidate of a path in it.
+const KEY_DEPTH_SHIFT: u32 = 58;
+const KEY_ADDR_SHIFT: u32 = 26;
+const KEY_INDEX_MASK: u64 = (1 << KEY_ADDR_SHIFT) - 1;
+
+/// The placement key of candidate `index`, block `addr` mapped to
+/// `block_leaf`, on the path to `path_leaf`.
+#[inline]
+pub(crate) fn placement_key(block_leaf: u64, path_leaf: Leaf, addr: u64, index: usize) -> u64 {
+    // `levels - 1 - common_depth` is the bit length of the XOR.
+    let inverse_depth = 64 - (block_leaf ^ path_leaf.0).leading_zeros();
+    debug_assert!(
+        addr < u64::from(u32::MAX),
+        "address {addr} too wide for the key"
+    );
+    debug_assert!(
+        index as u64 <= KEY_INDEX_MASK,
+        "too many candidates for the key"
+    );
+    u64::from(inverse_depth) << KEY_DEPTH_SHIFT | addr << KEY_ADDR_SHIFT | index as u64
+}
+
+/// The candidate index a placement key was built with.
+#[inline]
+pub(crate) fn key_index(key: u64) -> usize {
+    (key & KEY_INDEX_MASK) as usize
+}
+
+impl TreeLayout {
+    /// Placement keys below this bound belong to blocks whose common depth
+    /// with the path is `level` or more: the blocks `level`'s bucket on the
+    /// path may take.
+    #[inline]
+    pub(crate) fn placement_bound(&self, level: usize) -> u64 {
+        ((self.levels() - level) as u64) << KEY_DEPTH_SHIFT
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

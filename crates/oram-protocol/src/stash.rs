@@ -1,45 +1,9 @@
 //! The fully-associative stash (the paper's F-Stash).
 
-// lint: allow(determinism, hot-path lookup map; every iteration sorts keys before use)
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use iroram_hash::mix64;
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
+use crate::layout::{key_index, placement_key};
 use crate::{BlockAddr, Leaf, StoredBlock, TreeLayout};
-
-/// A deterministic single-multiply hasher for block addresses. The stash
-/// map is keyed by `u64` addresses and sits on the per-path hot loop, where
-/// the default SipHash costs more than the lookup it guards; one `mix64`
-/// round spreads addresses fine. Determinism is *not* load-bearing here —
-/// no report-visible output depends on map iteration order (write-back
-/// planning sorts its candidates) — but a fixed hasher keeps the whole
-/// simulator free of per-process randomness.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by the stash): FNV-1a.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = mix64(v);
-    }
-}
-
-// lint: allow(determinism, lookup-only map with a fixed keyed hasher; every report-visible iteration sorts in plan_writeback_into)
-pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// The small fully-associative on-chip buffer holding in-flight blocks.
 ///
@@ -49,6 +13,12 @@ pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 /// *soft* threshold: occupancy may exceed it transiently (the protocol then
 /// schedules background-eviction paths), mirroring how the paper converts
 /// stash overflow from a correctness failure into a performance cost.
+///
+/// A path's blocks are in the stash only logically between the read and
+/// the write: they stay in the caller's read buffer ([`Stash::hold_path`]),
+/// the write-back plan takes its candidates from both
+/// ([`Stash::plan_writeback`]), and only the path blocks it leaves over
+/// become residents.
 ///
 /// # Examples
 ///
@@ -66,10 +36,8 @@ pub struct Stash {
     /// capacity: on mcf at L=17 it peaks at 249 (`diag 17 mcf 40000`),
     /// and the benchmark's `oram-protocol.stash_peak` reads 256. Even at
     /// that peak the vector is about 6 KB, so a binary search (8 probes)
-    /// plus a memmove within L1 still beats a hash map on the per-path
-    /// hot loop, *and* it hands the write-back planner an address-ordered
-    /// iteration for free (its counting sort becomes fully
-    /// comparison-free).
+    /// plus a memmove within L1 still beats a hash map for lookups and
+    /// inserts, and the write-back sweep keeps the order without sorting.
     blocks: Vec<StoredBlock>,
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     capacity: usize,
@@ -78,19 +46,17 @@ pub struct Stash {
     // loop allocates nothing. Not logical state: always left consistent but
     // meaningless between calls.
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    cands: Vec<(u32, u32)>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    sorted: Vec<(u32, u32)>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    offsets: Vec<usize>,
+    keys: Vec<u64>,
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     placed: Vec<bool>,
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    skipped: Vec<(u32, u32)>,
+    skipped: Vec<u64>,
+    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
+    leftover: Vec<StoredBlock>,
 }
 
 /// A reusable write-back plan: the per-level block lists
-/// [`Stash::plan_writeback_into`] fills (index 0 = the plan's `top_level`).
+/// [`Stash::plan_writeback`] fills (index 0 = the plan's `top_level`).
 ///
 /// Holding one plan per controller and re-filling it each path access keeps
 /// the write phase free of `Vec<Vec<_>>` churn: the inner vectors keep their
@@ -138,13 +104,6 @@ impl WritebackPlan {
         }
         self.len = n;
     }
-
-    /// Consumes the plan into plain per-level vectors (compatibility path
-    /// for callers that do not reuse plans).
-    fn into_level_vecs(mut self) -> Vec<Vec<StoredBlock>> {
-        self.levels.truncate(self.len);
-        self.levels
-    }
 }
 
 impl Stash {
@@ -155,11 +114,10 @@ impl Stash {
             blocks: Vec::new(),
             capacity,
             max_occupancy: 0,
-            cands: Vec::new(),
-            sorted: Vec::new(),
-            offsets: Vec::new(),
+            keys: Vec::new(),
             placed: Vec::new(),
             skipped: Vec::new(),
+            leftover: Vec::new(),
         }
     }
 
@@ -206,54 +164,6 @@ impl Stash {
         self.max_occupancy = self.max_occupancy.max(self.blocks.len());
     }
 
-    /// Inserts every block of `incoming` (clearing it). Equivalent to one
-    /// [`Stash::insert`] per element, but a single O(n + k) backward merge
-    /// replaces k O(n) shifted inserts — the read phase of a path access
-    /// lands a whole path's worth of blocks at once, and per-element
-    /// insertion was the stash's largest memmove source.
-    pub fn insert_batch(&mut self, incoming: &mut Vec<StoredBlock>) {
-        if incoming.is_empty() {
-            return;
-        }
-        incoming.sort_unstable_by_key(|b| b.addr.0);
-        debug_assert!(
-            incoming.windows(2).all(|w| w[0].addr.0 != w[1].addr.0),
-            "insert_batch: duplicate addresses within one batch"
-        );
-        let n = self.blocks.len();
-        let k = incoming.len();
-        // lint: allow(panic, k >= 1 checked above)
-        let filler = incoming[k - 1];
-        self.blocks.resize(n + k, filler);
-        let (mut i, mut j, mut w) = (n, k, n + k);
-        while j > 0 {
-            w -= 1;
-            // lint: allow(panic, i <= n and j <= k and w < n + k throughout the merge)
-            if i > 0 && self.blocks[i - 1].addr.0 > incoming[j - 1].addr.0 {
-                // lint: allow(panic, i >= 1 and w < n + k)
-                self.blocks[w] = self.blocks[i - 1];
-                i -= 1;
-            } else {
-                // lint: allow(panic, i >= 1 inside the guard; j >= 1 from the loop condition)
-                if i > 0 && self.blocks[i - 1].addr.0 == incoming[j - 1].addr.0 {
-                    i -= 1; // stale copy replaced by the incoming block
-                }
-                // lint: allow(panic, j >= 1 from the loop condition and w < n + k)
-                self.blocks[w] = incoming[j - 1];
-                j -= 1;
-            }
-        }
-        if w > i {
-            // Address collisions dropped stale copies, leaving a gap
-            // between the untouched prefix and the merged tail; close it.
-            let dropped = w - i;
-            self.blocks.copy_within(w.., i);
-            self.blocks.truncate(n + k - dropped);
-        }
-        incoming.clear();
-        self.max_occupancy = self.max_occupancy.max(self.blocks.len());
-    }
-
     /// Whether a block with `addr` is resident.
     pub fn contains(&self, addr: BlockAddr) -> bool {
         self.pos(addr.0).is_ok()
@@ -294,14 +204,21 @@ impl Stash {
         w.put_usize(self.max_occupancy);
     }
 
-    /// Restores the state captured by [`Stash::save_state`].
+    /// Restores the state captured by [`Stash::save_state`] for a stash
+    /// of the tree `layout` describes.
     ///
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] if the serialized blocks are not in ascending
-    /// address order (the vector's invariant); any [`SnapError`] on
-    /// truncation.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// address order (the vector's invariant), if a block's leaf lies
+    /// outside `layout` or its address is too wide for a placement key
+    /// (`u32::MAX` or more), or if the high-water mark is below the
+    /// occupancy; any [`SnapError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        layout: &TreeLayout,
+    ) -> Result<(), SnapError> {
         let n = r.take_seq_len(StoredBlock::SNAP_BYTES)?;
         self.blocks.clear();
         for _ in 0..n {
@@ -313,116 +230,120 @@ impl Stash {
             {
                 return Err(SnapError::Corrupt("stash blocks out of order"));
             }
+            // lint: allow(secret-flow, checkpoint decoding: a corrupt snapshot is rejected before any path access runs)
+            if b.leaf.0 >= layout.num_leaves() {
+                return Err(SnapError::Corrupt("stash block mapped past the last leaf"));
+            }
+            if b.addr.0 >= u64::from(u32::MAX) {
+                return Err(SnapError::Corrupt("stash block address too wide"));
+            }
             self.blocks.push(b);
         }
         self.max_occupancy = r.take_usize()?;
+        if self.max_occupancy < self.blocks.len() {
+            return Err(SnapError::Corrupt("stash watermark below its occupancy"));
+        }
         Ok(())
     }
 
-    /// Plans the write-back of a path to `leaf`: selects, for each level in
-    /// `[top_level, L)`, up to `Z_level` stash blocks that may legally live
-    /// in that level's bucket on this path, **removing them from the stash**.
+    /// The read phase of a path access hands the stash the path's blocks,
+    /// which stay in the caller's buffer until [`Stash::plan_writeback`]
+    /// places them or keeps the leftovers. Logically they are resident
+    /// from now on, so the occupancy watermark counts them here. A block
+    /// is in the tree or in the stash, never both.
+    pub fn hold_path(&mut self, path: &[StoredBlock]) {
+        debug_assert!(
+            path.iter().all(|b| !self.contains(b.addr)),
+            "a path block is also resident in the stash"
+        );
+        self.raise_watermark(self.blocks.len() + path.len());
+    }
+
+    /// Plans the write-back of the path to `leaf`: selects, for each level
+    /// in `[top_level, L)`, up to `Z_level` blocks that may legally live in
+    /// that level's bucket on this path, from the resident blocks and the
+    /// held `path` blocks (see [`Stash::hold_path`]) together. Placed
+    /// residents leave the stash and the unplaced path blocks join it, so
+    /// afterwards each block of both sets is in `plan` or in the stash.
     ///
-    /// Returns one `Vec<StoredBlock>` per level (index 0 of the result is
-    /// `top_level`). Blocks are pushed as deep as possible (the Path ORAM
-    /// eviction rule); the greedy deepest-first order is optimal for
-    /// maximizing placed blocks. `exclude` (the just-requested block under
-    /// the immediate-remap policy, which returns to the program) is never
-    /// selected.
-    ///
-    /// `cap_override` lets the caller shrink a level's usable capacity (used
-    /// by IR-Stash when an S-Stash set is full: those blocks are "skipped
-    /// this round", paper Section IV-C); a `None` entry means use
-    /// `layout.z_of(level)`.
+    /// Blocks are pushed as deep as possible (the Path ORAM eviction rule);
+    /// the greedy deepest-first order is optimal for maximizing placed
+    /// blocks. Candidates are taken in (common depth desc, address asc)
+    /// order: one sort of packed `u64` keys. `may_place` can veto a block
+    /// at a level (IR-Stash when an S-Stash set is full: the block is
+    /// "skipped this round", paper Section IV-C); a vetoed block stays a
+    /// candidate for shallower levels.
     pub fn plan_writeback(
         &mut self,
         layout: &TreeLayout,
         leaf: Leaf,
         top_level: usize,
-        may_place: impl FnMut(usize, &StoredBlock) -> bool,
-    ) -> Vec<Vec<StoredBlock>> {
-        let mut plan = WritebackPlan::new();
-        self.plan_writeback_into(layout, leaf, top_level, may_place, &mut plan);
-        plan.into_level_vecs()
-    }
-
-    /// Allocation-free variant of [`Stash::plan_writeback`]: fills `plan`
-    /// in place, reusing both the plan's level vectors and the stash's
-    /// internal candidate scratch across calls.
-    ///
-    /// Candidates are ordered deepest-common-depth first (ties broken by
-    /// ascending address) via a **stable counting sort** over depths: the
-    /// block vector is already address-sorted, the scatter preserves the
-    /// source order inside each depth segment, so the final order is
-    /// (depth desc, addr asc) with no comparison sort at all. Selection is
-    /// mark-and-sweep — placed blocks are flagged and removed in one
-    /// compaction pass at the end, so the greedy fill itself never shifts
-    /// the vector.
-    pub fn plan_writeback_into(
-        &mut self,
-        layout: &TreeLayout,
-        leaf: Leaf,
-        top_level: usize,
+        path: &[StoredBlock],
         may_place: impl FnMut(usize, &StoredBlock) -> bool,
         plan: &mut WritebackPlan,
     ) {
-        let levels = layout.levels();
-        plan.reset(levels - top_level);
-
-        // --- Stable counting sort of (common depth, index), deepest first.
-        self.cands.clear();
-        self.offsets.clear();
-        self.offsets.resize(levels, 0);
-        for (i, b) in self.blocks.iter().enumerate() {
-            let depth = layout.common_depth(b.leaf, leaf);
-            // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-            self.offsets[depth] += 1;
-            self.cands.push((depth as u32, i as u32));
-        }
-        let n = self.cands.len();
-        let mut acc = 0usize;
-        for depth in (0..levels).rev() {
-            // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-            let count = self.offsets[depth];
-            // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-            self.offsets[depth] = acc;
-            acc += count;
-        }
-        self.sorted.clear();
-        self.sorted.resize(n, (0, 0));
-        for i in 0..n {
-            let (depth, idx) = self.cands[i];
-            // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-            let pos = self.offsets[depth as usize];
-            // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-            self.offsets[depth as usize] += 1;
-            // lint: allow(secret-flow, on-chip write-back planning; the path is read and written in full regardless of placement)
-            self.sorted[pos] = (depth, idx);
-        }
+        plan.reset(layout.levels() - top_level);
+        let residents = self.blocks.len();
+        self.keys.clear();
+        self.keys.extend(
+            self.blocks
+                .iter()
+                .chain(path)
+                .enumerate()
+                .map(|(i, b)| placement_key(b.leaf.0, leaf, b.addr.0, i)),
+        );
+        self.keys.sort_unstable();
         greedy_fill(
             layout,
             top_level,
-            &self.sorted,
-            &self.blocks,
+            &self.keys,
+            (&self.blocks, path),
             may_place,
             plan,
             &mut self.placed,
             &mut self.skipped,
         );
+        // Sweep the placed residents out, keeping address order, then
+        // merge the path's leftovers in.
+        let (resident_placed, path_placed) = self.placed.split_at(residents);
+        let mut flags = resident_placed.iter();
+        self.blocks.retain(|_| flags.next() == Some(&false));
+        self.leftover.clear();
+        self.leftover.extend(
+            path.iter()
+                .zip(path_placed)
+                .filter(|&(_, &placed)| !placed)
+                .map(|(b, _)| *b),
+        );
+        self.merge_leftover();
+    }
 
-        // --- Sweep: drop every placed block, preserving address order. ---
-        let mut w = 0usize;
-        for r in 0..n {
-            // lint: allow(panic, r < n = blocks.len = placed.len)
-            if !self.placed[r] {
-                if w != r {
-                    // lint: allow(panic, w <= r < n)
-                    self.blocks[w] = self.blocks[r];
-                }
-                w += 1;
+    /// Merges the `leftover` path blocks into the address-sorted residents
+    /// (disjoint from them, see [`Stash::hold_path`]): one O(n + k)
+    /// backward merge.
+    fn merge_leftover(&mut self) {
+        let Some(&filler) = self.leftover.first() else {
+            return;
+        };
+        self.leftover.sort_unstable_by_key(|b| b.addr.0);
+        let (n, k) = (self.blocks.len(), self.leftover.len());
+        self.blocks.resize(n + k, filler);
+        let (mut i, mut j) = (n, k);
+        while j > 0 {
+            // lint: allow(panic, 1 <= j <= k)
+            let next = self.leftover[j - 1];
+            // lint: allow(panic, 1 <= i <= n inside the guard)
+            if i > 0 && self.blocks[i - 1].addr.0 > next.addr.0 {
+                // lint: allow(panic, 1 <= i and i + j - 1 < n + k)
+                self.blocks[i + j - 1] = self.blocks[i - 1];
+                i -= 1;
+            } else {
+                // lint: allow(panic, i + j - 1 < n + k)
+                self.blocks[i + j - 1] = next;
+                j -= 1;
             }
         }
-        self.blocks.truncate(w);
+        self.max_occupancy = self.max_occupancy.max(self.blocks.len());
     }
 
     /// Raises the occupancy high-water mark to `n`: a path placed by
@@ -435,12 +356,26 @@ impl Stash {
     }
 }
 
-/// The Path ORAM placement rule of [`Stash::plan_writeback_into`]: fill
-/// levels `[top_level, L)` of `plan` deepest first, each up to its `Z`,
-/// from `cands` — `(common depth with the path, index into blocks)` pairs
-/// in (depth desc, addr asc) order — and resetting `placed` to flag, per
-/// block, whether it was placed. Blocks are pushed as deep as possible;
-/// the greedy deepest-first order is optimal for maximizing placed blocks.
+/// Candidate `idx` of a write-back plan over `(residents, path)`: the
+/// residents first, then the path blocks.
+#[inline]
+fn candidate<'a>(
+    (residents, path): (&'a [StoredBlock], &'a [StoredBlock]),
+    idx: usize,
+) -> &'a StoredBlock {
+    match residents.get(idx) {
+        Some(b) => b,
+        // lint: allow(panic, a candidate index below residents + path.len() by construction)
+        None => &path[idx - residents.len()],
+    }
+}
+
+/// The Path ORAM placement rule of [`Stash::plan_writeback`]: fill levels
+/// `[top_level, L)` of `plan` deepest first, each up to its `Z`, from the
+/// sorted placement `keys` of `cands`, and reset `placed` to flag, per
+/// candidate, whether it was placed. Blocks are pushed as deep as
+/// possible; the greedy deepest-first order is optimal for maximizing
+/// placed blocks.
 ///
 /// `may_place` can veto a block at a level (IR-Stash when an S-Stash set
 /// is full: the block is "skipped this round", paper Section IV-C). A
@@ -449,18 +384,18 @@ impl Stash {
 fn greedy_fill(
     layout: &TreeLayout,
     top_level: usize,
-    cands: &[(u32, u32)],
-    blocks: &[StoredBlock],
+    keys: &[u64],
+    cands: (&[StoredBlock], &[StoredBlock]),
     mut may_place: impl FnMut(usize, &StoredBlock) -> bool,
     plan: &mut WritebackPlan,
     placed: &mut Vec<bool>,
-    skipped: &mut Vec<(u32, u32)>,
+    skipped: &mut Vec<u64>,
 ) {
-    let n = cands.len();
+    let n = keys.len();
     placed.clear();
-    placed.resize(blocks.len(), false);
+    placed.resize(n, false);
     skipped.clear();
-    // An entry the cursor passes without placing was rejected by
+    // A key the cursor passes without placing was rejected by
     // `may_place`; it lands on the `skipped` list (in cursor order, i.e.
     // global candidate order) so shallower levels can revisit exactly
     // those entries instead of rescanning the whole prefix — every
@@ -473,48 +408,47 @@ fn greedy_fill(
             break;
         }
         let cap = layout.z_of(level) as usize;
+        let fits_below = layout.placement_bound(level);
         let slot = &mut plan.levels[level - top_level];
         // Blocks with common depth ≥ level can live at `level` (or
         // deeper, but deeper levels were already filled).
-        while cursor < n && slot.len() < cap {
-            // lint: allow(panic, cursor < n = cands.len())
-            let (depth, idx) = cands[cursor];
-            if (depth as usize) < level {
+        while slot.len() < cap {
+            let Some(&key) = keys.get(cursor).filter(|&&key| key < fits_below) else {
                 break;
-            }
+            };
             cursor += 1;
-            // lint: allow(panic, candidate indices address blocks by construction)
-            let b = &blocks[idx as usize];
+            let idx = key_index(key);
+            let b = candidate(cands, idx);
             if !may_place(level, b) {
                 // Skipped this round (e.g. S-Stash set full); still a
                 // candidate for shallower levels.
-                skipped.push((depth, idx));
+                skipped.push(key);
                 continue;
             }
             slot.push(*b);
-            // lint: allow(panic, placed has one flag per block)
-            placed[idx as usize] = true;
+            // lint: allow(panic, placed has one flag per candidate)
+            placed[idx] = true;
             unplaced -= 1;
         }
         // Give passed-over candidates another chance at this level: they
         // were rejected by may_place at deeper levels (or at this one, if
         // a deeper set freed up mid-fill) and remain eligible.
-        for &(depth, idx) in skipped.iter() {
+        for &key in skipped.iter() {
             if slot.len() >= cap {
                 break;
             }
-            // lint: allow(panic, placed has one flag per block)
-            if (depth as usize) < level || placed[idx as usize] {
+            let idx = key_index(key);
+            // lint: allow(panic, placed has one flag per candidate)
+            if key >= fits_below || placed[idx] {
                 continue;
             }
-            // lint: allow(panic, candidate indices address blocks by construction)
-            let b = &blocks[idx as usize];
+            let b = candidate(cands, idx);
             if !may_place(level, b) {
                 continue;
             }
             slot.push(*b);
-            // lint: allow(panic, placed has one flag per block)
-            placed[idx as usize] = true;
+            // lint: allow(panic, placed has one flag per candidate)
+            placed[idx] = true;
             unplaced -= 1;
         }
     }
@@ -523,7 +457,9 @@ fn greedy_fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ZAllocation;
+    use crate::{AllocPreset, ZAllocation};
+    use iroram_sim_engine::SimRng;
+    use proptest::prelude::*;
 
     fn blk(addr: u64, leaf: u64) -> StoredBlock {
         StoredBlock {
@@ -536,6 +472,93 @@ mod tests {
     fn layout4() -> TreeLayout {
         // 4 levels, Z=1 for visibility of placement decisions.
         TreeLayout::new(ZAllocation::uniform(4, 1))
+    }
+
+    /// The plan's levels as plain vectors.
+    fn levels_of(plan: &mut WritebackPlan) -> Vec<Vec<StoredBlock>> {
+        (0..plan.len()).map(|i| plan.level_mut(i).clone()).collect()
+    }
+
+    /// A path access's stash side: hold `path`, then plan the write-back
+    /// to `leaf` over the residents and `path`.
+    fn plan_path(
+        s: &mut Stash,
+        layout: &TreeLayout,
+        leaf: u64,
+        top_level: usize,
+        path: &[StoredBlock],
+        may_place: impl FnMut(usize, &StoredBlock) -> bool,
+    ) -> Vec<Vec<StoredBlock>> {
+        let mut plan = WritebackPlan::new();
+        s.hold_path(path);
+        s.plan_writeback(layout, Leaf(leaf), top_level, path, may_place, &mut plan);
+        levels_of(&mut plan)
+    }
+
+    /// [`plan_path`] with every block resident beforehand: no path blocks.
+    fn plan(
+        s: &mut Stash,
+        layout: &TreeLayout,
+        leaf: u64,
+        top_level: usize,
+        may_place: impl FnMut(usize, &StoredBlock) -> bool,
+    ) -> Vec<Vec<StoredBlock>> {
+        plan_path(s, layout, leaf, top_level, &[], may_place)
+    }
+
+    /// The merge-then-plan route [`Stash::plan_writeback`] replaced: the
+    /// path is merged into the stash first (raising the watermark), then
+    /// every resident is counting-sorted by common depth with the path,
+    /// deepest first (stable, so each depth keeps the stash's address
+    /// order), placed by `greedy_fill`, and the placed ones swept out.
+    fn reference_plan(
+        s: &mut Stash,
+        layout: &TreeLayout,
+        leaf: Leaf,
+        top_level: usize,
+        path: &[StoredBlock],
+        may_place: impl FnMut(usize, &StoredBlock) -> bool,
+        plan: &mut WritebackPlan,
+    ) {
+        s.blocks.extend_from_slice(path);
+        s.blocks.sort_unstable_by_key(|b| b.addr.0);
+        s.max_occupancy = s.max_occupancy.max(s.blocks.len());
+        let levels = layout.levels();
+        let depths: Vec<usize> = s
+            .blocks
+            .iter()
+            .map(|b| layout.common_depth(b.leaf, leaf))
+            .collect();
+        let mut offsets = vec![0usize; levels];
+        for &d in &depths {
+            offsets[d] += 1;
+        }
+        let mut acc = 0;
+        for d in (0..levels).rev() {
+            let count = offsets[d];
+            offsets[d] = acc;
+            acc += count;
+        }
+        let mut keys = vec![0u64; depths.len()];
+        for (i, &d) in depths.iter().enumerate() {
+            let b = &s.blocks[i];
+            keys[offsets[d]] = placement_key(b.leaf.0, leaf, b.addr.0, i);
+            offsets[d] += 1;
+        }
+        plan.reset(levels - top_level);
+        let (mut placed, mut skipped) = (Vec::new(), Vec::new());
+        greedy_fill(
+            layout,
+            top_level,
+            &keys,
+            (&s.blocks, &[]),
+            may_place,
+            plan,
+            &mut placed,
+            &mut skipped,
+        );
+        let mut flags = placed.iter();
+        s.blocks.retain(|_| flags.next() == Some(&false));
     }
 
     #[test]
@@ -581,7 +604,7 @@ mod tests {
         // Block sharing only the root with leaf 5 (leaf 1 differs in top bit).
         s.insert(blk(2, 1));
         let layout = layout4();
-        let plan = s.plan_writeback(&layout, Leaf(5), 0, |_, _| true);
+        let plan = plan(&mut s, &layout, 5, 0, |_, _| true);
         assert_eq!(plan.len(), 4);
         assert_eq!(plan[3], vec![blk(1, 5)], "own-leaf block at leaf level");
         assert_eq!(plan[0], vec![blk(2, 1)], "distant block at root");
@@ -591,13 +614,13 @@ mod tests {
     #[test]
     fn writeback_respects_capacity() {
         let mut s = Stash::new(10);
-        // Three blocks all mapped to leaf 5; Z=1 per level: they can occupy
+        // Five blocks all mapped to leaf 5; Z=1 per level: they can occupy
         // levels 3, 2, 1, 0 (all on the same path).
         for a in 1..=5 {
             s.insert(blk(a, 5));
         }
         let layout = layout4();
-        let plan = s.plan_writeback(&layout, Leaf(5), 0, |_, _| true);
+        let plan = plan(&mut s, &layout, 5, 0, |_, _| true);
         let placed: usize = plan.iter().map(Vec::len).sum();
         assert_eq!(placed, 4, "one block per level fits");
         assert_eq!(s.len(), 1, "one block left in stash");
@@ -608,7 +631,7 @@ mod tests {
         let mut s = Stash::new(10);
         s.insert(blk(1, 5));
         let layout = layout4();
-        let plan = s.plan_writeback(&layout, Leaf(5), 0, |_, b| b.addr != BlockAddr(1));
+        let plan = plan(&mut s, &layout, 5, 0, |_, b| b.addr != BlockAddr(1));
         assert!(plan.iter().all(Vec::is_empty));
         assert!(s.contains(BlockAddr(1)));
     }
@@ -619,7 +642,7 @@ mod tests {
         s.insert(blk(1, 5)); // could go to leaf level
         s.insert(blk(2, 1)); // only the root — below top_level=1, unplaceable
         let layout = layout4();
-        let plan = s.plan_writeback(&layout, Leaf(5), 1, |_, _| true);
+        let plan = plan(&mut s, &layout, 5, 1, |_, _| true);
         assert_eq!(plan.len(), 3, "levels 1..4");
         let placed: usize = plan.iter().map(Vec::len).sum();
         assert_eq!(placed, 1);
@@ -633,7 +656,7 @@ mod tests {
         let mut s = Stash::new(10);
         s.insert(blk(1, 5));
         let layout = layout4();
-        let plan = s.plan_writeback(&layout, Leaf(5), 0, |level, _| level != 3);
+        let plan = plan(&mut s, &layout, 5, 0, |level, _| level != 3);
         assert!(plan[3].is_empty());
         let placed: usize = plan.iter().map(Vec::len).sum();
         assert_eq!(placed, 1, "placed at a shallower level instead");
@@ -644,8 +667,29 @@ mod tests {
     fn writeback_empty_stash() {
         let mut s = Stash::new(10);
         let layout = layout4();
-        let plan = s.plan_writeback(&layout, Leaf(0), 0, |_, _| true);
+        let plan = plan(&mut s, &layout, 0, 0, |_, _| true);
         assert!(plan.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn path_blocks_are_placed_or_left_over_in_address_order() {
+        // Z=1 on leaf 5's path: of the two path blocks at its leaf, the
+        // lower address takes the leaf bucket and the other the next one
+        // up; the root-only resident takes the root, the leaf-1 path
+        // block has no bucket left and joins the stash between residents.
+        let mut s = Stash::new(10);
+        s.insert(blk(2, 1));
+        s.insert(blk(9, 1));
+        s.insert(blk(4, 0));
+        let path = [blk(7, 5), blk(3, 5), blk(5, 1)];
+        let layout = layout4();
+        let plan = plan_path(&mut s, &layout, 5, 0, &path, |_, _| true);
+        assert_eq!(plan[3], vec![blk(3, 5)]);
+        assert_eq!(plan[2], vec![blk(7, 5)]);
+        assert_eq!(plan[0], vec![blk(2, 1)], "lowest root-only address");
+        let left: Vec<u64> = s.iter().map(|b| b.addr.0).collect();
+        assert_eq!(left, [4, 5, 9], "resident, leftover, resident");
+        assert_eq!(s.max_occupancy(), 6, "residents plus the held path");
     }
 
     /// Builds a populated stash from a deterministic pseudo-random mix.
@@ -661,6 +705,14 @@ mod tests {
         s
     }
 
+    fn restore(bytes: &[u8], layout: &TreeLayout) -> Result<Stash, SnapError> {
+        let mut s = Stash::new(1024);
+        let mut r = SnapReader::new(bytes);
+        s.restore_state(&mut r, layout)?;
+        r.finish()?;
+        Ok(s)
+    }
+
     #[test]
     fn save_restore_round_trips_blocks_and_watermark() {
         let layout = TreeLayout::new(ZAllocation::uniform(6, 4));
@@ -670,67 +722,73 @@ mod tests {
         }
         let mut w = SnapWriter::new();
         s.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = Stash::new(1024);
-        let mut r = SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).unwrap();
-        r.finish().unwrap();
+        let mut fresh = restore(&w.into_bytes(), &layout).unwrap();
         assert_eq!(fresh.len(), s.len());
         assert_eq!(fresh.max_occupancy(), 40);
         // Identical future planning behaviour.
-        let a = s.plan_writeback(&layout, Leaf(3), 0, |_, _| true);
-        let b = fresh.plan_writeback(&layout, Leaf(3), 0, |_, _| true);
+        let a = plan(&mut s, &layout, 3, 0, |_, _| true);
+        let b = plan(&mut fresh, &layout, 3, 0, |_, _| true);
         assert_eq!(a, b);
+    }
+
+    /// The bytes of a stash holding `blocks` (in the given order) under
+    /// high-water mark `watermark`.
+    fn stash_bytes(blocks: &[StoredBlock], watermark: usize) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_usize(blocks.len());
+        for b in blocks {
+            b.save_state(&mut w);
+        }
+        w.put_usize(watermark);
+        w.into_bytes()
     }
 
     #[test]
     fn restore_rejects_unsorted_blocks() {
-        let mut w = SnapWriter::new();
-        w.put_usize(2);
-        blk(5, 0).save_state(&mut w);
-        blk(3, 0).save_state(&mut w);
-        w.put_usize(2);
-        let bytes = w.into_bytes();
-        let mut s = Stash::new(8);
-        let mut r = SnapReader::new(&bytes);
+        let bytes = stash_bytes(&[blk(5, 0), blk(3, 0)], 2);
         assert!(matches!(
-            s.restore_state(&mut r),
+            restore(&bytes, &layout4()),
             Err(SnapError::Corrupt(_))
         ));
     }
 
+    /// A block past the last leaf, an address too wide for a placement
+    /// key, and a watermark below the occupancy each fail to restore;
+    /// their boundary neighbours restore.
     #[test]
-    fn writeback_into_matches_allocating_variant() {
-        let layout = TreeLayout::new(ZAllocation::uniform(6, 4));
-        let leaves = layout.num_leaves();
-        let mut plan = WritebackPlan::new();
-        for seed in 1..6u64 {
-            let mut a = mixed_stash(seed, 120, leaves);
-            let mut b = a.clone();
-            let expect = a.plan_writeback(&layout, Leaf(seed % leaves), 1, |_, _| true);
-            b.plan_writeback_into(&layout, Leaf(seed % leaves), 1, |_, _| true, &mut plan);
-            assert_eq!(plan.len(), expect.len());
-            for (i, lvl) in expect.iter().enumerate() {
-                assert_eq!(plan.level_mut(i), lvl, "seed {seed} level {i}");
+    fn restore_rejects_blocks_the_planner_cannot_key() {
+        let layout = layout4();
+        let last_leaf = layout.num_leaves() - 1;
+        let widest = u64::from(u32::MAX) - 1;
+        for (blocks, watermark, ok) in [
+            (vec![blk(1, last_leaf)], 1, true),
+            (vec![blk(1, last_leaf + 1)], 1, false),
+            (vec![blk(widest, 0)], 1, true),
+            (vec![blk(widest + 1, 0)], 1, false),
+            (vec![blk(1, 0), blk(2, 0)], 2, true),
+            (vec![blk(1, 0), blk(2, 0)], 1, false),
+        ] {
+            let got = restore(&stash_bytes(&blocks, watermark), &layout);
+            match ok {
+                true => assert!(got.is_ok(), "{blocks:?} {watermark}"),
+                false => assert!(
+                    matches!(got, Err(SnapError::Corrupt(_))),
+                    "{blocks:?} {watermark}"
+                ),
             }
-            assert_eq!(
-                plan.total_planned(),
-                expect.iter().map(Vec::len).sum::<usize>()
-            );
-            assert_eq!(a.len(), b.len(), "both variants drain identically");
         }
     }
 
     #[test]
     fn writeback_reused_plan_is_deterministic() {
-        // The same stash contents must plan identically regardless of the
-        // HashMap's internal order or leftover scratch from earlier calls.
+        // The same stash contents must plan identically regardless of
+        // insertion order or leftover scratch from earlier calls.
         let layout = TreeLayout::new(ZAllocation::uniform(6, 2));
         let leaves = layout.num_leaves();
         let mut plan = WritebackPlan::new();
         // Dirty the scratch with an unrelated big plan first.
         let mut warmup = mixed_stash(99, 300, leaves);
-        warmup.plan_writeback_into(&layout, Leaf(0), 0, |_, _| true, &mut plan);
+        warmup.plan_writeback(&layout, Leaf(0), 0, &[], |_, _| true, &mut plan);
 
         let run = |plan: &mut WritebackPlan| {
             let mut s = Stash::new(1024);
@@ -738,10 +796,8 @@ mod tests {
             for &(a, l) in &[(9u64, 3u64), (2, 3), (7, 3), (1, 5), (4, 5), (3, 0)] {
                 s.insert(blk(a, l));
             }
-            s.plan_writeback_into(&layout, Leaf(3), 0, |_, _| true, plan);
-            (0..plan.len())
-                .map(|i| plan.level_mut(i).clone())
-                .collect::<Vec<_>>()
+            s.plan_writeback(&layout, Leaf(3), 0, &[], |_, _| true, plan);
+            levels_of(plan)
         };
         let first = run(&mut plan);
         let mut fresh = WritebackPlan::new();
@@ -757,5 +813,157 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A planning case: a stash of `residents` random blocks and, on the
+    /// path to `leaf`, up to each level's `Z` path blocks that belong to
+    /// that level's bucket; addresses all distinct.
+    fn planning_case(
+        layout: &TreeLayout,
+        residents: usize,
+        seed: u64,
+    ) -> (Stash, Leaf, Vec<StoredBlock>) {
+        let mut rng = SimRng::seed_from(seed);
+        let levels = layout.levels();
+        let leaves = layout.num_leaves();
+        let path_slots = layout.path_len_memory(0) as usize;
+        let mut addrs: Vec<u64> = (0..3 * (residents + path_slots) as u64).collect();
+        rng.shuffle(&mut addrs);
+        let mut addrs = addrs.into_iter();
+        let mut stash = Stash::new(200);
+        for _ in 0..residents {
+            let addr = addrs.next().expect("enough addresses");
+            stash.insert(blk(addr, rng.next_below(leaves)));
+        }
+        let leaf = Leaf(rng.next_below(leaves));
+        let mut path = Vec::new();
+        for level in 0..levels {
+            let below = levels - 1 - level;
+            for _ in 0..rng.next_below(u64::from(layout.z_of(level)) + 1) {
+                let addr = addrs.next().expect("enough addresses");
+                let low = rng.next_below(1 << below);
+                path.push(blk(addr, (leaf.0 >> below << below) | low));
+            }
+        }
+        (stash, leaf, path)
+    }
+
+    /// A `may_place` for veto pattern `veto`, logging every call: 0 never
+    /// vetoes; 1 vetoes a third of the addresses above level `cached` (an
+    /// S-Stash with full sets); 2 lets each level above `cached` take two
+    /// blocks (a stateful veto); 3 vetoes odd addresses at the two deepest
+    /// levels.
+    fn veto_pattern(
+        veto: u8,
+        levels: usize,
+        cached: usize,
+        log: &mut Vec<(usize, u64, bool)>,
+    ) -> impl FnMut(usize, &StoredBlock) -> bool + '_ {
+        let mut taken = vec![0usize; levels];
+        move |level, b| {
+            let ok = match veto {
+                0 => true,
+                1 => level >= cached || b.addr.0 % 3 != 0,
+                2 => level >= cached || taken[level] < 2,
+                _ => level + 2 < levels || b.addr.0 % 2 == 0,
+            };
+            taken[level] += usize::from(ok);
+            log.push((level, b.addr.0, ok));
+            ok
+        }
+    }
+
+    /// Routes the planning cases took: a path block left in the stash, a
+    /// resident placed in the tree, a vetoed block placed shallower.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct PlanRoutes {
+        leftover_path_block: usize,
+        placed_resident: usize,
+        vetoed_then_placed: usize,
+    }
+
+    thread_local! {
+        static PLAN_ROUTES: std::cell::Cell<PlanRoutes> =
+            std::cell::Cell::new(PlanRoutes::default());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The planner over residents and the held path plans exactly what
+        /// merging the path into the stash and planning the stash did: the
+        /// same levels in the same order, the same `may_place` calls, the
+        /// same stash contents and order, the same watermark.
+        fn planning_from_the_path_matches_the_merge_then_plan_reference(
+            levels in 3usize..18,
+            shape in 0u8..4,
+            residents in 0usize..301,
+            veto in 0u8..4,
+            top_level in 0usize..2,
+            seed in any::<u64>(),
+        ) {
+            let cached = (levels / 3).max(1);
+            let layout = TreeLayout::new(match shape {
+                0 => ZAllocation::uniform(levels, 4),
+                1 => ZAllocation::uniform(levels, 2),
+                2 => ZAllocation::preset(AllocPreset::IrAlloc1, levels, cached),
+                _ => ZAllocation::preset(AllocPreset::IrAlloc4, levels, cached),
+            });
+            let (mut stash, leaf, path) = planning_case(&layout, residents, seed);
+            let mut reference = stash.clone();
+
+            let (mut got_log, mut want_log) = (Vec::new(), Vec::new());
+            let mut plan = WritebackPlan::new();
+            stash.hold_path(&path);
+            stash.plan_writeback(
+                &layout,
+                leaf,
+                top_level,
+                &path,
+                veto_pattern(veto, levels, cached, &mut got_log),
+                &mut plan,
+            );
+            let mut want = WritebackPlan::new();
+            reference_plan(
+                &mut reference,
+                &layout,
+                leaf,
+                top_level,
+                &path,
+                veto_pattern(veto, levels, cached, &mut want_log),
+                &mut want,
+            );
+            let got = levels_of(&mut plan);
+            prop_assert_eq!(&got, &levels_of(&mut want));
+            prop_assert_eq!(&got_log, &want_log);
+            prop_assert_eq!(&stash.blocks, &reference.blocks);
+            prop_assert_eq!(stash.max_occupancy(), reference.max_occupancy());
+
+            let mut seen = PLAN_ROUTES.get();
+            seen.leftover_path_block +=
+                usize::from(path.iter().any(|b| stash.contains(b.addr)));
+            let planned = |addr: BlockAddr| {
+                got.iter().position(|lvl| lvl.iter().any(|b| b.addr == addr))
+            };
+            seen.placed_resident += usize::from(got.iter().flatten().any(|b| !path.contains(b)));
+            seen.vetoed_then_placed += usize::from(got_log.iter().any(|&(level, addr, ok)| {
+                !ok && planned(BlockAddr(addr)).is_some_and(|i| i + top_level < level)
+            }));
+            PLAN_ROUTES.set(seen);
+        }
+    }
+
+    /// The property above, plus route coverage: across its cases a path
+    /// block was left over, a resident was placed and a vetoed block was
+    /// placed at a shallower level.
+    #[test]
+    fn writeback_matches_the_merge_then_plan_reference() {
+        PLAN_ROUTES.set(PlanRoutes::default());
+        planning_from_the_path_matches_the_merge_then_plan_reference();
+        let seen = PLAN_ROUTES.get();
+        assert!(
+            seen.leftover_path_block > 0 && seen.placed_resident > 0 && seen.vetoed_then_placed > 0,
+            "{seen:?}"
+        );
     }
 }

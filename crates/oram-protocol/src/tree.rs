@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
+use crate::layout::{key_index, placement_key};
 use crate::{BlockAddr, Leaf, StoredBlock, TreeLayout};
 
 /// Sentinel address marking an empty (dummy) slot, as stored in the
@@ -27,13 +28,6 @@ struct Slot {
 }
 
 const _: () = assert!(std::mem::size_of::<Slot>() == 16);
-
-// An `OramTree::insert_below` sort key: the inverse common depth (6
-// bits), then the address (32), then the block's index in the gathered
-// path (26; a path holds at most `L * u16::MAX` blocks).
-const KEY_DEPTH_SHIFT: u32 = 58;
-const KEY_ADDR_SHIFT: u32 = 26;
-const KEY_INDEX_MASK: u64 = (1 << KEY_ADDR_SHIFT) - 1;
 
 const EMPTY_SLOT: Slot = Slot {
     addr: DUMMY,
@@ -538,20 +532,16 @@ impl OramTree {
             }
         }
         keys.clear();
-        keys.extend(gathered.iter().enumerate().map(|(i, s)| {
-            // `levels - 1 - common_depth` is the bit length of the XOR.
-            let inverse_depth = 64 - (u64::from(s.leaf) ^ leaf.0).leading_zeros();
-            debug_assert!((i as u64) <= KEY_INDEX_MASK, "path too long for the key");
-            u64::from(inverse_depth) << KEY_DEPTH_SHIFT
-                | u64::from(s.addr) << KEY_ADDR_SHIFT
-                | i as u64
-        }));
+        keys.extend(
+            gathered
+                .iter()
+                .enumerate()
+                .map(|(i, s)| placement_key(u64::from(s.leaf), leaf, u64::from(s.addr), i)),
+        );
         keys.sort_unstable();
         let mut next = keys.iter().peekable();
         for level in (from..levels).rev() {
-            // Keys below this belong to blocks whose common depth with the
-            // path is `level` or more.
-            let fits_below = ((levels - level) as u64) << KEY_DEPTH_SHIFT;
+            let fits_below = self.layout.placement_bound(level);
             let z = self.layout.z_of(level) as usize;
             if z == 0 {
                 continue;
@@ -567,7 +557,7 @@ impl OramTree {
                     break;
                 };
                 // lint: allow(panic, a key's low bits are the index of the gathered block it was built from)
-                *slot = gathered[(key & KEY_INDEX_MASK) as usize];
+                *slot = gathered[key_index(key)];
                 new += 1;
             }
             // lint: allow(panic, bucket_index < used.len() = 2^L - 1 for every (level, bucket) of the layout)

@@ -15,12 +15,45 @@
 //!   is `0…01`, and level `l` bucket `b` gets code `(1 << l) | b`.
 
 use std::cell::RefCell;
+// lint: allow(determinism, lookup-only memo map; never iterated)
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use iroram_hash::md5_u64;
+use iroram_hash::{md5_u64, mix64};
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
-use crate::stash::AddrMap;
 use crate::{BlockAddr, StoredBlock, TreeLayout};
+
+/// A deterministic single-multiply hasher for block addresses, keying the
+/// S-Stash set memo. The memo is consulted on every S-Stash probe, accept
+/// check and fill, where the default SipHash costs more than the lookup it
+/// guards; one `mix64` round spreads addresses fine. Determinism is *not*
+/// load-bearing here — the memo is only looked up, never iterated — but a
+/// fixed hasher keeps the whole simulator free of per-process randomness.
+#[derive(Debug, Default, Clone)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Fallback for non-u64 keys (unused by the memo): FNV-1a.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix64(v);
+    }
+}
+
+// lint: allow(determinism, lookup-only memo with a fixed hasher; never iterated, so no output depends on its order)
+type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// Common interface of the two tree-top stores.
 ///
