@@ -1,15 +1,19 @@
 //! Criterion micro-benchmarks for the substrate crates: the hot kernels
 //! every simulated path leans on (stash write-back planning, DRAM batch
-//! scheduling, path request tables, the payload Feistel permutation).
+//! scheduling, path request tables, the payload Feistel permutation) and
+//! the standard-scale ORAM construction every simulator cell starts with.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use std::time::{Duration, Instant};
+
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest, SubtreeLayout};
 use iroram_hash::FeistelCipher;
 use iroram_protocol::{
-    BlockAddr, Leaf, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation,
+    BlockAddr, Leaf, OramConfig, PathOram, Stash, StoredBlock, TreeLayout, WritebackPlan,
+    ZAllocation,
 };
-use iroram_sim_engine::{Cycle, SimRng};
+use iroram_sim_engine::{Cycle, SimRng, SnapReader, SnapWriter};
 
 /// A mixed read/write batch with shuffled addresses (no subtree locality),
 /// exercising the scheduler's queue handling rather than row-hit luck.
@@ -106,7 +110,9 @@ fn bench_path_requests(c: &mut Criterion) {
     g.finish();
 }
 
-fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Stash {
+/// The snapshot of a stash holding `occupancy` residents at addresses
+/// `0..occupancy`, each mapped to a random leaf of the L=17 tree.
+fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Vec<u8> {
     let mut s = Stash::new(occupancy as usize);
     for i in 0..occupancy {
         s.insert(StoredBlock {
@@ -115,7 +121,9 @@ fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Stash {
             payload: i,
         });
     }
-    s
+    let mut w = SnapWriter::new();
+    s.save_state(&mut w);
+    w.into_bytes()
 }
 
 /// A path read to `leaf` of the L=17, Z=4 tree: `len` blocks filling the
@@ -140,32 +148,65 @@ fn bench_stash(c: &mut Criterion) {
     // Resident occupancies from none through the soft capacity of 200 to
     // a deep over-capacity backlog (background-eviction storms), each
     // planned together with a 40-block path the way a path access does.
-    // Scratch and plan buffers persist across iterations.
+    // One stash and one plan serve every iteration, so their scratch is
+    // warm; refilling the stash from one of 16 prepared cases is not
+    // timed, only the plan is.
     for occupancy in [0u64, 50, 200, 800] {
         g.bench_function(&format!("plan_writeback_{occupancy}"), |b| {
             let mut rng = SimRng::seed_from(9);
-            let mut plan = WritebackPlan::new();
-            b.iter_batched(
-                || {
+            let cases: Vec<(Vec<u8>, Leaf, Vec<StoredBlock>)> = (0..16)
+                .map(|_| {
                     let leaf = Leaf(rng.next_below(1 << 16));
                     let path = read_path(&mut rng, leaf, 40, occupancy);
                     (filled_stash(&mut rng, occupancy), leaf, path)
-                },
-                |(mut s, leaf, path)| {
-                    s.hold_path(&path);
-                    s.plan_writeback(&layout, leaf, 0, &path, |_, _| true, &mut plan);
-                    std::hint::black_box(plan.total_planned())
-                },
-                BatchSize::SmallInput,
-            )
+                })
+                .collect();
+            let mut s = Stash::new(occupancy as usize);
+            let mut plan = WritebackPlan::new();
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for (residents, leaf, path) in cases.iter().cycle().take(iters as usize) {
+                    s.restore_state(&mut SnapReader::new(residents), &layout)
+                        .expect("prepared stash snapshot");
+                    let start = Instant::now();
+                    s.hold_path(path);
+                    s.plan_writeback(&layout, *leaf, 0, path, |_, _| true, &mut plan);
+                    std::hint::black_box(plan.total_planned());
+                    timed += start.elapsed();
+                }
+                timed
+            })
         });
     }
+    g.finish();
+}
+
+/// Building the L=17 Baseline ORAM (`OramConfig::scaled_default`), the
+/// set-up every standard-scale simulator cell pays: the shuffle, the
+/// PosMap draw and the by-subtree insert pass on every core. Dropping the
+/// ORAM is not timed.
+fn bench_construction(c: &mut Criterion) {
+    let mut g = c.benchmark_group("construction");
+    let cfg = OramConfig::scaled_default();
+    g.throughput(Throughput::Elements(cfg.total_blocks()));
+    g.bench_function("path_oram_new_L17", |b| {
+        b.iter_custom(|iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                let start = Instant::now();
+                let oram = std::hint::black_box(PathOram::new(cfg.clone()));
+                timed += start.elapsed();
+                drop(oram);
+            }
+            timed
+        })
+    });
     g.finish();
 }
 
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_schedule_batch, bench_feistel, bench_path_requests, bench_stash
+    targets = bench_schedule_batch, bench_feistel, bench_path_requests, bench_stash, bench_construction
 }
 criterion_main!(micro);

@@ -1,6 +1,7 @@
 //! The Path ORAM controller state machine.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use iroram_cache::CacheConfig;
 use iroram_hash::FeistelCipher;
@@ -477,16 +478,18 @@ impl PathOram {
     ///
     /// Panics if the configuration is invalid (see [`OramConfig::validate`]).
     pub fn new(cfg: OramConfig) -> Self {
-        Self::build(cfg).0
+        let workers = init_workers(cfg.total_blocks());
+        Self::build(cfg, workers).0
     }
 
-    /// [`PathOram::new`], also reporting whether the by-subtree pass built
-    /// the state (`false`: it was abandoned and the in-order loop built
-    /// it from scratch). Either way the state is the in-order loop's.
-    fn build(cfg: OramConfig) -> (Self, bool) {
+    /// [`PathOram::new`] with the by-subtree pass on up to `workers`
+    /// threads, also reporting how many of its runs abandoned it (any: the
+    /// in-order loop built the state from scratch). Either way the state
+    /// is the in-order loop's.
+    fn build(cfg: OramConfig, workers: usize) -> (Self, usize) {
         let mut oram = PathOram::unplaced(cfg);
-        let by_subtree = oram.insert_by_subtree();
-        if !by_subtree {
+        let abandoned = oram.insert_by_subtree(workers);
+        if abandoned > 0 {
             let cfg = oram.cfg.clone();
             drop(oram);
             oram = PathOram::unplaced(cfg);
@@ -498,7 +501,7 @@ impl PathOram {
         // fault fills from the slots (the rng stream and statistics are
         // untouched, so reports cannot change).
         oram.tree.set_integrity(oram.cfg.integrity);
-        (oram, by_subtree)
+        (oram, abandoned)
     }
 
     /// The ORAM with every block mapped to a leaf but none placed yet:
@@ -580,15 +583,21 @@ impl PathOram {
     /// subtrees commute. The shuffled order is therefore stable-grouped by
     /// that subtree, keeping the shuffle order inside each, and every
     /// insert is placed on its path's levels `>= split` by
-    /// [`OramTree::insert_below`], where nothing can veto a slot, so one
-    /// subtree's slice of the arena stays in cache while its inserts run.
-    /// The watermark is a maximum, and no RNG draw follows the shuffle.
+    /// [`SubtreeRun::insert`](crate::tree::SubtreeRun::insert), where
+    /// nothing can veto a slot, so one subtree's slice of the arena stays
+    /// in cache while its inserts run.
+    /// Contiguous runs of subtrees go to up to `workers` threads
+    /// ([`OramTree::par_subtrees`]): each run's inserts touch only its own
+    /// slots, the per-level counts merge by a sum and the watermark by a
+    /// maximum, and no RNG draw follows the shuffle, so the state does not
+    /// depend on the worker count.
     ///
     /// An insert that cannot place every block at or below `split` would,
     /// in the in-order loop, have used the tree top or the stash, after
-    /// which the subtrees no longer commute: the pass stops there and
-    /// returns `false`, leaving a state the caller discards.
-    fn insert_by_subtree(&mut self) -> bool {
+    /// which the subtrees no longer commute: its run stops there and the
+    /// pass is abandoned, leaving a state the caller discards. Returns the
+    /// number of runs that stopped so (0: the pass built the state).
+    fn insert_by_subtree(&mut self, workers: usize) -> usize {
         let split = self.cfg.treetop.cached_levels();
         let shift = self.cfg.levels - 1 - split;
         let order = self.insertion_order();
@@ -604,18 +613,21 @@ impl PathOram {
         } else {
             0
         };
-        for addr in grouped {
-            let block = self.init_block(u64::from(addr));
-            // lint: allow(secret-flow, init-time construction before any measured access stream; whether a path's blocks fit below the top picks how the initial state is built, never a DRAM command)
-            match self
-                .tree
-                .insert_below(block.leaf, split, block.addr, payload)
-            {
-                Some(placed) => self.stash.raise_watermark(placed),
-                None => return false,
+        let posmap = &self.posmap;
+        let peaks = self.tree.par_subtrees(split, workers, |run| {
+            let mut peak = 0;
+            for &addr in grouped.of(run.subtrees()) {
+                let addr = BlockAddr(u64::from(addr));
+                // lint: allow(panic, PosMapSystem::new maps every block, and nothing unmaps one before the first access)
+                let leaf = posmap.leaf_of(addr).expect("all blocks mapped at init");
+                peak = peak.max(run.insert(leaf, addr, payload)?);
             }
-        }
-        true
+            Some(peak)
+        });
+        let abandoned = peaks.iter().filter(|peak| peak.is_none()).count();
+        self.stash
+            .raise_watermark(peaks.into_iter().flatten().max().unwrap_or(0));
+        abandoned
     }
 
     /// Block `addr` as initialization inserts it: at its mapped leaf,
@@ -1127,7 +1139,7 @@ impl PathOram {
         let top_tag = r.take_u8()?;
         match (&mut self.top, top_tag) {
             (None, 0) => {}
-            (Some(top), 1) => top.restore_state(r)?,
+            (Some(top), 1) => top.restore_state(r, &self.layout)?,
             _ => return Err(SnapError::Corrupt("tree-top presence mismatch")),
         }
         let n = r.take_seq_len(16)?;
@@ -1507,12 +1519,44 @@ fn top_accepts(
             .can_accept(level, 0, b)
 }
 
+/// Blocks each by-subtree worker gets at least. A spawned worker took
+/// 0.1–0.25 ms to start on a 2-vCPU VM, about a thousand inserts' worth,
+/// so a quick-scale tree (a few thousand blocks) builds on one thread and
+/// an L=17 tree (~280k blocks) on every core.
+const MIN_BLOCKS_PER_WORKER: u64 = 1 << 15;
+
+/// The by-subtree pass's worker count for `blocks` blocks: one per core,
+/// as [`MIN_BLOCKS_PER_WORKER`] allows. The built state does not depend
+/// on it.
+fn init_workers(blocks: u64) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let by_size = usize::try_from(blocks / MIN_BLOCKS_PER_WORKER).unwrap_or(usize::MAX);
+    cores.min(by_size).max(1)
+}
+
+/// A [`group_stable`] order: the items group by group, and where each
+/// group ends.
+struct Grouped {
+    items: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl Grouped {
+    /// The items of the consecutive groups `groups`, in order.
+    fn of(&self, groups: Range<usize>) -> &[u32] {
+        // lint: allow(panic, `ends` holds one end per group, and `groups` are among them)
+        let start = groups.start.checked_sub(1).map_or(0, |g| self.ends[g]);
+        // lint: allow(panic, start <= end <= items.len(): a counting sort's group ends never decrease)
+        &self.items[start..self.ends[groups.end - 1]]
+    }
+}
+
 /// `items`, a permutation of `0..items.len()`, stably grouped by `key`,
 /// which maps each below `groups`: one counting sort, so items with equal
 /// keys keep their order. The count pass visits the keys in ascending
 /// item order, so a `key` that reads a table indexed by item reads it
 /// sequentially there; only the scatter follows `items`.
-fn group_stable(items: &[u32], groups: usize, key: impl Fn(u32) -> usize) -> Vec<u32> {
+fn group_stable(items: &[u32], groups: usize, key: impl Fn(u32) -> usize) -> Grouped {
     // `next[k]` counts group `k`, then becomes where its next item goes.
     let mut next = vec![0usize; groups];
     for item in (0..=u32::MAX).take(items.len()) {
@@ -1535,7 +1579,11 @@ fn group_stable(items: &[u32], groups: usize, key: impl Fn(u32) -> usize) -> Vec
             *n += 1;
         }
     }
-    grouped
+    // Each group's cursor has reached its end.
+    Grouped {
+        items: grouped,
+        ends: next,
+    }
 }
 
 /// A batched access session over a [`PathOram`].
@@ -1736,13 +1784,16 @@ mod tests {
     }
 
     /// The construction routes a case can take: the by-subtree pass
-    /// completes; it is abandoned for the in-order loop; and, within that
-    /// loop, inserts that find the stash non-empty and init background
-    /// evictions.
+    /// completes, on one run of subtrees or on several; it is abandoned
+    /// for the in-order loop, among several runs by one run alone; and,
+    /// within that loop, inserts that find the stash non-empty and init
+    /// background evictions.
     #[derive(Debug, Default, Clone, Copy)]
     struct RouteCounts {
         by_subtree: usize,
+        multi_run: usize,
         fallback: usize,
+        one_of_many_abandons: usize,
         stash_inserts: usize,
         bg_evicts: usize,
     }
@@ -1757,9 +1808,9 @@ mod tests {
 
         /// Construction builds byte-for-byte the state of the reference
         /// loop: tree, tree top, stash and watermark, PosMap, RNG stream
-        /// and statistics. Under pressure both of the in-order loop's
-        /// fallbacks must actually run. Each case's route is tallied in
-        /// `ROUTES`.
+        /// and statistics, on any number of by-subtree workers. Under
+        /// pressure both of the in-order loop's fallbacks must actually
+        /// run. Each case's route is tallied in `ROUTES`.
         fn construction_matches_the_reference_loop(
             levels in 3usize..10,
             shape in 0u8..4,
@@ -1768,10 +1819,15 @@ mod tests {
             util_pct in 20u64..70,
             encrypt in any::<bool>(),
             seed in any::<u64>(),
+            workers in 1usize..5,
         ) {
             let cfg = init_config(levels, shape, treetop, pressure, util_pct, encrypt, seed);
             let (reference, tally) = reference_new(cfg.clone());
-            let (built, by_subtree) = PathOram::build(cfg.clone());
+            let (built, abandoned) = PathOram::build(cfg.clone(), workers);
+            let by_subtree = abandoned == 0;
+            // Below a tree top, two or more workers split the subtrees
+            // into as many runs.
+            let multi_run = workers > 1 && cfg.treetop.cached_levels() > 0;
             prop_assert!(snapshot(&built) == snapshot(&reference), "{cfg:?}");
             built.check_invariants().expect("constructed ORAM is sound");
             match pressure {
@@ -1797,10 +1853,12 @@ mod tests {
                     "{cfg:?} {tally:?}"
                 );
                 seen.by_subtree += 1;
+                seen.multi_run += usize::from(multi_run);
             } else {
                 // Abandoned, the in-order loop built it: the reference
                 // tally is that loop's own route.
                 seen.fallback += 1;
+                seen.one_of_many_abandons += usize::from(multi_run && abandoned == 1);
                 seen.stash_inserts += usize::from(tally.fallback_inserts > 0);
                 seen.bg_evicts += usize::from(tally.bg_evicts > 0);
             }
@@ -1817,7 +1875,9 @@ mod tests {
         let seen = ROUTES.get();
         assert!(
             seen.by_subtree > 0
+                && seen.multi_run > 0
                 && seen.fallback > 0
+                && seen.one_of_many_abandons > 0
                 && seen.stash_inserts > 0
                 && seen.bg_evicts > 0,
             "{seen:?}"
@@ -1831,7 +1891,7 @@ mod tests {
     fn an_abandoned_subtree_pass_restarts_to_the_reference_state() {
         let cfg = init_config(8, 1, 1, 2, 100, true, 0x5EED);
         let mut partial = PathOram::unplaced(cfg.clone());
-        assert!(!partial.insert_by_subtree());
+        assert!(partial.insert_by_subtree(1) > 0);
         let placed: u64 = partial
             .utilization_per_level()
             .iter()
@@ -1841,25 +1901,21 @@ mod tests {
             placed > 1,
             "abandoned mid-pass, not at the first insert ({placed})"
         );
-        let (built, by_subtree) = PathOram::build(cfg.clone());
-        assert!(!by_subtree);
+        let (built, abandoned) = PathOram::build(cfg.clone(), 1);
+        assert!(abandoned > 0);
         let (reference, _) = reference_new(cfg);
         assert!(snapshot(&built) == snapshot(&reference));
     }
 
-    /// The L=17 trees the simulator runs on (`scaled_default` with
+    /// The L=17 trees the simulator runs on: `scaled_default` with
     /// uniform Z under a dedicated top, IR-Alloc4 under it, and IR-Stash
-    /// over uniform Z or IR-Alloc1) are all built by the by-subtree pass,
-    /// so a silent fall back to the in-order loop fails a test, not only a
-    /// timing.
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "slow in a debug build; run with --release")]
-    fn standard_scale_trees_are_built_by_subtree() {
+    /// over uniform Z or IR-Alloc1.
+    fn standard_scale_trees() -> [(&'static str, OramConfig); 4] {
         let base = OramConfig::scaled_default();
         let (levels, top) = (base.levels, base.treetop.cached_levels());
         let alloc = |preset| ZAllocation::preset(preset, levels, top);
         let irstash = TreeTopMode::ir_stash_sized(top);
-        let variants = [
+        [
             ("uniform", base.clone()),
             (
                 "IR-Alloc4",
@@ -1883,12 +1939,64 @@ mod tests {
                     ..base
                 },
             ),
-        ];
-        for (name, cfg) in variants {
-            assert!(
-                PathOram::build(cfg).1,
+        ]
+    }
+
+    /// The standard-scale trees are all built by the by-subtree pass, so
+    /// a silent fall back to the in-order loop fails a test, not only a
+    /// timing.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow in a debug build; run with --release")]
+    fn standard_scale_trees_are_built_by_subtree() {
+        for (name, cfg) in standard_scale_trees() {
+            let workers = init_workers(cfg.total_blocks());
+            assert_eq!(
+                PathOram::build(cfg, workers).1,
+                0,
                 "{name} fell back to the in-order loop"
             );
+        }
+    }
+
+    /// The initial state does not depend on how many workers the
+    /// by-subtree pass runs on: the standard-scale trees, ρ's small tree
+    /// beside the main one (`RhoTrees::new`: two levels shorter, Z=2, no
+    /// top) and the `kv-large-uniform` shard's tree
+    /// (`KvConfig::for_keys(131_072, 1).oram_config(0)`) snapshot
+    /// byte-equal at 1, 2 and every core's worth of workers.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow in a debug build; run with --release")]
+    fn builds_are_independent_of_the_worker_count() {
+        let base = OramConfig::scaled_default();
+        let small_levels = base.levels - 2;
+        let rho_small = OramConfig {
+            levels: small_levels,
+            data_blocks: 1 << (small_levels - 1),
+            zalloc: ZAllocation::from_z(vec![2; small_levels]),
+            treetop: TreeTopMode::None,
+            plb_sets: 512,
+            seed: base.seed ^ 0x5A11,
+            ..base.clone()
+        };
+        let kv_space = AddressSpace::new(base.data_blocks);
+        let kv_shard = OramConfig {
+            plb_sets: (kv_space.n_pm1() + kv_space.n_pm2()).div_ceil(4) as usize,
+            encrypt_payloads: true,
+            seed: iroram_hash::mix64(0xC0FFEE ^ 0x0053_4841_5244),
+            ..base
+        };
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let trees = standard_scale_trees()
+            .into_iter()
+            .chain([("rho small tree", rho_small), ("KV shard", kv_shard)]);
+        for (name, cfg) in trees {
+            let (one, abandoned) = PathOram::build(cfg.clone(), 1);
+            assert_eq!(abandoned, 0, "{name}");
+            let one = snapshot(&one);
+            for workers in [2, cores] {
+                let (built, _) = PathOram::build(cfg.clone(), workers);
+                assert!(snapshot(&built) == one, "{name} on {workers} workers");
+            }
         }
     }
 
@@ -2253,6 +2361,29 @@ mod tests {
             leaf: Leaf(past_last),
             payload: 0,
         });
+        let bytes = snapshot(&a);
+        let mut b = PathOram::new(OramConfig::tiny());
+        assert!(matches!(
+            b.restore_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    /// The same for a block in the tree top: after 256 reads the top
+    /// holds blocks, and one of them remapped past the last leaf would sit
+    /// stuck in the stash once fetched.
+    #[test]
+    fn restore_rejects_a_tree_top_block_past_the_last_leaf() {
+        let mut a = PathOram::new(OramConfig::tiny());
+        for addr in 0..256 {
+            a.read(addr);
+        }
+        let past_last = a.layout().num_leaves();
+        let top = a.top.as_mut().expect("tiny config has a tree top");
+        let (level, bucket, _) = top.blocks()[0];
+        let mut blocks = top.take_bucket(level, bucket);
+        blocks[0].leaf = Leaf(past_last);
+        assert!(top.write_bucket(level, bucket, blocks).is_empty());
         let bytes = snapshot(&a);
         let mut b = PathOram::new(OramConfig::tiny());
         assert!(matches!(

@@ -222,20 +222,13 @@ impl Stash {
         let n = r.take_seq_len(StoredBlock::SNAP_BYTES)?;
         self.blocks.clear();
         for _ in 0..n {
-            let b = StoredBlock::restore_state(r)?;
+            let b = StoredBlock::restore_within(r, layout)?;
             if self
                 .blocks
                 .last()
                 .is_some_and(|prev| prev.addr.0 >= b.addr.0)
             {
                 return Err(SnapError::Corrupt("stash blocks out of order"));
-            }
-            // lint: allow(secret-flow, checkpoint decoding: a corrupt snapshot is rejected before any path access runs)
-            if b.leaf.0 >= layout.num_leaves() {
-                return Err(SnapError::Corrupt("stash block mapped past the last leaf"));
-            }
-            if b.addr.0 >= u64::from(u32::MAX) {
-                return Err(SnapError::Corrupt("stash block address too wide"));
             }
             self.blocks.push(b);
         }

@@ -3,6 +3,7 @@
 //! re-fetch) and a fault-injection surface for corrupting stored lines.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
@@ -120,11 +121,6 @@ pub struct OramTree {
     /// repaired or consumed.
     injected: BTreeMap<usize, Vec<(u32, u64)>>,
     istats: IntegrityStats,
-    // Scratch of `OramTree::insert_below` (never logical state).
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    gathered: Vec<Slot>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
-    keys: Vec<u64>,
 }
 
 /// Counters for the integrity layer's fault ledger.
@@ -162,8 +158,6 @@ impl OramTree {
             sums: Vec::new(),
             injected: BTreeMap::new(),
             istats: IntegrityStats::default(),
-            gathered: Vec::new(),
-            keys: Vec::new(),
         }
     }
 
@@ -489,91 +483,96 @@ impl OramTree {
         self.resum(level, bucket);
     }
 
-    /// Inserts block `addr`, mapped to `leaf` and holding the (already
-    /// encrypted) `payload`, the way a path access to `leaf` places it when
-    /// the stash is otherwise empty and no level above `from` takes part:
-    /// the blocks at levels `>= from` of that path plus the new one are
-    /// pushed as deep as they go, levels deepest first, each bucket taking
-    /// its candidates in (common depth desc, address asc) order up to its
-    /// `Z`. Below a tree top nothing can veto a slot, so this is the whole
-    /// Path ORAM placement rule there. Only each bucket's packed prefix is
-    /// read, slots move as they are, and one `u64` key per block is sorted.
+    /// Splits the subtrees rooted at level `from` into at most `workers`
+    /// contiguous runs and calls `work` on each, every run but the first
+    /// on its own scoped thread, with [`SubtreeRun`]'s disjoint `&mut`
+    /// view of the run's slots and fill counts. The arena is level-major,
+    /// so at each level `>= from` a run owns one contiguous stretch of
+    /// both. Each worker owns its run outright, scratch included, so no
+    /// two workers write the same cache line but at a stretch's edge.
+    /// Afterwards each run's per-level block counts are added into the
+    /// tree's. Returns `work`'s results in subtree order.
     ///
-    /// Returns the number of blocks placed (the new one included), the
-    /// stash occupancy the path access would have peaked at; or `None` if
-    /// some block fits none of those levels, after which the tree has lost
-    /// it and must be discarded. Initialization only: the integrity layer
-    /// must be off and no fault injected.
-    pub(crate) fn insert_below(
+    /// Initialization only: the levels `>= from` must be empty, the
+    /// integrity layer off and no fault injected, since the runs keep no
+    /// checksums or fault ledger.
+    pub(crate) fn par_subtrees<R: Send>(
         &mut self,
-        leaf: Leaf,
         from: usize,
-        addr: BlockAddr,
-        payload: u64,
-    ) -> Option<usize> {
+        workers: usize,
+        work: impl Fn(&mut SubtreeRun<'_>) -> R + Sync,
+    ) -> Vec<R> {
         debug_assert!(!self.integrity && self.pristine(), "init-only kernel");
-        let levels = self.layout.levels();
-        let mut gathered = std::mem::take(&mut self.gathered);
-        let mut keys = std::mem::take(&mut self.keys);
-        gathered.clear();
-        gathered.push(Slot::of(&StoredBlock {
-            addr,
-            leaf,
-            payload,
-        }));
-        for level in from..levels {
-            let bucket = self.layout.bucket_on_path(leaf, level);
-            // lint: allow(panic, bucket_index < used.len() = 2^L - 1 for every (level, bucket) of the layout)
-            let used = self.used[self.bucket_index(level, bucket)] as usize;
-            if used > 0 {
-                let base = self.layout.slot_index(level, bucket, 0);
-                // lint: allow(panic, a bucket's packed prefix lies inside its Z slots of the arena)
-                gathered.extend_from_slice(&self.slots[base..base + used]);
-            }
-        }
-        keys.clear();
-        keys.extend(
-            gathered
-                .iter()
-                .enumerate()
-                .map(|(i, s)| placement_key(u64::from(s.leaf), leaf, u64::from(s.addr), i)),
+        let OramTree {
+            layout,
+            slots,
+            used,
+            used_per_level,
+            ..
+        } = self;
+        debug_assert!(
+            used_per_level.iter().skip(from).all(|&n| n == 0),
+            "levels below the split must be empty"
         );
-        keys.sort_unstable();
-        let mut next = keys.iter().peekable();
-        for level in (from..levels).rev() {
-            let fits_below = self.layout.placement_bound(level);
-            let z = self.layout.z_of(level) as usize;
-            if z == 0 {
-                continue;
+        let layout = &*layout;
+        let subtrees = 1usize << from;
+        let per_run = subtrees.div_ceil(workers.clamp(1, subtrees));
+        let mut runs: Vec<SubtreeRun<'_>> = (0..subtrees.div_ceil(per_run))
+            .map(|i| SubtreeRun::new(layout, from, i * per_run..((i + 1) * per_run).min(subtrees)))
+            .collect();
+        // Skip the levels above `from`, then deal each level out.
+        let top_slots = (0..from).map(|l| layout.slots_at(l) as usize).sum();
+        // lint: allow(panic, level `from`'s first slot and first bucket lie inside the arena and the fill counts)
+        let (mut slots, mut used) = (&mut slots[top_slots..], &mut used[subtrees - 1..]);
+        for level in from..layout.levels() {
+            let (level_slots, level_used);
+            (level_slots, slots) = slots.split_at_mut(layout.slots_at(level) as usize);
+            (level_used, used) = used.split_at_mut(1 << level);
+            let buckets = per_run << (level - from);
+            let z = layout.z_of(level) as usize;
+            let mut slot_chunks = level_slots.chunks_mut((buckets * z).max(1));
+            for (run, fill) in runs.iter_mut().zip(level_used.chunks_mut(buckets)) {
+                run.levels.push(RunLevel {
+                    // A level with `Z = 0` holds no slots: its runs get none.
+                    slots: slot_chunks.next().unwrap_or_default(),
+                    fill,
+                    z,
+                    fits_below: layout.placement_bound(level),
+                    shift: layout.levels() - 1 - level,
+                    first: (run.subtrees.start as u64) << (level - from),
+                    held: 0,
+                });
             }
-            let bucket = self.layout.bucket_on_path(leaf, level);
-            let bidx = self.bucket_index(level, bucket);
-            let base = self.layout.slot_index(level, bucket, 0);
-            // lint: allow(panic, a bucket's Z slots lie inside the arena the layout sized)
-            let dst = &mut self.slots[base..base + z];
-            let mut new = 0;
-            for slot in dst.iter_mut() {
-                let Some(&key) = next.next_if(|&&key| key < fits_below) else {
-                    break;
-                };
-                // lint: allow(panic, a key's low bits are the index of the gathered block it was built from)
-                *slot = gathered[key_index(key)];
-                new += 1;
-            }
-            // lint: allow(panic, bucket_index < used.len() = 2^L - 1 for every (level, bucket) of the layout)
-            let old = std::mem::replace(&mut self.used[bidx], new as u16) as usize;
-            dst.iter_mut()
-                .take(old)
-                .skip(new)
-                .for_each(|s| *s = EMPTY_SLOT);
-            // lint: allow(panic, used_per_level has one entry per level)
-            let level_used = &mut self.used_per_level[level];
-            *level_used = *level_used + new as u64 - old as u64;
         }
-        let placed = next.peek().is_none().then_some(gathered.len());
-        self.gathered = gathered;
-        self.keys = keys;
-        placed
+        // lint: allow(thread-order, each run owns a disjoint stretch of every level and inserts its subtrees' blocks in their own order; runs are joined in subtree order and merged by a sum and a maximum)
+        let finished = std::thread::scope(|scope| {
+            let work = &work;
+            let mut runs = runs.into_iter();
+            let first = runs.next();
+            // lint: allow(thread-order, one scoped worker per run after the first, joined below)
+            let spawned: Vec<_> = runs
+                .map(|mut run| scope.spawn(move || (work(&mut run), run)))
+                .collect();
+            let mut finished: Vec<_> = first
+                .map(|mut run| (work(&mut run), run))
+                .into_iter()
+                .collect();
+            finished.extend(spawned.into_iter().map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            finished
+        });
+        finished
+            .into_iter()
+            .map(|(result, run)| {
+                // lint: allow(panic, from < levels = used_per_level.len())
+                for (total, level) in used_per_level[from..].iter_mut().zip(&run.levels) {
+                    *total += level.held;
+                }
+                result
+            })
+            .collect()
     }
 
     /// Non-destructive scan of a bucket's real blocks.
@@ -808,6 +807,146 @@ impl OramTree {
                 })
             })
         })
+    }
+}
+
+/// One run of [`OramTree::par_subtrees`]: a contiguous run of the
+/// subtrees rooted at level `from`, with its own stretch of the arena at
+/// every level `>= from` and its own insert scratch, sized before any
+/// worker starts.
+pub(crate) struct SubtreeRun<'a> {
+    subtrees: Range<usize>,
+    /// The levels `>= from`, top down.
+    levels: Vec<RunLevel<'a>>,
+    gathered: Vec<Slot>,
+    keys: Vec<u64>,
+}
+
+/// A run's share of one level: its buckets' slots and fill counts, the
+/// level's constants, and the blocks the run holds there.
+struct RunLevel<'a> {
+    slots: &'a mut [Slot],
+    fill: &'a mut [u16],
+    z: usize,
+    /// The level's [`TreeLayout::placement_bound`].
+    fits_below: u64,
+    /// A leaf's bucket here is `leaf >> shift`, less `first`, the run's
+    /// first bucket.
+    shift: usize,
+    first: u64,
+    held: u64,
+}
+
+impl RunLevel<'_> {
+    /// The run's index of the bucket on the path to `leaf`.
+    #[inline]
+    fn bucket(&self, leaf: Leaf) -> usize {
+        ((leaf.0 >> self.shift) - self.first) as usize
+    }
+}
+
+impl<'a> SubtreeRun<'a> {
+    fn new(layout: &TreeLayout, from: usize, subtrees: Range<usize>) -> Self {
+        // A path's blocks below `from`, plus the one inserted.
+        let path = layout.path_len_memory(from) as usize + 1;
+        SubtreeRun {
+            subtrees,
+            levels: Vec::with_capacity(layout.levels() - from),
+            gathered: Vec::with_capacity(path),
+            keys: Vec::with_capacity(path),
+        }
+    }
+
+    /// The subtrees of this run, numbered left to right at level `from`.
+    pub(crate) fn subtrees(&self) -> Range<usize> {
+        self.subtrees.clone()
+    }
+
+    /// Inserts block `addr`, mapped to `leaf` (in one of this run's
+    /// subtrees) and holding the (already encrypted) `payload`, the way a
+    /// path access to `leaf` places it when the stash is otherwise empty
+    /// and no level above `from` takes part: the blocks at levels
+    /// `>= from` of that path plus the new one are pushed as deep as they
+    /// go, levels deepest first, each bucket taking its candidates in
+    /// (common depth desc, address asc) order up to its `Z`. Below a tree
+    /// top nothing can veto a slot, so this is the whole Path ORAM
+    /// placement rule there. Only each bucket's packed prefix is read,
+    /// slots move as they are, and one `u64` key per block is sorted. A
+    /// level where the run holds no block is not read, and the fill stops
+    /// above the shallowest block once every block is placed, since
+    /// nothing changes there.
+    ///
+    /// Returns the number of blocks placed (the new one included), the
+    /// stash occupancy the path access would have peaked at; or `None` if
+    /// some block fits none of those levels, after which the tree has lost
+    /// it and must be discarded.
+    pub(crate) fn insert(&mut self, leaf: Leaf, addr: BlockAddr, payload: u64) -> Option<usize> {
+        let SubtreeRun {
+            ref mut levels,
+            ref mut gathered,
+            ref mut keys,
+            ..
+        } = *self;
+        gathered.clear();
+        gathered.push(Slot::of(&StoredBlock {
+            addr,
+            leaf,
+            payload,
+        }));
+        // The top-down index of the shallowest level the path holds a
+        // block at.
+        let mut shallowest = levels.len();
+        for (i, level) in levels.iter().enumerate() {
+            if level.held == 0 {
+                continue;
+            }
+            let b = level.bucket(leaf);
+            // lint: allow(panic, a leaf of the run's subtrees has its bucket inside the run's fill counts)
+            let used = level.fill[b] as usize;
+            if used > 0 {
+                shallowest = shallowest.min(i);
+                let base = b * level.z;
+                // lint: allow(panic, a bucket's packed prefix lies inside its Z slots of the run)
+                gathered.extend_from_slice(&level.slots[base..base + used]);
+            }
+        }
+        keys.clear();
+        keys.extend(
+            gathered
+                .iter()
+                .enumerate()
+                .map(|(i, s)| placement_key(u64::from(s.leaf), leaf, u64::from(s.addr), i)),
+        );
+        keys.sort_unstable();
+        let mut next = keys.iter().peekable();
+        for (i, level) in levels.iter_mut().enumerate().rev() {
+            if i < shallowest && next.peek().is_none() {
+                break;
+            }
+            if level.z == 0 {
+                continue;
+            }
+            let b = level.bucket(leaf);
+            // lint: allow(panic, a leaf of the run's subtrees has its bucket's Z slots inside the run)
+            let dst = &mut level.slots[b * level.z..(b + 1) * level.z];
+            let mut new = 0;
+            for slot in dst.iter_mut() {
+                let Some(&key) = next.next_if(|&&key| key < level.fits_below) else {
+                    break;
+                };
+                // lint: allow(panic, a key's low bits are the index of the gathered block it was built from)
+                *slot = gathered[key_index(key)];
+                new += 1;
+            }
+            // lint: allow(panic, a leaf of the run's subtrees has its bucket inside the run's fill counts)
+            let old = std::mem::replace(&mut level.fill[b], new as u16) as usize;
+            dst.iter_mut()
+                .take(old)
+                .skip(new)
+                .for_each(|s| *s = EMPTY_SLOT);
+            level.held = level.held + new as u64 - old as u64;
+        }
+        next.peek().is_none().then_some(gathered.len())
     }
 }
 

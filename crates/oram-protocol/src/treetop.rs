@@ -151,13 +151,19 @@ pub trait TreeTopStore {
     fn save_state(&self, w: &mut SnapWriter);
 
     /// Restores the contents captured by [`TreeTopStore::save_state`] into
-    /// a store built from the same configuration.
+    /// a store built from the same configuration over `layout`.
     ///
     /// # Errors
     ///
-    /// [`SnapError::Corrupt`] on a geometry mismatch; any [`SnapError`] on
+    /// [`SnapError::Corrupt`] on a geometry mismatch, a block the tree
+    /// cannot hold (see [`StoredBlock::restore_within`]) or contents that
+    /// fail [`TreeTopStore::check_coherence`]; any [`SnapError`] on
     /// truncation.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+    fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        layout: &TreeLayout,
+    ) -> Result<(), SnapError>;
 }
 
 fn node_code(level: usize, bucket: u64) -> usize {
@@ -309,7 +315,11 @@ impl TreeTopStore for DedicatedTreeTop {
         }
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        layout: &TreeLayout,
+    ) -> Result<(), SnapError> {
         let n = r.take_seq_len(8)?;
         if n != self.buckets.len() {
             return Err(SnapError::Corrupt("tree-top bucket count mismatch"));
@@ -318,10 +328,11 @@ impl TreeTopStore for DedicatedTreeTop {
             let m = r.take_seq_len(StoredBlock::SNAP_BYTES)?;
             b.clear();
             for _ in 0..m {
-                b.push(StoredBlock::restore_state(r)?);
+                b.push(StoredBlock::restore_within(r, layout)?);
             }
         }
-        Ok(())
+        self.check_coherence()
+            .map_err(|_| SnapError::Corrupt("incoherent tree-top contents"))
     }
 
     fn check_coherence(&self) -> Result<(), String> {
@@ -617,7 +628,11 @@ impl TreeTopStore for IrStashTop {
         }
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        layout: &TreeLayout,
+    ) -> Result<(), SnapError> {
         let n = r.take_seq_len(1)?;
         if n != self.entries.len() {
             return Err(SnapError::Corrupt("S-Stash entry count mismatch"));
@@ -626,7 +641,7 @@ impl TreeTopStore for IrStashTop {
             *e = match r.take_u8()? {
                 0 => None,
                 1 => {
-                    let block = StoredBlock::restore_state(r)?;
+                    let block = StoredBlock::restore_within(r, layout)?;
                     let level = u16::try_from(r.take_u32()?)
                         .map_err(|_| SnapError::Corrupt("S-Stash level exceeds u16"))?;
                     let bucket = r.take_u64()?;
@@ -655,7 +670,8 @@ impl TreeTopStore for IrStashTop {
                 ptrs.push(p);
             }
         }
-        Ok(())
+        self.check_coherence()
+            .map_err(|_| SnapError::Corrupt("incoherent S-Stash contents"))
     }
 
     fn check_coherence(&self) -> Result<(), String> {
@@ -897,7 +913,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut ded2 = DedicatedTreeTop::new(&l, 3);
         let mut r = SnapReader::new(&bytes);
-        ded2.restore_state(&mut r).unwrap();
+        ded2.restore_state(&mut r, &l).unwrap();
         r.finish().unwrap();
         assert_eq!(ded2.blocks(), ded.blocks());
         ded2.check_coherence().unwrap();
@@ -907,7 +923,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut ir2 = IrStashTop::new(&l, 3, 8, 4);
         let mut r = SnapReader::new(&bytes);
-        ir2.restore_state(&mut r).unwrap();
+        ir2.restore_state(&mut r, &l).unwrap();
         r.finish().unwrap();
         // Placement (which entry slot each block occupies) must survive
         // verbatim — the front door and TT views agree with the original.
@@ -931,7 +947,66 @@ mod tests {
         // A smaller store: the serialized entry count cannot match.
         let mut tiny = IrStashTop::new(&l, 3, 2, 2);
         let mut r = SnapReader::new(&bytes);
-        assert!(tiny.restore_state(&mut r).is_err());
+        assert!(tiny.restore_state(&mut r, &l).is_err());
+    }
+
+    /// Snapshots `top` and restores it into `fresh`.
+    fn round_trip(
+        top: &dyn TreeTopStore,
+        fresh: &mut dyn TreeTopStore,
+        l: &TreeLayout,
+    ) -> Result<(), SnapError> {
+        let mut w = SnapWriter::new();
+        top.save_state(&mut w);
+        fresh.restore_state(&mut SnapReader::new(&w.into_bytes()), l)
+    }
+
+    /// A dedicated top holding a block no path reaches, a block no arena
+    /// slot can hold, or a bucket over its `Z` cannot run an access:
+    /// restore rejects each, and accepts their sound neighbours.
+    #[test]
+    fn dedicated_restore_rejects_state_it_cannot_run() {
+        let l = layout();
+        let (last_leaf, widest) = (l.num_leaves() - 1, u64::from(u32::MAX) - 1);
+        for (bucket, ok) in [
+            (vec![blk(253, last_leaf)], true),
+            (vec![blk(253, last_leaf + 1)], false),
+            (vec![blk(widest, 0)], true),
+            (vec![blk(widest + 1, 0)], false),
+            (vec![blk(1, 0), blk(2, 0), blk(3, 0), blk(4, 0)], true),
+            (
+                vec![blk(1, 0), blk(2, 0), blk(3, 0), blk(4, 0), blk(5, 0)],
+                false,
+            ),
+        ] {
+            let mut ded = DedicatedTreeTop::new(&l, 3);
+            ded.buckets[node_code(0, 0)] = bucket.clone();
+            let got = round_trip(&ded, &mut DedicatedTreeTop::new(&l, 3), &l);
+            match ok {
+                true => assert!(got.is_ok(), "{bucket:?}"),
+                false => assert!(matches!(got, Err(SnapError::Corrupt(_))), "{bucket:?}"),
+            }
+        }
+    }
+
+    /// An S-Stash entry tagged with a level past the cached ones (which
+    /// `occupancy` would index out of bounds) or holding a block past the
+    /// last leaf is rejected on restore.
+    #[test]
+    fn irstash_restore_rejects_state_it_cannot_run() {
+        let l = layout();
+        let mut ir = IrStashTop::new(&l, 3, 8, 4);
+        ir.write_bucket(2, 1, vec![blk(10, 8), blk(11, 9)]);
+        round_trip(&ir, &mut IrStashTop::new(&l, 3, 8, 4), &l).expect("sound store");
+        let live = ir.find_entry(BlockAddr(10)).expect("entry written");
+        let tagged_past = |e: &mut SEntry| e.level = 9;
+        let past_last_leaf = |e: &mut SEntry| e.block.leaf = Leaf(l.num_leaves());
+        for corrupt in [&tagged_past as &dyn Fn(&mut SEntry), &past_last_leaf] {
+            let mut bad = ir.clone();
+            corrupt(bad.entries[live].as_mut().expect("live entry"));
+            let got = round_trip(&bad, &mut IrStashTop::new(&l, 3, 8, 4), &l);
+            assert!(matches!(got, Err(SnapError::Corrupt(_))), "{got:?}");
+        }
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
+use crate::TreeLayout;
+
 /// A block address in the unified (Freecursive-merged) block address space.
 ///
 /// Data blocks occupy `[0, n_data)`; PosMap₁ blocks follow them; PosMap₂
@@ -89,6 +91,27 @@ impl StoredBlock {
             leaf: Leaf(r.take_u64()?),
             payload: r.take_u64()?,
         })
+    }
+
+    /// [`StoredBlock::restore_state`] for a block held by a tree of
+    /// `layout`: a leaf past the last one (no path reaches it) or an
+    /// address of `u32::MAX` or more (no placement key or arena slot holds
+    /// it) is rejected, since no path access could run on such a block.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] for such a block; any [`SnapError`] on a
+    /// truncated payload.
+    pub fn restore_within(r: &mut SnapReader<'_>, layout: &TreeLayout) -> Result<Self, SnapError> {
+        let b = StoredBlock::restore_state(r)?;
+        // lint: allow(secret-flow, checkpoint decoding: a corrupt snapshot is rejected before any path access runs)
+        if b.leaf.0 >= layout.num_leaves() {
+            return Err(SnapError::Corrupt("block mapped past the last leaf"));
+        }
+        if b.addr.0 >= u64::from(u32::MAX) {
+            return Err(SnapError::Corrupt("block address too wide"));
+        }
+        Ok(b)
     }
 }
 
