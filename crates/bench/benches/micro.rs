@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest, SubtreeLayout};
 use iroram_hash::FeistelCipher;
 use iroram_protocol::{
-    BlockAddr, Leaf, OramConfig, PathOram, Stash, StoredBlock, TreeLayout, WritebackPlan,
-    ZAllocation,
+    BlockAddr, ChipBoundary, Leaf, OramConfig, PathOram, Stash, StoredBlock, TreeLayout,
+    WritebackPlan, ZAllocation,
 };
 use iroram_sim_engine::{Cycle, SimRng, SnapReader, SnapWriter};
 
@@ -51,7 +51,7 @@ fn bench_schedule_batch(c: &mut Criterion) {
 }
 
 /// The payload permutation over one path's worth of blocks (`Z = 4` slots
-/// per bucket): element-at-a-time `encrypt` calls vs the four-lane kernel.
+/// per bucket), one `encrypt` call per block.
 fn bench_feistel(c: &mut Criterion) {
     let mut g = c.benchmark_group("feistel");
     for levels in [12usize, 16, 20] {
@@ -64,13 +64,6 @@ fn bench_feistel(c: &mut Criterion) {
                 for v in buf.iter_mut() {
                     *v = cipher.encrypt(*v);
                 }
-                std::hint::black_box(buf[0])
-            })
-        });
-        g.bench_function(&format!("lanes_L{levels}"), |b| {
-            let mut buf: Vec<u64> = (0..n as u64).collect();
-            b.iter(|| {
-                cipher.encrypt_each(&mut buf, |v| v);
                 std::hint::black_box(buf[0])
             })
         });
@@ -170,7 +163,15 @@ fn bench_stash(c: &mut Criterion) {
                         .expect("prepared stash snapshot");
                     let start = Instant::now();
                     s.hold_path(path);
-                    s.plan_writeback(&layout, *leaf, 0, path, |_, _| true, &mut plan);
+                    s.plan_writeback(
+                        &layout,
+                        *leaf,
+                        0,
+                        path,
+                        ChipBoundary::PLAINTEXT,
+                        |_, _| true,
+                        &mut plan,
+                    );
                     std::hint::black_box(plan.total_planned());
                     timed += start.elapsed();
                 }

@@ -69,36 +69,6 @@ impl FeistelCipher {
         }
         ((l as u64) << 32) | r as u64
     }
-
-    /// Encrypts, in place, the block `field` picks out of each item — the
-    /// form the controller feeds a bucket's payloads through. Four items
-    /// run at a time, so their independent permutations pipeline (no
-    /// branches or data dependences between lanes inside a chunk).
-    pub fn encrypt_each<T>(&self, items: &mut [T], field: impl Fn(&mut T) -> &mut u64) {
-        in_lanes(items, field, |v| self.encrypt(v));
-    }
-
-    /// Decrypts, in place, the block `field` picks out of each item (the
-    /// inverse of [`FeistelCipher::encrypt_each`]).
-    pub fn decrypt_each<T>(&self, items: &mut [T], field: impl Fn(&mut T) -> &mut u64) {
-        in_lanes(items, field, |v| self.decrypt(v));
-    }
-}
-
-/// Applies `f` to the `field` of every item, four lanes at a time.
-#[inline]
-fn in_lanes<T>(items: &mut [T], field: impl Fn(&mut T) -> &mut u64, f: impl Fn(u64) -> u64) {
-    let mut chunks = items.chunks_exact_mut(4);
-    for chunk in &mut chunks {
-        if let [a, b, c, d] = chunk {
-            let [a, b, c, d] = [field(a), field(b), field(c), field(d)];
-            [*a, *b, *c, *d] = [f(*a), f(*b), f(*c), f(*d)];
-        }
-    }
-    for item in chunks.into_remainder() {
-        let v = field(item);
-        *v = f(*v);
-    }
 }
 
 #[cfg(test)]
@@ -121,25 +91,6 @@ mod tests {
         let a = FeistelCipher::new(1);
         let b = FeistelCipher::new(2);
         assert_ne!(a.encrypt(7), b.encrypt(7));
-    }
-
-    #[test]
-    fn lane_forms_match_scalar_at_every_length() {
-        // Lengths straddling the lane width exercise both the unrolled
-        // body and the remainder tail.
-        let c = FeistelCipher::new(0xABCD);
-        for n in 0..13usize {
-            let pts: Vec<(u32, u64)> = (0..n as u64)
-                .map(|i| (i as u32, i.wrapping_mul(0x9E37_79B9)))
-                .collect();
-            let mut enc = pts.clone();
-            c.encrypt_each(&mut enc, |(_, v)| v);
-            let scalar: Vec<(u32, u64)> = pts.iter().map(|&(k, v)| (k, c.encrypt(v))).collect();
-            assert_eq!(enc, scalar, "encrypt_each diverged at n={n}");
-            let mut dec = enc.clone();
-            c.decrypt_each(&mut dec, |(_, v)| v);
-            assert_eq!(dec, pts, "decrypt_each is not the inverse at n={n}");
-        }
     }
 
     proptest! {

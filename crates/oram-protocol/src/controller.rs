@@ -10,8 +10,8 @@ use iroram_sim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 use crate::posmap::{PlbStatus, ENTRIES_PER_BLOCK};
 use crate::treetop::{DedicatedTreeTop, IrStashTop, TreeTopStore};
 use crate::{
-    AddressSpace, BlockAddr, BlockKind, Leaf, OramTree, PathList, PathRecord, PathType,
-    PosMapSystem, ServedFrom, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation,
+    AddressSpace, BlockAddr, BlockKind, ChipBoundary, Leaf, OramTree, PathList, PathRecord,
+    PathType, PosMapSystem, ServedFrom, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation,
 };
 
 /// Which tree-top store (if any) the controller uses.
@@ -1388,18 +1388,17 @@ impl PathOram {
         // penalty. Buckets on the path are level-distinct, so one pass ahead
         // of the takes performs exactly the per-level verifications.
         self.tree.verify_and_repair_path(leaf, cached);
-        let memory_start = read_buf.len();
+        // The memory blocks stay sealed (see `ChipBoundary`):
+        // `read_buf[sealed_from..]` holds ciphertext, the tree-top blocks
+        // before it plaintext. Only a block that leaves memory is opened.
+        let mut sealed_from = read_buf.len();
         for level in cached..levels {
             let bucket = self.layout.bucket_on_path(leaf, level);
             let start = read_buf.len();
             self.tree.take_bucket_into(level, bucket, &mut read_buf);
             found = found.or_else(|| position(&read_buf, start, target).map(|i| (level, i)));
         }
-        if self.cfg.encrypt_payloads {
-            if let Some(fetched) = read_buf.get_mut(memory_start..) {
-                self.cipher.decrypt_each(fetched, |b| &mut b.payload);
-            }
-        }
+        let cipher = self.cfg.encrypt_payloads.then_some(&self.cipher);
         self.stash.hold_path(&read_buf);
         self.stats.blocks_from_memory += self.layout.path_len_memory(cached);
 
@@ -1429,7 +1428,20 @@ impl PathOram {
                 RemapAction::Remap => {
                     let new_leaf = self.posmap.remap(addr, &mut self.rng);
                     let b = match index {
-                        Some(i) => read_buf.get_mut(i),
+                        Some(mut i) => {
+                            if let Some(c) = cipher.filter(|_| i >= sealed_from) {
+                                // The served block is opened and moved to
+                                // the front of the sealed range, which then
+                                // starts after it.
+                                read_buf.swap(i, sealed_from);
+                                i = sealed_from;
+                                sealed_from += 1;
+                                if let Some(b) = read_buf.get_mut(i) {
+                                    b.payload = c.decrypt(b.payload);
+                                }
+                            }
+                            read_buf.get_mut(i)
+                        }
                         None => self.stash.get_mut(addr),
                     }
                     .expect("target must be held after the read phase");
@@ -1439,7 +1451,26 @@ impl PathOram {
                 }
                 RemapAction::UnmapEscrow => {
                     let b = match index {
-                        Some(i) => Some(read_buf.swap_remove(i)),
+                        Some(i) => {
+                            let mut b = read_buf.swap_remove(i);
+                            if let Some(c) = cipher {
+                                // The target leaves memory opened. For a
+                                // tree-top target, `swap_remove` moved the
+                                // last block, sealed if the path has any,
+                                // into the plaintext range: open it there.
+                                let opened = if i >= sealed_from {
+                                    Some(&mut b)
+                                } else if sealed_from <= read_buf.len() {
+                                    read_buf.get_mut(i)
+                                } else {
+                                    None
+                                };
+                                if let Some(o) = opened {
+                                    o.payload = c.decrypt(o.payload);
+                                }
+                            }
+                            Some(b)
+                        }
                         None => self.stash.take(addr),
                     }
                     .expect("target must be held after the read phase");
@@ -1462,6 +1493,7 @@ impl PathOram {
             leaf,
             0,
             &read_buf,
+            ChipBoundary::new(cipher, cached, sealed_from),
             |level, b| top_accepts(top, cached, level, b),
             &mut plan,
         );
@@ -1480,11 +1512,8 @@ impl PathOram {
                     self.stash.insert(r);
                 }
             } else {
-                let blocks = plan.level_mut(level);
-                if self.cfg.encrypt_payloads {
-                    self.cipher.encrypt_each(blocks, |b| &mut b.payload);
-                }
-                self.tree.write_bucket_from(level, bucket, blocks);
+                self.tree
+                    .write_bucket_from(level, bucket, plan.level_mut(level));
             }
         }
         self.rej_buf = rej_buf;
@@ -2224,6 +2253,122 @@ mod tests {
         }
         // Regardless of where it ended up, it reads back correctly.
         assert_eq!(oram.read(1), 0x1234_5678);
+    }
+
+    /// Asserts that every at-rest copy of every block holds the last value
+    /// `written` to its address (0 if none): sealed in a memory slot, in
+    /// plaintext in the stash, the tree top (S-Stash included) and the
+    /// escrow.
+    fn assert_at_rest(oram: &PathOram, written: &BTreeMap<u64, u64>, when: &str) {
+        let want = |addr: BlockAddr| written.get(&addr.0).copied().unwrap_or(0);
+        for (level, bucket, b) in oram.tree().iter_blocks() {
+            let got = oram.decrypt_payload(b.payload);
+            assert_eq!(got, want(b.addr), "{when}: memory L{level}/B{bucket} {b:?}");
+        }
+        for b in oram.stash().iter() {
+            assert_eq!(b.payload, want(b.addr), "{when}: stash {b:?}");
+        }
+        let top = oram.treetop_store().map(|t| t.blocks()).unwrap_or_default();
+        for (level, bucket, b) in top {
+            assert_eq!(
+                b.payload,
+                want(b.addr),
+                "{when}: top L{level}/B{bucket} {b:?}"
+            );
+        }
+        for (&addr, &payload) in &oram.escrow {
+            assert_eq!(payload, want(BlockAddr(addr)), "{when}: escrow {addr:#x}");
+        }
+    }
+
+    /// Escrows, writing `value`, a data block that sits in a tree-top
+    /// bucket, by the delayed-remap path access that finds it there (the
+    /// public entry points serve such a block by the tree-top probe,
+    /// without a path). Returns whether the path held a memory block, so
+    /// that taking the target out of the read buffer moved a sealed block
+    /// into the tree-top range; `None` if the tree top holds no data block.
+    fn escrow_from_the_tree_top(
+        oram: &mut PathOram,
+        written: &mut BTreeMap<u64, u64>,
+        value: u64,
+    ) -> Option<bool> {
+        let data = oram.config().data_blocks;
+        let (_, _, b) = oram
+            .treetop_store()?
+            .blocks()
+            .into_iter()
+            .find(|(_, _, b)| b.addr.0 < data)?;
+        let layout = oram.layout();
+        let cached = oram.cfg.treetop.cached_levels();
+        let sealed_on_path = (cached..layout.levels()).any(|level| {
+            let bucket = layout.bucket_on_path(b.leaf, level);
+            !oram.tree().peek_bucket(level, bucket).is_empty()
+        });
+        let (_, served, payload) = oram.path_access(
+            b.leaf,
+            Some(b.addr),
+            PathType::Data,
+            RemapAction::UnmapEscrow,
+            &mut WriteOp::from(Some(value)),
+        );
+        assert!(matches!(served, Some(ServedFrom::TreeTop { .. })));
+        assert_eq!(payload, written.get(&b.addr.0).copied().unwrap_or(0));
+        written.insert(b.addr.0, value);
+        Some(sealed_on_path)
+    }
+
+    /// Payloads cross the chip boundary exactly where blocks do: with
+    /// encryption on, in every tree-top mode under both remap policies,
+    /// a seeded stream of reads and writes (under the delayed policy also
+    /// delayed write-backs and escrows of blocks found in a tree-top
+    /// bucket) keeps every memory slot sealed and every on-chip copy in
+    /// plaintext, each holding the last value written.
+    #[test]
+    fn payloads_are_sealed_in_memory_and_plaintext_on_chip() {
+        for treetop in [
+            TreeTopMode::None,
+            TreeTopMode::Dedicated { levels: 3 },
+            TreeTopMode::IrStash {
+                levels: 3,
+                sets: 8,
+                ways: 4,
+            },
+        ] {
+            for remap in [RemapPolicy::Immediate, RemapPolicy::Delayed] {
+                let mut oram = tiny_with(treetop, remap);
+                assert!(oram.config().encrypt_payloads);
+                let data = oram.config().data_blocks;
+                let mut rng = SimRng::seed_from(0x5EA1_ED00);
+                let mut written = BTreeMap::new();
+                let mut sealed_moves = 0;
+                for op in 0..400 {
+                    let when = format!("{treetop:?} {remap:?} op {op}");
+                    let addr = rng.next_below(data);
+                    let write = rng.chance(0.5).then(|| rng.next_u64());
+                    let rec = oram.run_access(BlockAddr(addr), write);
+                    let before = written.get(&addr).copied().unwrap_or(0);
+                    assert_eq!(rec.payload, before, "{when}: read");
+                    if let Some(v) = write {
+                        written.insert(addr, v);
+                    }
+                    if remap == RemapPolicy::Delayed {
+                        if op % 20 == 0 {
+                            let moved =
+                                escrow_from_the_tree_top(&mut oram, &mut written, rng.next_u64());
+                            sealed_moves += usize::from(moved == Some(true));
+                        }
+                        while oram.escrowed().count() > 4 {
+                            let a = oram.escrowed().next().expect("escrowed");
+                            oram.delayed_writeback(a).expect("escrowed block");
+                        }
+                    }
+                    assert_at_rest(&oram, &written, &when);
+                }
+                if remap == RemapPolicy::Delayed && treetop != TreeTopMode::None {
+                    assert!(sealed_moves > 0, "{treetop:?}: no sealed block moved");
+                }
+            }
+        }
     }
 
     #[test]

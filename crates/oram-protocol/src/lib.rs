@@ -46,7 +46,7 @@ pub use controller::{
 pub use invariants::InvariantError;
 pub use layout::TreeLayout;
 pub use posmap::{AddressSpace, PlbStatus, PosMapSystem, ENTRIES_PER_BLOCK};
-pub use stash::{Stash, WritebackPlan};
+pub use stash::{ChipBoundary, Stash, WritebackPlan};
 pub use tree::{IntegrityStats, OramTree};
 pub use treetop::{DedicatedTreeTop, IrStashTop, TreeTopStore};
 pub use types::{

@@ -1,5 +1,6 @@
 //! The fully-associative stash (the paper's F-Stash).
 
+use iroram_hash::FeistelCipher;
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
 use crate::layout::{key_index, placement_key};
@@ -103,6 +104,95 @@ impl WritebackPlan {
             lvl.clear();
         }
         self.len = n;
+    }
+}
+
+/// Where a write-back's blocks cross the chip boundary: memory levels
+/// hold payloads encrypted at rest, the stash and the tree top hold
+/// plaintext.
+///
+/// Path ORAM re-encrypts every block it writes back. The model's cipher
+/// is a deterministic permutation, so re-encrypting a block that stays in
+/// memory gives back its ciphertext: only a block that changes sides runs
+/// through the cipher. A path access therefore keeps the memory blocks it
+/// reads sealed, and [`Stash::plan_writeback`] opens a sealed block the
+/// plan leaves in the stash or places in a tree-top level, and seals a
+/// plaintext block it places in a memory level.
+///
+/// # Examples
+///
+/// ```
+/// use iroram_hash::FeistelCipher;
+/// use iroram_protocol::{BlockAddr, ChipBoundary, Leaf, Stash, StoredBlock, TreeLayout, WritebackPlan, ZAllocation};
+/// let cipher = FeistelCipher::new(7);
+/// // One slot per level: level 0 is on chip, levels 1 and 2 in memory.
+/// let layout = TreeLayout::new(ZAllocation::uniform(3, 1));
+/// let block = |addr, payload| StoredBlock { addr: BlockAddr(addr), leaf: Leaf(0), payload };
+/// let mut stash = Stash::new(8);
+/// stash.insert(block(1, 10));
+/// // Both path blocks were read from memory, sealed.
+/// let path = [block(2, cipher.encrypt(20)), block(3, cipher.encrypt(30))];
+/// stash.hold_path(&path);
+/// let mut plan = WritebackPlan::new();
+/// let boundary = ChipBoundary::new(Some(&cipher), 1, 0);
+/// stash.plan_writeback(&layout, Leaf(0), 0, &path, boundary, |_, _| true, &mut plan);
+/// assert_eq!(plan.level_mut(2)[0].payload, cipher.encrypt(10)); // sealed
+/// assert_eq!(plan.level_mut(1)[0].payload, cipher.encrypt(20)); // left sealed
+/// assert_eq!(plan.level_mut(0)[0].payload, 30); // opened
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct ChipBoundary<'a> {
+    /// The at-rest cipher; `None` keeps payloads plaintext everywhere.
+    cipher: Option<&'a FeistelCipher>,
+    /// The first memory level: the levels above it are the tree top.
+    memory_level: usize,
+    /// The first sealed path block: `path[sealed_from..]` holds
+    /// ciphertext, the residents and `path[..sealed_from]` plaintext.
+    sealed_from: usize,
+}
+
+impl<'a> ChipBoundary<'a> {
+    /// No boundary: every payload is plaintext wherever it is stored.
+    pub const PLAINTEXT: ChipBoundary<'static> = ChipBoundary {
+        cipher: None,
+        memory_level: 0,
+        sealed_from: usize::MAX,
+    };
+
+    /// Payloads are encrypted under `cipher` at levels `>= memory_level`,
+    /// and the path blocks from index `sealed_from` on are read sealed;
+    /// with no cipher, the same as [`ChipBoundary::PLAINTEXT`].
+    pub fn new(cipher: Option<&'a FeistelCipher>, memory_level: usize, sealed_from: usize) -> Self {
+        ChipBoundary {
+            cipher,
+            memory_level,
+            sealed_from,
+        }
+    }
+
+    /// Block `b`, read as block `i` of the path, as it is stored at
+    /// `level` (`None`: in the stash).
+    #[inline]
+    fn carry(&self, i: usize, b: &StoredBlock, level: Option<usize>) -> StoredBlock {
+        let mut b = *b;
+        if let Some(cipher) = self.cipher {
+            let sealed = i >= self.sealed_from;
+            match (sealed, level.is_some_and(|l| l >= self.memory_level)) {
+                (true, false) => b.payload = cipher.decrypt(b.payload),
+                (false, true) => b.payload = cipher.encrypt(b.payload),
+                _ => {}
+            }
+        }
+        b
+    }
+
+    /// The boundary with `residents` plaintext blocks put in front of
+    /// the path.
+    fn behind(self, residents: usize) -> Self {
+        ChipBoundary {
+            sealed_from: self.sealed_from.saturating_add(residents),
+            ..self
+        }
     }
 }
 
@@ -265,13 +355,17 @@ impl Stash {
     /// order: one sort of packed `u64` keys. `may_place` can veto a block
     /// at a level (IR-Stash when an S-Stash set is full: the block is
     /// "skipped this round", paper Section IV-C); a vetoed block stays a
-    /// candidate for shallower levels.
+    /// candidate for shallower levels. Each block is planned and kept as
+    /// its destination stores it: `boundary` says which path blocks were
+    /// read sealed and which levels are in memory.
+    #[allow(clippy::too_many_arguments)]
     pub fn plan_writeback(
         &mut self,
         layout: &TreeLayout,
         leaf: Leaf,
         top_level: usize,
         path: &[StoredBlock],
+        boundary: ChipBoundary<'_>,
         may_place: impl FnMut(usize, &StoredBlock) -> bool,
         plan: &mut WritebackPlan,
     ) {
@@ -291,22 +385,24 @@ impl Stash {
             top_level,
             &self.keys,
             (&self.blocks, path),
+            boundary.behind(residents),
             may_place,
             plan,
             &mut self.placed,
             &mut self.skipped,
         );
         // Sweep the placed residents out, keeping address order, then
-        // merge the path's leftovers in.
+        // merge the path's leftovers in, opened.
         let (resident_placed, path_placed) = self.placed.split_at(residents);
         let mut flags = resident_placed.iter();
         self.blocks.retain(|_| flags.next() == Some(&false));
         self.leftover.clear();
         self.leftover.extend(
             path.iter()
+                .enumerate()
                 .zip(path_placed)
                 .filter(|&(_, &placed)| !placed)
-                .map(|(b, _)| *b),
+                .map(|((i, b), _)| boundary.carry(i, b, None)),
         );
         self.merge_leftover();
     }
@@ -340,7 +436,7 @@ impl Stash {
     }
 
     /// Raises the occupancy high-water mark to `n`: a path placed by
-    /// [`OramTree::insert_below`](crate::OramTree::insert_below) never
+    /// [`SubtreeRun::insert`](crate::tree::SubtreeRun::insert) never
     /// enters the stash, but its `n` blocks would all have sat here
     /// between the read and write phases of a path access, and the
     /// watermark is part of the logical state.
@@ -372,13 +468,16 @@ fn candidate<'a>(
 ///
 /// `may_place` can veto a block at a level (IR-Stash when an S-Stash set
 /// is full: the block is "skipped this round", paper Section IV-C). A
-/// vetoed block stays a candidate for shallower levels.
+/// vetoed block stays a candidate for shallower levels. A block enters
+/// its level as that level stores it: `boundary` numbers the candidates
+/// as `cands` does.
 #[allow(clippy::too_many_arguments)]
 fn greedy_fill(
     layout: &TreeLayout,
     top_level: usize,
     keys: &[u64],
     cands: (&[StoredBlock], &[StoredBlock]),
+    boundary: ChipBoundary<'_>,
     mut may_place: impl FnMut(usize, &StoredBlock) -> bool,
     plan: &mut WritebackPlan,
     placed: &mut Vec<bool>,
@@ -418,7 +517,7 @@ fn greedy_fill(
                 skipped.push(key);
                 continue;
             }
-            slot.push(*b);
+            slot.push(boundary.carry(idx, b, Some(level)));
             // lint: allow(panic, placed has one flag per candidate)
             placed[idx] = true;
             unplaced -= 1;
@@ -439,7 +538,7 @@ fn greedy_fill(
             if !may_place(level, b) {
                 continue;
             }
-            slot.push(*b);
+            slot.push(boundary.carry(idx, b, Some(level)));
             // lint: allow(panic, placed has one flag per candidate)
             placed[idx] = true;
             unplaced -= 1;
@@ -484,7 +583,15 @@ mod tests {
     ) -> Vec<Vec<StoredBlock>> {
         let mut plan = WritebackPlan::new();
         s.hold_path(path);
-        s.plan_writeback(layout, Leaf(leaf), top_level, path, may_place, &mut plan);
+        s.plan_writeback(
+            layout,
+            Leaf(leaf),
+            top_level,
+            path,
+            ChipBoundary::PLAINTEXT,
+            may_place,
+            &mut plan,
+        );
         levels_of(&mut plan)
     }
 
@@ -545,6 +652,7 @@ mod tests {
             top_level,
             &keys,
             (&s.blocks, &[]),
+            ChipBoundary::PLAINTEXT,
             may_place,
             plan,
             &mut placed,
@@ -781,7 +889,15 @@ mod tests {
         let mut plan = WritebackPlan::new();
         // Dirty the scratch with an unrelated big plan first.
         let mut warmup = mixed_stash(99, 300, leaves);
-        warmup.plan_writeback(&layout, Leaf(0), 0, &[], |_, _| true, &mut plan);
+        warmup.plan_writeback(
+            &layout,
+            Leaf(0),
+            0,
+            &[],
+            ChipBoundary::PLAINTEXT,
+            |_, _| true,
+            &mut plan,
+        );
 
         let run = |plan: &mut WritebackPlan| {
             let mut s = Stash::new(1024);
@@ -789,7 +905,15 @@ mod tests {
             for &(a, l) in &[(9u64, 3u64), (2, 3), (7, 3), (1, 5), (4, 5), (3, 0)] {
                 s.insert(blk(a, l));
             }
-            s.plan_writeback(&layout, Leaf(3), 0, &[], |_, _| true, plan);
+            s.plan_writeback(
+                &layout,
+                Leaf(3),
+                0,
+                &[],
+                ChipBoundary::PLAINTEXT,
+                |_, _| true,
+                plan,
+            );
             levels_of(plan)
         };
         let first = run(&mut plan);
@@ -867,12 +991,15 @@ mod tests {
     }
 
     /// Routes the planning cases took: a path block left in the stash, a
-    /// resident placed in the tree, a vetoed block placed shallower.
+    /// resident placed in the tree, a vetoed block placed shallower, a
+    /// sealed path block kept on chip, an open block placed in memory.
     #[derive(Debug, Default, Clone, Copy)]
     struct PlanRoutes {
         leftover_path_block: usize,
         placed_resident: usize,
         vetoed_then_placed: usize,
+        sealed_path_block_opened: usize,
+        open_block_sealed: usize,
     }
 
     thread_local! {
@@ -893,8 +1020,11 @@ mod tests {
             residents in 0usize..301,
             veto in 0u8..4,
             top_level in 0usize..2,
+            seal in 0u8..2,
+            sealed_from in 0usize..80,
             seed in any::<u64>(),
         ) {
+
             let cached = (levels / 3).max(1);
             let layout = TreeLayout::new(match shape {
                 0 => ZAllocation::uniform(levels, 4),
@@ -902,8 +1032,22 @@ mod tests {
                 2 => ZAllocation::preset(AllocPreset::IrAlloc1, levels, cached),
                 _ => ZAllocation::preset(AllocPreset::IrAlloc4, levels, cached),
             });
-            let (mut stash, leaf, path) = planning_case(&layout, residents, seed);
+            let (mut stash, leaf, mut path) = planning_case(&layout, residents, seed);
             let mut reference = stash.clone();
+            let plaintext_path = path.clone();
+            // With a cipher, levels from `cached` on are in memory and the
+            // path is read sealed from `sealed_from` on.
+            let cipher = FeistelCipher::new(seed);
+            let sealed = (seal == 1).then_some(sealed_from.min(path.len()));
+            let boundary = match sealed {
+                None => ChipBoundary::PLAINTEXT,
+                Some(from) => {
+                    for b in &mut path[from..] {
+                        b.payload = cipher.encrypt(b.payload);
+                    }
+                    ChipBoundary::new(Some(&cipher), cached, from)
+                }
+            };
 
             let (mut got_log, mut want_log) = (Vec::new(), Vec::new());
             let mut plan = WritebackPlan::new();
@@ -913,6 +1057,7 @@ mod tests {
                 leaf,
                 top_level,
                 &path,
+                boundary,
                 veto_pattern(veto, levels, cached, &mut got_log),
                 &mut plan,
             );
@@ -922,12 +1067,20 @@ mod tests {
                 &layout,
                 leaf,
                 top_level,
-                &path,
+                &plaintext_path,
                 veto_pattern(veto, levels, cached, &mut want_log),
                 &mut want,
             );
+            // The reference plans plaintext: seal what it puts in memory.
+            let mut want = levels_of(&mut want);
+            let on_chip = cached - top_level;
+            if sealed.is_some() {
+                for b in want.iter_mut().skip(on_chip).flatten() {
+                    b.payload = cipher.encrypt(b.payload);
+                }
+            }
             let got = levels_of(&mut plan);
-            prop_assert_eq!(&got, &levels_of(&mut want));
+            prop_assert_eq!(&got, &want);
             prop_assert_eq!(&got_log, &want_log);
             prop_assert_eq!(&stash.blocks, &reference.blocks);
             prop_assert_eq!(stash.max_occupancy(), reference.max_occupancy());
@@ -935,6 +1088,15 @@ mod tests {
             let mut seen = PLAN_ROUTES.get();
             seen.leftover_path_block +=
                 usize::from(path.iter().any(|b| stash.contains(b.addr)));
+            if let Some(from) = sealed {
+                let read_sealed = |addr: BlockAddr| path[from..].iter().any(|b| b.addr == addr);
+                let (top, memory) = got.split_at(on_chip);
+                seen.sealed_path_block_opened += usize::from(
+                    stash.iter().chain(top.iter().flatten()).any(|b| read_sealed(b.addr)),
+                );
+                seen.open_block_sealed +=
+                    usize::from(memory.iter().flatten().any(|b| !read_sealed(b.addr)));
+            }
             let planned = |addr: BlockAddr| {
                 got.iter().position(|lvl| lvl.iter().any(|b| b.addr == addr))
             };
@@ -947,15 +1109,20 @@ mod tests {
     }
 
     /// The property above, plus route coverage: across its cases a path
-    /// block was left over, a resident was placed and a vetoed block was
-    /// placed at a shallower level.
+    /// block was left over, a resident was placed, a vetoed block was
+    /// placed at a shallower level, and blocks crossed the chip boundary
+    /// both ways.
     #[test]
     fn writeback_matches_the_merge_then_plan_reference() {
         PLAN_ROUTES.set(PlanRoutes::default());
         planning_from_the_path_matches_the_merge_then_plan_reference();
         let seen = PLAN_ROUTES.get();
         assert!(
-            seen.leftover_path_block > 0 && seen.placed_resident > 0 && seen.vetoed_then_placed > 0,
+            seen.leftover_path_block > 0
+                && seen.placed_resident > 0
+                && seen.vetoed_then_placed > 0
+                && seen.sealed_path_block_opened > 0
+                && seen.open_block_sealed > 0,
             "{seen:?}"
         );
     }

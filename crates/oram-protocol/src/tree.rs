@@ -873,8 +873,8 @@ impl<'a> SubtreeRun<'a> {
     /// placement rule there. Only each bucket's packed prefix is read,
     /// slots move as they are, and one `u64` key per block is sorted. A
     /// level where the run holds no block is not read, and the fill stops
-    /// above the shallowest block once every block is placed, since
-    /// nothing changes there.
+    /// once every block is placed: no level's count falls (see the fill
+    /// loop), so no bucket above that point holds a block.
     ///
     /// Returns the number of blocks placed (the new one included), the
     /// stash occupancy the path access would have peaked at; or `None` if
@@ -893,10 +893,7 @@ impl<'a> SubtreeRun<'a> {
             leaf,
             payload,
         }));
-        // The top-down index of the shallowest level the path holds a
-        // block at.
-        let mut shallowest = levels.len();
-        for (i, level) in levels.iter().enumerate() {
+        for level in levels.iter() {
             if level.held == 0 {
                 continue;
             }
@@ -904,7 +901,6 @@ impl<'a> SubtreeRun<'a> {
             // lint: allow(panic, a leaf of the run's subtrees has its bucket inside the run's fill counts)
             let used = level.fill[b] as usize;
             if used > 0 {
-                shallowest = shallowest.min(i);
                 let base = b * level.z;
                 // lint: allow(panic, a bucket's packed prefix lies inside its Z slots of the run)
                 gathered.extend_from_slice(&level.slots[base..base + used]);
@@ -918,9 +914,34 @@ impl<'a> SubtreeRun<'a> {
                 .map(|(i, s)| placement_key(u64::from(s.leaf), leaf, u64::from(s.addr), i)),
         );
         keys.sort_unstable();
+        // No level's count falls, so once every key is placed the buckets
+        // above are empty and the fill can stop. Proof: call the run
+        // settled if every block held at level `k` has a full bucket at
+        // every level deeper than `k` on its own leaf's path (a `Z = 0`
+        // bucket is full). The empty run is settled, and an insert keeps it
+        // so. A block the fill places at level `k`, at or above its common
+        // depth `d` with the path, was passed over at each level `k+1..=d`
+        // only because that bucket was full; its own path's buckets deeper
+        // than `d` are off this path, untouched, and full from before,
+        // since the block was held no deeper than `d`. Blocks off the path
+        // and their subtrees are untouched.
+        //
+        // Now let an insert into a settled run lower level `l` of the path
+        // from `old_l` to `new_l < old_l <= Z_l`. Not full, level `l` took
+        // every candidate of common depth `>= l` left over below it, so
+        // levels `>= l` now hold all of them: the new block and every
+        // block held at levels `>= l`, at least `1 + sum(old_j, j >= l)`.
+        // Levels `> l` thus hold at least `sum(old_j, j > l) + 2`. Let
+        // `E >= l` be the deepest level with the path's buckets `l+1..=E`
+        // all full before the insert. A block of common depth `> E` held
+        // at a level `<= E` would, settled, make bucket `E+1` full too, so
+        // only the new block and blocks already held deeper than `E` can
+        // sit deeper than `E`: at most `sum(old_j, j > E) + 1`. Levels
+        // `l+1..=E` hold at most their old, full counts, so levels `> l`
+        // hold at most `sum(old_j, j > l) + 1`, a contradiction.
         let mut next = keys.iter().peekable();
-        for (i, level) in levels.iter_mut().enumerate().rev() {
-            if i < shallowest && next.peek().is_none() {
+        for level in levels.iter_mut().rev() {
+            if next.peek().is_none() {
                 break;
             }
             if level.z == 0 {
@@ -940,6 +961,7 @@ impl<'a> SubtreeRun<'a> {
             }
             // lint: allow(panic, a leaf of the run's subtrees has its bucket inside the run's fill counts)
             let old = std::mem::replace(&mut level.fill[b], new as u16) as usize;
+            debug_assert!(new >= old, "a construction insert emptied a slot");
             dst.iter_mut()
                 .take(old)
                 .skip(new)
