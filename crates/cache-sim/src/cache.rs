@@ -113,7 +113,6 @@ const EMPTY: Line = Line {
 /// the simulators track contents elsewhere.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cfg: CacheConfig,
     lines: Vec<Line>,
     tick: u64,

@@ -18,7 +18,6 @@ pub struct DirtyLruScanner {
     /// Whether the candidate is locked by an in-flight write-back sequence.
     locked: bool,
     paused_until: Cycle,
-    // lint: allow(snapshot-drift, configuration (the paper's fixed 1000-cycle pause))
     pause_cycles: u64,
 }
 

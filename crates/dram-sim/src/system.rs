@@ -142,7 +142,6 @@ struct DecodedRequest {
 /// controller refills them.
 #[derive(Debug, Clone)]
 pub struct DramSystem {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cfg: DramConfig,
     channels: Vec<Channel>,
     stats: DramStats,
@@ -154,11 +153,9 @@ pub struct DramSystem {
     /// Per-channel scratch queues for [`DramSystem::schedule_batch`]:
     /// cleared at the start of every batch, never deallocated, so the
     /// steady state schedules with zero heap traffic.
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     queues: Vec<Vec<DecodedRequest>>,
     /// Direct-placement completion buffer: slot `i` receives request `i`'s
     /// completion as it is scheduled, so no final sort is needed.
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     out: Vec<Completion>,
 }
 

@@ -7,7 +7,7 @@
 //! scaled tree heights; the speedup should stay stable (the paper's bars
 //! are flat, ≈1.6×) with near-zero variance across traces.
 
-use ir_oram::{Scheme, Simulation};
+use ir_oram::{Scheme, Simulation, SystemConfig};
 use iroram_sim_engine::stats::RunningStat;
 use iroram_trace::Bench;
 
@@ -26,19 +26,7 @@ pub fn collect(opts: &ExpOptions) -> Vec<(usize, f64, f64)> {
         .flat_map(|&levels| (0..opts.random_trials).map(move |t| (levels, t as u64)))
         .collect();
     let speedups = par_map(opts.effective_jobs(), cells, |(levels, trial)| {
-        let seed = opts.seed ^ ((trial + 1) << 8);
-        let make = |scheme| {
-            let mut cfg = opts.system(scheme);
-            cfg.oram.levels = levels;
-            cfg.oram.data_blocks = 1 << (levels + 1);
-            cfg.oram.zalloc = iroram_protocol::ZAllocation::uniform(levels, 4);
-            let top = (levels * 2 / 5).max(1);
-            cfg.oram.treetop = iroram_protocol::TreeTopMode::Dedicated { levels: top };
-            cfg.t_interval = ir_oram::SystemConfig::t_for(&cfg.oram);
-            cfg.seed = seed;
-            cfg.oram.seed = seed;
-            cfg.with_scheme(scheme)
-        };
+        let make = |scheme| cell_config(opts, scheme, levels, trial);
         let limit = opts.limit();
         let base = Simulation::run_bench(&make(Scheme::Baseline), Bench::RandomUniform, limit);
         let ir = Simulation::run_bench(&make(Scheme::IrAlloc), Bench::RandomUniform, limit);
@@ -55,6 +43,23 @@ pub fn collect(opts: &ExpOptions) -> Vec<(usize, f64, f64)> {
             (levels, stat.mean(), stat.stddev())
         })
         .collect()
+}
+
+/// The config of `scheme` in the cell of tree height `levels` and random
+/// trace `trial`: the scale's config resized to `levels`, seeded per trial,
+/// with the `--set` overrides applied last.
+fn cell_config(opts: &ExpOptions, scheme: Scheme, levels: usize, trial: u64) -> SystemConfig {
+    let seed = opts.seed ^ ((trial + 1) << 8);
+    let mut cfg = opts.scaled_system(scheme);
+    cfg.oram.levels = levels;
+    cfg.oram.data_blocks = 1 << (levels + 1);
+    cfg.oram.zalloc = iroram_protocol::ZAllocation::uniform(levels, 4);
+    let top = (levels * 2 / 5).max(1);
+    cfg.oram.treetop = iroram_protocol::TreeTopMode::Dedicated { levels: top };
+    cfg.t_interval = SystemConfig::t_for(&cfg.oram);
+    cfg.seed = seed;
+    cfg.oram.seed = seed;
+    opts.with_overrides(cfg.with_scheme(scheme))
 }
 
 /// Builds the Fig. 16 table.
@@ -77,6 +82,21 @@ pub fn run(opts: &ExpOptions) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overrides_reach_every_cell() {
+        let mut opts = ExpOptions::quick();
+        let plain = cell_config(&opts, Scheme::IrAlloc, 9, 0);
+        assert_eq!(plain.t_interval, SystemConfig::t_for(&plain.oram));
+        opts.overrides = vec![
+            ("t_interval".to_owned(), "1234".to_owned()),
+            ("seed".to_owned(), "77".to_owned()),
+        ];
+        let cfg = cell_config(&opts, Scheme::IrAlloc, 9, 0);
+        assert_eq!((cfg.t_interval, cfg.seed), (1234, 77));
+        // Everything the overrides leave alone is the cell's own.
+        assert_eq!(cfg.oram, plain.oram);
+    }
 
     #[test]
     fn speedup_is_stable_across_sizes() {

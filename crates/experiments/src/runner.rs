@@ -255,8 +255,16 @@ impl ExpOptions {
         }
     }
 
-    /// The timed-simulation system config for `scheme` at this scale.
+    /// The timed-simulation system config for `scheme` at this scale,
+    /// with the `--set` overrides applied.
     pub fn system(&self, scheme: Scheme) -> SystemConfig {
+        self.with_overrides(self.scaled_system(scheme))
+    }
+
+    /// [`ExpOptions::system`] before the overrides, for a sweep that sets
+    /// fields of its own per cell (Fig. 16's tree sizes) and then applies
+    /// the overrides with [`ExpOptions::with_overrides`].
+    pub(crate) fn scaled_system(&self, scheme: Scheme) -> SystemConfig {
         let mut cfg = SystemConfig::scaled(scheme);
         cfg.seed = self.seed;
         cfg.oram.seed = self.seed;
@@ -275,7 +283,12 @@ impl ExpOptions {
             cfg.t_interval = SystemConfig::t_for(&cfg.oram);
         }
         cfg.audit = self.audit;
-        let mut cfg = cfg.with_scheme(scheme);
+        cfg.with_scheme(scheme)
+    }
+
+    /// `cfg` with the `--set` overrides applied. Every cell's config goes
+    /// through here last, so an override wins over any per-cell setting.
+    pub(crate) fn with_overrides(&self, mut cfg: SystemConfig) -> SystemConfig {
         for (k, v) in &self.overrides {
             // Parse-time validation makes a failure here unreachable for
             // options built by `parse`; hand-built ExpOptions fail loudly.

@@ -1,9 +1,8 @@
 //! `iroram-lint`: an offline, dependency-free static-analysis engine that
-//! enforces the simulator's determinism, panic-freedom, obliviousness,
-//! crash-consistency and scheduling contracts (see `DESIGN.md` § "Static
-//! guarantees").
+//! enforces the simulator's determinism, panic-freedom, obliviousness and
+//! scheduling contracts (see `DESIGN.md` § "Static guarantees").
 //!
-//! Six passes run over the workspace:
+//! Five passes run over the workspace:
 //!
 //! 1. **determinism** — no `HashMap`/`HashSet`/`Instant`/`SystemTime`/env
 //!    reads in report-affecting crates outside test code, unless annotated.
@@ -11,11 +10,9 @@
 //!    ratcheted by `lint-ratchet.toml`: counts can only go down.
 //! 3. **secret-flow** — taint tracking from secret sources (payloads,
 //!    PosMap leaves, stash occupancy) to branches and indexing.
-//! 4. **snapshot-drift** — every field of a `save_state`/`restore_state`
-//!    type is referenced in both methods.
-//! 5. **panic-reach** — a cross-crate call-graph walk from the per-slot
+//! 4. **panic-reach** — a cross-crate call-graph walk from the per-slot
 //!    entry points budgets transitively reachable panic sites.
-//! 6. **thread-order** — parallelism primitives stay confined to the
+//! 5. **thread-order** — parallelism primitives stay confined to the
 //!    sanctioned scoped-worker/merge sites.
 //!
 //! Findings are machine-readable lines (`file:line rule message`) or a
@@ -33,7 +30,6 @@ pub mod parser;
 pub mod ratchet;
 pub mod reach;
 pub mod secret;
-pub mod snapshot;
 pub mod source;
 pub mod threads;
 
@@ -137,7 +133,7 @@ pub fn run(root: &Path, fix_ratchet: bool) -> Result<Outcome, String> {
         findings.extend(determinism::check(f));
     }
 
-    // Pass 2: panic-freedom ratchet over the hot-path files, and pass 5:
+    // Pass 2: panic-freedom ratchet over the hot-path files, and pass 4:
     // panic reachability from the per-slot entry points through helper
     // crates. Both budget against `lint-ratchet.toml` (reach counts under
     // `reach:`-prefixed sections), so --fix-ratchet rewrites one combined
@@ -201,10 +197,7 @@ pub fn run(root: &Path, fix_ratchet: bool) -> Result<Outcome, String> {
         findings.extend(secret::check(f));
     }
 
-    // Pass 4: snapshot-drift (cross-file, crate-scoped method lookup).
-    findings.extend(snapshot::check(&files));
-
-    // Pass 6: thread-order.
+    // Pass 5: thread-order.
     for f in &files {
         findings.extend(threads::check(f));
     }

@@ -1,9 +1,8 @@
 //! A lightweight item/expression parser on top of the hand-rolled lexer:
-//! recovers `fn` items (with body token ranges), `struct` items (with field
-//! lists), and `impl`/`trait` block extents — just enough structure for the
-//! secret-flow, snapshot-drift and panic-reachability passes to reason
-//! about *which function* a token is in, *which type* a method belongs to,
-//! and *which fields* a struct declares.
+//! recovers `fn` items (with body token ranges) and `impl`/`trait` block
+//! extents — just enough structure for the secret-flow and
+//! panic-reachability passes to reason about *which function* a token is
+//! in and *which type* a method belongs to.
 //!
 //! Like the lexer, this is deliberately not a full Rust grammar: it tracks
 //! bracket depth and a handful of item keywords, and it degrades gracefully
@@ -28,55 +27,12 @@ pub struct FnDef {
     pub owner: Option<String>,
 }
 
-/// One named field of a struct.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// 1-based declaration line.
-    pub line: u32,
-}
-
-/// One `struct` item. Tuple and unit structs parse with an empty field
-/// list.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// Named fields, in declaration order.
-    pub fields: Vec<FieldDef>,
-}
-
 /// The parsed shape of one source file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Every `fn` item found, in source order (including nested items and
     /// methods).
     pub fns: Vec<FnDef>,
-    /// Every `struct` item found, in source order.
-    pub structs: Vec<StructDef>,
-}
-
-impl ParsedFile {
-    /// All fn defs owned by `type_name` (methods across every `impl` block
-    /// for that type in this file).
-    pub fn methods_of<'a>(&'a self, type_name: &'a str) -> impl Iterator<Item = &'a FnDef> {
-        self.fns
-            .iter()
-            .filter(move |f| f.owner.as_deref() == Some(type_name))
-    }
-
-    /// The struct named `name`, if declared in this file.
-    pub fn struct_named(&self, name: &str) -> Option<&StructDef> {
-        self.structs.iter().find(|s| s.name == name)
-    }
-
-    /// The first fn named `name` that has a body.
-    pub fn fn_named(&self, name: &str) -> Option<&FnDef> {
-        self.fns.iter().find(|f| f.name == name && f.body.is_some())
-    }
 }
 
 /// Extent of one `impl` block and the type it targets (used internally to
@@ -106,29 +62,18 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
         i += 1;
     }
 
-    // Second sweep: fn and struct items.
+    // Second sweep: fn items.
     let mut i = 0usize;
     while i < tokens.len() {
-        match tokens[i].ident() {
-            Some("fn") => {
-                if let Some((def, next)) = parse_fn(tokens, i, &impls) {
-                    // Descend into the body so nested fns/items are found too.
-                    i = def.body.map_or(next, |(start, _)| start + 1);
-                    out.fns.push(def);
-                    continue;
-                }
-                i += 1;
+        if tokens[i].ident() == Some("fn") {
+            if let Some((def, next)) = parse_fn(tokens, i, &impls) {
+                // Descend into the body so nested fns/items are found too.
+                i = def.body.map_or(next, |(start, _)| start + 1);
+                out.fns.push(def);
+                continue;
             }
-            Some("struct") => {
-                if let Some((def, next)) = parse_struct(tokens, i) {
-                    i = next;
-                    out.structs.push(def);
-                    continue;
-                }
-                i += 1;
-            }
-            _ => i += 1,
         }
+        i += 1;
     }
     out
 }
@@ -223,161 +168,6 @@ fn parse_fn(tokens: &[Token], at: usize, impls: &[ImplSpan]) -> Option<(FnDef, u
     ))
 }
 
-/// Parses a `struct` item starting at the `struct` token. Returns the def
-/// and the token index just past the item.
-fn parse_struct(tokens: &[Token], at: usize) -> Option<(StructDef, usize)> {
-    let name_tok = tokens.get(at + 1)?;
-    let name = name_tok.ident()?.to_owned();
-    let line = name_tok.line;
-    // Skip generics / where clause to the body `{`, a tuple `(`, or `;`.
-    let mut i = at + 2;
-    let mut depth = 0i32;
-    loop {
-        let t = tokens.get(i)?;
-        match t.kind {
-            TokKind::Punct(b'<') => depth += 1,
-            TokKind::Punct(b'>') => depth -= 1,
-            TokKind::Punct(b'{') if depth <= 0 => break,
-            TokKind::Punct(b'(') if depth <= 0 => {
-                // Tuple struct: skip to the terminating `;`.
-                let mut d = 0i32;
-                while let Some(t) = tokens.get(i) {
-                    match t.kind {
-                        TokKind::Punct(b'(') => d += 1,
-                        TokKind::Punct(b')') => d -= 1,
-                        TokKind::Punct(b';') if d == 0 => {
-                            return Some((
-                                StructDef {
-                                    name,
-                                    line,
-                                    fields: Vec::new(),
-                                },
-                                i + 1,
-                            ));
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                return None;
-            }
-            TokKind::Punct(b';') if depth <= 0 => {
-                // Unit struct.
-                return Some((
-                    StructDef {
-                        name,
-                        line,
-                        fields: Vec::new(),
-                    },
-                    i + 1,
-                ));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let open = i;
-    let close = matching_brace(tokens, open)?;
-    let fields = parse_fields(tokens, open + 1, close);
-    Some((StructDef { name, line, fields }, close + 1))
-}
-
-/// Parses `pub? name : <type> ,` field declarations between token indices
-/// `start` (just after the struct's `{`) and `end` (its `}`), skipping
-/// attributes, comments and visibility modifiers.
-fn parse_fields(tokens: &[Token], start: usize, end: usize) -> Vec<FieldDef> {
-    let mut fields = Vec::new();
-    let mut i = start;
-    'fields: while i < end {
-        // Skip comments, attributes and visibility.
-        loop {
-            match tokens.get(i).map(|t| &t.kind) {
-                Some(TokKind::LineComment(_)) => i += 1,
-                Some(TokKind::Punct(b'#')) => {
-                    let mut d = 0i32;
-                    i += 1;
-                    while i < end {
-                        match tokens[i].kind {
-                            TokKind::Punct(b'[') => d += 1,
-                            TokKind::Punct(b']') => {
-                                d -= 1;
-                                if d == 0 {
-                                    i += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                }
-                Some(TokKind::Ident(s)) if s == "pub" => {
-                    i += 1;
-                    // `pub(crate)` / `pub(in path)` restriction.
-                    if tokens.get(i).is_some_and(|t| t.is_punct(b'(')) {
-                        let mut d = 0i32;
-                        while i < end {
-                            match tokens[i].kind {
-                                TokKind::Punct(b'(') => d += 1,
-                                TokKind::Punct(b')') => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        i += 1;
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-        if i >= end {
-            break;
-        }
-        let Some(name) = tokens[i].ident() else { break };
-        let def = FieldDef {
-            name: name.to_owned(),
-            line: tokens[i].line,
-        };
-        i += 1;
-        if !tokens.get(i).is_some_and(|t| t.is_punct(b':')) {
-            break; // not a named-field list after all
-        }
-        // Skip the type to the `,` at depth 0 (or run out at `end`).
-        let mut depth = 0i32;
-        while i < end {
-            match tokens[i].kind {
-                TokKind::Punct(b'(')
-                | TokKind::Punct(b'[')
-                | TokKind::Punct(b'{')
-                | TokKind::Punct(b'<') => depth += 1,
-                TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => depth -= 1,
-                TokKind::Punct(b'>')
-                    if !tokens
-                        .get(i.wrapping_sub(1))
-                        .is_some_and(|p| p.is_punct(b'-')) =>
-                {
-                    depth -= 1;
-                }
-                TokKind::Punct(b',') if depth <= 0 => {
-                    i += 1;
-                    fields.push(def);
-                    continue 'fields;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        fields.push(def);
-        break;
-    }
-    fields
-}
-
 /// Index of the `}` matching the `{` at `open`.
 pub fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0i32;
@@ -394,13 +184,6 @@ pub fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Iterator over the identifier texts within a half-open token range.
-pub fn idents_in(tokens: &[Token], range: (usize, usize)) -> impl Iterator<Item = &str> {
-    tokens[range.0..range.1.min(tokens.len())]
-        .iter()
-        .filter_map(Token::ident)
 }
 
 #[cfg(test)]
@@ -421,14 +204,6 @@ mod tests {
         assert_eq!(
             names,
             [("free", None), ("m", Some("S")), ("clone", Some("S"))]
-        );
-        assert_eq!(p.structs.len(), 1);
-        assert_eq!(
-            p.structs[0].fields,
-            [FieldDef {
-                name: "a".into(),
-                line: 2
-            }]
         );
     }
 
@@ -456,12 +231,12 @@ mod tests {
         let src = "fn a() -> Result<(), E> { x(); }\nfn b() { y(); }\n";
         let toks = lex(src);
         let p = parse(&toks);
-        let a = p.fn_named("a").unwrap();
-        let idents: Vec<&str> = idents_in(&toks, a.body.unwrap()).collect();
-        assert_eq!(idents, ["x"]);
-        let b = p.fn_named("b").unwrap();
-        let idents: Vec<&str> = idents_in(&toks, b.body.unwrap()).collect();
-        assert_eq!(idents, ["y"]);
+        let idents = |f: &FnDef| -> Vec<&str> {
+            let (start, end) = f.body.unwrap();
+            toks[start..end].iter().filter_map(Token::ident).collect()
+        };
+        assert_eq!(idents(&p.fns[0]), ["x"]);
+        assert_eq!(idents(&p.fns[1]), ["y"]);
     }
 
     #[test]
@@ -473,38 +248,15 @@ mod tests {
     }
 
     #[test]
-    fn tuple_unit_and_where_structs_parse() {
-        let src =
-            "struct T(u64, u32);\nstruct U;\nstruct W<K> where K: Ord { k: K, v: Vec<(K, K)> }\n";
-        let p = parse(&lex(src));
-        assert_eq!(p.structs.len(), 3);
-        assert!(p.structs[0].fields.is_empty());
-        assert!(p.structs[1].fields.is_empty());
-        let names: Vec<&str> = p.structs[2]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, ["k", "v"]);
-    }
-
-    #[test]
-    fn fields_with_attrs_comments_and_restricted_vis() {
-        let src = "struct S {\n    /// doc\n    #[serde(default)]\n    pub a: u64,\n    // plain comment\n    pub(crate) b: Option<Box<S>>,\n    c: [u8; 4],\n}\n";
-        let p = parse(&lex(src));
-        let f: Vec<(&str, u32)> = p.structs[0]
-            .fields
-            .iter()
-            .map(|f| (f.name.as_str(), f.line))
-            .collect();
-        assert_eq!(f, [("a", 4), ("b", 6), ("c", 7)]);
-    }
-
-    #[test]
     fn methods_of_groups_across_impl_blocks() {
         let src = "struct S { a: u64 }\nimpl S { fn save_state(&self) { self.a; } }\nimpl S { fn restore_state(&mut self) { self.a = 0; } }\n";
         let p = parse(&lex(src));
-        let m: Vec<&str> = p.methods_of("S").map(|f| f.name.as_str()).collect();
+        let m: Vec<&str> = p
+            .fns
+            .iter()
+            .filter(|f| f.owner.as_deref() == Some("S"))
+            .map(|f| f.name.as_str())
+            .collect();
         assert_eq!(m, ["save_state", "restore_state"]);
     }
 }

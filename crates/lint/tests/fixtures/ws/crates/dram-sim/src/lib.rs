@@ -1,3 +1,2 @@
 //! Fixture crate root.
-pub mod bank;
 pub mod system;

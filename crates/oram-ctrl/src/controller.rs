@@ -395,26 +395,19 @@ impl Regions {
 pub struct TimedController {
     pub(crate) chooser: PathChooser,
     dram: DramSystem,
-    // lint: allow(snapshot-drift, precomputed from the layouts at construction)
     regions: Regions,
     /// Reused request buffer for path read/write-back batches: filled from
     /// the path table per path, rewritten in place for the write phase.
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     reqs_buf: Vec<MemRequest>,
     /// Pipelined mode's deferred write-back batch (the read-priority write
     /// buffer, shared by every tree — the slot schedule is one stream):
     /// slot `i`'s writes wait here until slot `i+1`'s read batch has been
     /// scheduled. Always empty at effective depth 1.
     write_buf: Vec<MemRequest>,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     t_interval: u64,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     timing_protection: bool,
-    // lint: allow(snapshot-drift, configuration (a pure cycle-ratio converter))
     clock: ClockRatio,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     decrypt_lat: u64,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     front_hit_lat: u64,
     next_slot: Cycle,
     /// The k-deep access pipeline; `None` at effective depth 1, where the
@@ -429,15 +422,12 @@ pub struct TimedController {
     /// Fault plan (None when every rate is zero — the common case).
     faults: Option<FaultPlan>,
     /// CPU cycles charged per detected-and-repaired corrupted bucket.
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     refetch_lat: u64,
     /// Hard limit on any stash; staying over it past the bounded grace is
     /// a transient `SimError`.
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     stash_hard_limit: usize,
     /// Degradation watermark (¾ of the hard limit): above it, new-work
     /// admission is throttled so background eviction can drain the stash.
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     degrade_watermark: usize,
     /// Integrity detections already charged a re-fetch penalty.
     seen_detected: u64,

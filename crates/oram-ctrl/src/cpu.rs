@@ -32,11 +32,9 @@ struct Miss {
 /// The trace-driven core.
 #[derive(Debug, Clone)]
 pub struct TraceCpu {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     rob: u64,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     ipc: u64,
-    // lint: allow(snapshot-drift, configuration; restore validates the snapshot against it)
+    // Configuration; restore validates the snapshot against it.
     mshrs: usize,
     cursor: Cycle,
     inst_count: u64,

@@ -97,10 +97,10 @@ pub(crate) struct RhoTrees {
     small_queue: VecDeque<SmallWork>,
     current_small: Option<SmallWork>,
     /// Recently missed addresses (install gate).
-    // lint: allow(snapshot-drift, rebuilt from the serialized reuse_order deque on restore)
+    // Rebuilt from the serialized `reuse_order` deque on restore.
     reuse_filter: BTreeSet<u64>,
     reuse_order: VecDeque<u64>,
-    // lint: allow(snapshot-drift, configuration; restore validates the snapshot against it)
+    // Configuration; restore validates the snapshot against it.
     reuse_capacity: usize,
 }
 

@@ -435,25 +435,20 @@ impl From<Option<u64>> for WriteOp<'_> {
 /// assert_eq!(rec.payload, 1234);
 /// ```
 pub struct PathOram {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cfg: OramConfig,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     layout: TreeLayout,
     tree: OramTree,
     stash: Stash,
     posmap: PosMapSystem,
     top: Option<Box<dyn TreeTopStore + Send>>,
     escrow: BTreeMap<u64, u64>,
-    // lint: allow(snapshot-drift, keyed at construction from the seed; stateless per block)
+    // Keyed at construction from the seed; stateless per block.
     cipher: FeistelCipher,
     rng: SimRng,
     stats: ProtocolStats,
     // Hot-loop scratch reused across path accesses (never logical state).
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     plan: WritebackPlan,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     read_buf: Vec<StoredBlock>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     rej_buf: Vec<StoredBlock>,
 }
 

@@ -138,13 +138,11 @@ pub enum PlbStatus {
 /// PosMap₃, and the PLB.
 #[derive(Debug, Clone)]
 pub struct PosMapSystem {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     space: AddressSpace,
     /// Current leaf per block address, [`UNMAPPED`] if none; 32 bits an
     /// entry (Stefanov et al.'s position map needs only `L` bits).
     leaf_of: Vec<u32>,
     plb: SetAssocCache,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     num_leaves: u64,
     /// PLB lookups that hit (PosMap₁ resolved without a path access).
     pub plb_hits: u64,

@@ -40,19 +40,14 @@ pub struct Stash {
     /// plus a memmove within L1 still beats a hash map for lookups and
     /// inserts, and the write-back sweep keeps the order without sorting.
     blocks: Vec<StoredBlock>,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     capacity: usize,
     max_occupancy: usize,
     // Write-back planning scratch, kept across calls so the per-path hot
     // loop allocates nothing. Not logical state: always left consistent but
     // meaningless between calls.
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     keys: Vec<u64>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     placed: Vec<bool>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     skipped: Vec<u64>,
-    // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     leftover: Vec<StoredBlock>,
 }
 

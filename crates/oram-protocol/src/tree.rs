@@ -97,7 +97,7 @@ impl Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OramTree {
-    // lint: allow(snapshot-drift, configuration; restore cross-checks the snapshot geometry against it)
+    // Configuration; restore cross-checks the snapshot geometry against it.
     layout: TreeLayout,
     slots: Vec<Slot>,
     /// Real blocks per level, maintained incrementally for O(L) utilization

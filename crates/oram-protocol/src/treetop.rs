@@ -173,12 +173,10 @@ fn node_code(level: usize, bucket: u64) -> usize {
 /// The dedicated tree-top cache design (Wang et al. \[32\], Baseline here).
 #[derive(Debug, Clone)]
 pub struct DedicatedTreeTop {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cached_levels: usize,
     /// Bucket storage indexed by the paper's node code.
     buckets: Vec<Vec<StoredBlock>>,
     /// Logical capacity per level.
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     z: Vec<u32>,
 }
 
@@ -372,16 +370,12 @@ struct SEntry {
 /// planner.
 #[derive(Debug, Clone)]
 pub struct IrStashTop {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cached_levels: usize,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     sets: usize,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     ways: usize,
     entries: Vec<Option<SEntry>>,
     /// TT pointer table: node code → entry indices.
     tt: Vec<Vec<u32>>,
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     z: Vec<u32>,
     /// Memoized set indices (`addr → MD5(addr) % sets`). The modeled
     /// hardware hashes each address once into its set wiring, but the
@@ -389,7 +383,7 @@ pub struct IrStashTop {
     /// check and fill — recomputing a full MD5 compression each time
     /// dominated S-Stash scheme runtime. The digest is a pure function of
     /// the address, so caching it cannot change any result.
-    // lint: allow(snapshot-drift, memo cache over a pure function of the address; safe to lose)
+    // Not checkpointed: a memo over a pure function of the address, safe to lose.
     set_memo: RefCell<AddrMap<u32>>,
 }
 

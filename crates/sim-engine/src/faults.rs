@@ -109,7 +109,6 @@ pub struct InjectedFaults {
 /// stream. Build with [`FaultPlan::new`]; query once per slot / record.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cfg: FaultConfig,
     rng: SimRng,
     /// Remaining slots of the storm in progress (0 = no storm).

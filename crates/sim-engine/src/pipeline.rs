@@ -38,7 +38,7 @@ use crate::Cycle;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FloorRing {
-    // lint: allow(snapshot-drift, configuration; restore validates the snapshot against it)
+    // Configuration; restore validates the snapshot against it.
     depth: usize,
     floors: VecDeque<Cycle>,
 }

@@ -42,17 +42,16 @@ pub enum Pattern {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadGen {
-    // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     spec: WorkloadSpec,
     rng: SimRng,
-    // lint: allow(snapshot-drift, derived from the spec at construction)
+    // Derived from the spec at construction.
     base: u64,
     /// Per-stream cursors for streaming mode.
     stream_pos: Vec<u64>,
     /// Pointer-chase state.
     chase: u64,
     /// Zipf sampling tables (none for other patterns).
-    // lint: allow(snapshot-drift, sampling table derived from the spec at construction)
+    // Derived from the spec at construction.
     zipf: Option<ZipfTable>,
     /// Sub-generators for Mix.
     mix: Vec<WorkloadGen>,

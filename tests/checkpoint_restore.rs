@@ -2,17 +2,22 @@
 //!
 //! The contract under test: a run that snapshots every N slots produces a
 //! report identical to an unsnapshotted run; a run *resumed* from any
-//! mid-run snapshot finishes with that same report (at every scheme and
-//! pipeline depth); a controller saved mid-flight and restored into a
-//! fresh twin is indistinguishable from the original from then on; and a
-//! corrupted, truncated, or mismatched snapshot surfaces as a typed
-//! [`SimError::Snapshot`], never a panic or silent misresume.
+//! mid-run snapshot finishes with that same report (every scheme, pipeline
+//! depths 1 and 4, faults on and off); a controller saved mid-flight and
+//! restored into a fresh twin is indistinguishable from the original from
+//! then on; and a corrupted, truncated, or mismatched snapshot surfaces as
+//! a typed [`SimError::Snapshot`], never a panic or silent misresume.
+//!
+//! The restores at many cuts are also what keeps every `save_state` /
+//! `restore_state` pair complete: a field the pair leaves out keeps its
+//! freshly built value in the restored twin, and some cut lands where that
+//! value differs and the runs part ways.
 
 use std::path::PathBuf;
 
 use ir_oram::{
     CheckpointSpec, OramRequest, RunLimit, Scheme, SimError, Simulation, SystemConfig,
-    TimedController,
+    TimedController, ALL_SCHEMES,
 };
 use iroram_cache::{HierarchyConfig, MemoryHierarchy};
 use iroram_protocol::{BlockAddr, TreeTopMode, ZAllocation};
@@ -45,64 +50,126 @@ fn snap_path(tag: &str) -> PathBuf {
     dir.join(format!("{tag}-{}.snap", std::process::id()))
 }
 
-fn run_plain(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> String {
-    let r = Simulation::try_run_bench(cfg, bench, limit).expect("plain run");
-    format!("{r:?}")
-}
-
-fn run_ckpt(cfg: &SystemConfig, bench: Bench, limit: RunLimit, spec: &CheckpointSpec) -> String {
+/// A run's report and audit results, as text.
+fn run(cfg: &SystemConfig, bench: Bench, limit: RunLimit, spec: Option<&CheckpointSpec>) -> String {
     let gen = WorkloadGen::for_bench(bench, cfg.data_blocks(), cfg.seed);
-    let (r, _) = Simulation::try_run_checkpointed(cfg, gen, limit, bench.name(), Some(spec))
-        .expect("checkpointed run");
-    format!("{r:?}")
+    let (r, audit) =
+        Simulation::try_run_checkpointed(cfg, gen, limit, bench.name(), spec).expect("run");
+    format!("{r:?}{audit:?}")
 }
 
-/// One full equivalence cycle at a given scheme and pipeline depth:
-/// checkpointing must not perturb the report, and resuming from the last
-/// mid-run snapshot must reproduce the uninterrupted report exactly.
-fn assert_resume_equivalence(scheme: Scheme, depth: u32, interval: u64, tag: &str) {
-    let mut cfg = tiny(scheme);
-    cfg.pipeline_depth = depth;
+/// One full equivalence cycle for `cfg` running `bench` and snapshotting
+/// every `interval` slots: checkpointing must not perturb the report, and resuming from
+/// each mid-run snapshot must reproduce the uninterrupted report exactly.
+///
+/// A run keeps only its last snapshot. That of the full run is the first
+/// cut; with `step` below the run's length, more are collected by running
+/// to successive multiples of `step` ops: each such run resumes from the
+/// previous one's last snapshot and leaves a later one behind, which is
+/// copied aside before the next.
+fn assert_resume_equivalence(
+    cfg: &SystemConfig,
+    bench: Bench,
+    interval: u64,
+    step: u64,
+    tag: &str,
+) {
+    const OPS: u64 = 1_500;
+    let mut cfg = cfg.clone();
     cfg.checkpoint_interval = interval;
-    let limit = RunLimit::mem_ops(1_500);
-    let straight = run_plain(&cfg, Bench::Gcc, limit);
+    let (scheme, depth) = (cfg.scheme, cfg.pipeline_depth);
+    let limit = RunLimit::mem_ops(OPS);
+    let straight = run(&cfg, bench, limit, None);
 
     let spec = CheckpointSpec {
         path: snap_path(tag),
         fingerprint: 0x1207_0000 ^ u64::from(depth) ^ interval << 8,
     };
     let _ = std::fs::remove_file(&spec.path);
-    let with_ckpt = run_ckpt(&cfg, Bench::Gcc, limit, &spec);
+    let with_ckpt = run(&cfg, bench, limit, Some(&spec));
     assert_eq!(
         with_ckpt, straight,
         "{scheme:?}/depth {depth}: snapshotting must not perturb the run"
     );
-
-    // The completed run leaves its last mid-run snapshot behind; it must
-    // be a genuine mid-run cut, and resuming from it must land on the
-    // very same report.
-    let header = checkpoint::read_header(&spec.path)
-        .expect("snapshot header readable")
-        .expect("a mid-run snapshot must remain after the run");
-    assert!(header.slots_done > 0, "snapshot taken before any progress");
-    assert_eq!(header.fingerprint, spec.fingerprint);
-    let resumed = run_ckpt(&cfg, Bench::Gcc, limit, &spec);
-    assert_eq!(
-        resumed, straight,
-        "{scheme:?}/depth {depth}: resumed run diverged from the uninterrupted one"
+    let mut cuts = vec![std::fs::read(&spec.path).expect("a mid-run snapshot must remain")];
+    let _ = std::fs::remove_file(&spec.path);
+    for ops in (step..OPS).step_by(step as usize) {
+        run(&cfg, bench, RunLimit::mem_ops(ops), Some(&spec));
+        if let Ok(bytes) = std::fs::read(&spec.path) {
+            if !cuts.contains(&bytes) {
+                cuts.push(bytes);
+            }
+        }
+    }
+    let expected = (OPS / step / 2) as usize;
+    assert!(
+        cuts.len() > expected,
+        "{scheme:?}/depth {depth}: only {} distinct cuts",
+        cuts.len()
     );
+
+    // Resume each cut with snapshotting off, so the continuation runs on
+    // restored state alone.
+    let mut resume_cfg = cfg.clone();
+    resume_cfg.checkpoint_interval = 0;
+    for bytes in &cuts {
+        std::fs::write(&spec.path, bytes).expect("write snapshot");
+        let header = checkpoint::read_header(&spec.path)
+            .expect("snapshot header readable")
+            .expect("snapshot present");
+        assert!(header.slots_done > 0, "snapshot taken before any progress");
+        assert_eq!(header.fingerprint, spec.fingerprint);
+        let resumed = run(&resume_cfg, bench, limit, Some(&spec));
+        assert_eq!(
+            resumed, straight,
+            "{scheme:?}/depth {depth}: run resumed at slot {} diverged from the uninterrupted one",
+            header.slots_done
+        );
+    }
     let _ = std::fs::remove_file(&spec.path);
 }
 
 #[test]
 fn resume_equals_straight_through_across_schemes_and_depths() {
-    for (i, scheme) in [Scheme::Baseline, Scheme::Rho, Scheme::IrOram, Scheme::LlcD]
-        .into_iter()
-        .enumerate()
+    // The chooser-level state of every scheme is covered mid-flight below;
+    // these runs cover what only a whole simulation holds (the core, the
+    // workload generator, the caches, the IR-DWB scanner's LLC view, LLC
+    // evictions into delayed remapping) under both choosers.
+    for (i, (scheme, depth)) in [
+        (Scheme::Baseline, 1),
+        (Scheme::Rho, 4),
+        (Scheme::IrDwb, 1),
+        (Scheme::IrOram, 4),
+        (Scheme::LlcD, 1),
+        (Scheme::IrAllocStashOnLlcD, 4),
+    ]
+    .into_iter()
+    .enumerate()
     {
-        for depth in [1u32, 4] {
-            assert_resume_equivalence(scheme, depth, 8, &format!("eq-{i}-{depth}"));
+        let mut cfg = tiny(scheme);
+        cfg.pipeline_depth = depth;
+        assert_resume_equivalence(&cfg, Bench::Mix, 32, 150, &format!("eq-{i}"));
+    }
+    // Faults on, audited: the trace and controller fault plans and the
+    // injected-corruption ledger cross every cut. With the integrity layer
+    // on, so does the checksum table, and a 1-block soft stash with a
+    // 3-block hard limit keeps background eviction, storms and the
+    // degraded mode's throttle busy. With it off, corrupted payloads reach
+    // the audit oracle, which must remember every pre-cut read.
+    for (scheme, integrity) in [(Scheme::IrAlloc, true), (Scheme::IrOram, false)] {
+        let mut cfg = tiny(scheme);
+        cfg.pipeline_depth = 4;
+        cfg.audit = true;
+        cfg.oram.integrity = integrity;
+        if integrity {
+            cfg.oram.stash_capacity = 1;
+            cfg.stash_hard_limit = 3;
         }
+        cfg.faults.dram_corruption = 0.1;
+        cfg.faults.bank_stall = 0.02;
+        cfg.faults.stash_storm = 0.01;
+        cfg.faults.trace_mangle = 0.005;
+        assert_resume_equivalence(&cfg, Bench::Mix, 32, 150, &format!("eq-faults-{integrity}"));
     }
 }
 
@@ -118,97 +185,190 @@ proptest! {
         scheme_idx in 0usize..3,
         depth_idx in 0usize..2,
     ) {
-        let scheme = [Scheme::Baseline, Scheme::Rho, Scheme::IrDwb][scheme_idx];
-        let depth = [1u32, 4][depth_idx];
+        let mut cfg = tiny([Scheme::Baseline, Scheme::Rho, Scheme::IrDwb][scheme_idx]);
+        cfg.pipeline_depth = [1u32, 4][depth_idx];
         assert_resume_equivalence(
-            scheme,
-            depth,
+            &cfg,
+            Bench::Gcc,
             interval,
-            &format!("prop-{scheme_idx}-{depth}-{interval}"),
+            u64::MAX,
+            &format!("prop-{scheme_idx}-{depth_idx}-{interval}"),
         );
     }
 }
 
-/// Drives a controller for a while, saves it mid-flight, restores into a
-/// fresh twin, then drives both identically (one more request submitted
-/// after the restore) and requires identical observable behavior — the
-/// restore really is a bit-faithful resume.
-///
-/// The workload is 24 requests at `addr = i * stride`, blocking every
-/// `every`th, arriving `gap` cycles apart; the save happens at cycle `cut`.
-fn assert_roundtrip_mid_flight(scheme: Scheme, stride: u64, every: u64, gap: u64, cut: u64) {
-    let cfg = tiny(scheme);
-    let mut hier_a = MemoryHierarchy::new(cfg.hierarchy);
-    let mut a = TimedController::new(&cfg);
-    for i in 0..24u64 {
-        a.submit(OramRequest {
-            id: i + 1,
-            addr: BlockAddr(i * stride % (1 << 11)),
-            blocking: i % every == 0,
-            arrival: Cycle(i * gap),
-        });
-    }
-    a.advance_until(Cycle(cut), &mut hier_a).expect("advance");
-    let done_a = a.take_completions();
+/// What a controller did from some cut to the end of a run.
+struct Continuation {
+    /// The snapshot at each later cut (a twin's: at the next one only),
+    /// then the one after the drain.
+    snapshots: Vec<Vec<u8>>,
+    /// Completions in the order they were taken.
+    completions: Vec<(u64, Cycle)>,
+    /// The drain cycle.
+    end: Cycle,
+    /// Every statistic the controller reports, after the drain.
+    stats: String,
+}
 
+/// Drives `c` over the cuts after `from` (all of them for `None`) and
+/// then drains it. Before each cut it submits the requests arriving by
+/// then — 48 requests in all, arriving 1000 cycles apart, every third
+/// blocking; request `i` reads `(i % 24) * 37`, and the second request
+/// for an address follows its (every other time dirty) LLC eviction —
+/// advances to the cut and saves a snapshot.
+fn continue_from(
+    c: &mut TimedController,
+    hier: &mut MemoryHierarchy,
+    cuts: &[u64],
+    from: Option<usize>,
+) -> Continuation {
+    let mut snapshots = Vec::new();
+    // A run saves at a cut before it takes the completions there, so a
+    // twin restored at that cut takes them first.
+    let mut completions = c.take_completions();
+    let first = from.map_or(0, |j| j + 1);
+    let mut submitted_by = from.map(|j| cuts[j]);
+    for &cut in &cuts[first..] {
+        for i in 0..48u64 {
+            let arrival = i * 1000;
+            if arrival <= cut && submitted_by.is_none_or(|s| arrival > s) {
+                let addr = BlockAddr(i % 24 * 37);
+                if i >= 24 {
+                    c.on_llc_eviction(addr, i % 2 == 0, Cycle(arrival), 100 + i);
+                }
+                c.submit(OramRequest {
+                    id: i + 1,
+                    addr,
+                    blocking: i % 3 == 0,
+                    arrival: Cycle(arrival),
+                });
+            }
+        }
+        submitted_by = Some(cut);
+        c.advance_until(Cycle(cut), hier).expect("advance");
+        // A twin only needs its next snapshot; the straight run keeps
+        // every one to restore from.
+        if from.is_none() || snapshots.is_empty() {
+            snapshots.push(save(c));
+        }
+        completions.extend(c.take_completions());
+    }
+    let end = c.drain(hier).expect("drain");
+    completions.extend(c.take_completions());
+    snapshots.push(save(c));
+    let stats = format!(
+        "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+        c.slot_stats(),
+        c.stash_pressure(),
+        c.dram_stats(),
+        c.protocol_stats(),
+        c.protocol().plb_counters(),
+        c.dwb_stats(),
+        c.pipeline_stats(),
+        c.audit_report(),
+    );
+    Continuation {
+        snapshots,
+        completions,
+        end,
+        stats,
+    }
+}
+
+/// A controller's snapshot bytes.
+fn save(c: &TimedController) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    a.save_state(&mut w);
-    let bytes = w.into_bytes();
-    let mut b = TimedController::new(&cfg);
-    let mut r = SnapReader::new(&bytes);
-    b.restore_state(&mut r).expect("restore");
-    r.finish().expect("no trailing snapshot bytes");
+    c.save_state(&mut w);
+    w.into_bytes()
+}
 
-    let mut hier_b = hier_a.clone();
-    for c in [&mut a, &mut b] {
-        c.submit(OramRequest {
-            id: 1000,
-            addr: BlockAddr(99),
-            blocking: true,
-            arrival: Cycle(cut + 100),
-        });
+/// Runs `scheme` at pipeline `depth` (audit on) straight through the
+/// request stream of [`continue_from`], snapshotting at every cycle in
+/// `cuts`. Then, for each cut, restores that snapshot into a freshly
+/// built twin, continues the twin the same way, and requires it to match
+/// the straight run from there on: the snapshot at the next cut and after
+/// the drain, the completions, the drain cycle and every statistic. A
+/// field that `save_state`/`restore_state` leave out keeps its freshly
+/// built value in the twin, so the two part ways.
+fn assert_roundtrip_mid_flight(scheme: Scheme, depth: u32, cuts: &[u64]) {
+    let mut cfg = tiny(scheme);
+    cfg.pipeline_depth = depth;
+    cfg.audit = true;
+    let mut hier = MemoryHierarchy::new(cfg.hierarchy);
+    let mut a = TimedController::new(&cfg);
+    let straight = continue_from(&mut a, &mut hier, cuts, None);
+    let audit = a.audit_report().expect("audit on");
+    assert!(
+        audit.is_clean(),
+        "{scheme:?}/depth {depth}: audit violations {:?}",
+        audit.samples
+    );
+
+    for (j, &cut) in cuts.iter().enumerate() {
+        let mut b = TimedController::new(&cfg);
+        let bytes = &straight.snapshots[j];
+        let mut r = SnapReader::new(bytes);
+        b.restore_state(&mut r).expect("restore");
+        r.finish().expect("no trailing snapshot bytes");
+        // The stream feeds its LLC evictions to the controller directly, so
+        // the hierarchy stays as built.
+        let mut hier_b = MemoryHierarchy::new(cfg.hierarchy);
+        let resumed = continue_from(&mut b, &mut hier_b, cuts, Some(j));
+        let at = format!("{scheme:?}/depth {depth}/cut {cut}");
+        let taken_before = straight
+            .completions
+            .len()
+            .checked_sub(resumed.completions.len())
+            .unwrap_or_else(|| panic!("{at}: the twin completed more requests"));
+        assert_eq!(
+            resumed.completions,
+            straight.completions[taken_before..],
+            "{at}: completion streams diverged after restore"
+        );
+        assert_eq!(
+            resumed.end, straight.end,
+            "{at}: drain cycles diverged after restore"
+        );
+        assert_eq!(
+            resumed.stats, straight.stats,
+            "{at}: controller statistics diverged after restore"
+        );
+        let (next, last) = (&resumed.snapshots[0], resumed.snapshots.last());
+        assert!(
+            next == &straight.snapshots[j + 1],
+            "{at}: the next snapshot diverged after restore"
+        );
+        assert!(
+            last == straight.snapshots.last(),
+            "{at}: the snapshot after the drain diverged"
+        );
     }
-    let end_a = a.drain(&mut hier_a).expect("drain a");
-    let end_b = b.drain(&mut hier_b).expect("drain b");
-    assert_eq!(
-        end_a, end_b,
-        "{scheme:?}: drain cycles diverged after restore"
-    );
-    let mut rest_a = done_a.clone();
-    rest_a.extend(a.take_completions());
-    let mut rest_b = done_a; // the twin resumed after these completed
-    rest_b.extend(b.take_completions());
-    assert_eq!(
-        rest_a, rest_b,
-        "{scheme:?}: completion streams diverged after restore"
-    );
-    assert_eq!(
-        format!(
-            "{:?}{:?}{:?}",
-            a.slot_stats(),
-            a.stash_pressure(),
-            a.dram_stats()
-        ),
-        format!(
-            "{:?}{:?}{:?}",
-            b.slot_stats(),
-            b.stash_pressure(),
-            b.dram_stats()
-        ),
-        "{scheme:?}: controller statistics diverged after restore"
-    );
+}
+
+/// 30 cut points `spacing` cycles apart, spread over the whole run from
+/// the first slots to the drain, so every kind of in-flight state is
+/// crossed by some cut.
+fn cuts(spacing: u64) -> Vec<u64> {
+    (1..=30u64).map(|i| i * spacing).collect()
 }
 
 #[test]
 fn timed_controller_roundtrips_mid_flight() {
-    assert_roundtrip_mid_flight(Scheme::Baseline, 37, 3, 50, 4_000);
-    assert_roundtrip_mid_flight(Scheme::IrDwb, 37, 3, 50, 4_000);
+    for scheme in ALL_SCHEMES.into_iter().filter(|&s| s != Scheme::Rho) {
+        for depth in [1u32, 4] {
+            assert_roundtrip_mid_flight(scheme, depth, &cuts(1_600));
+        }
+    }
 }
 
-/// The same mid-flight round trip through the ρ path chooser.
+/// The same mid-flight round trip through the ρ path chooser, whose
+/// 1 main : 2 small slot pattern takes about twice as long to serve the
+/// stream.
 #[test]
 fn rho_controller_roundtrips_mid_flight() {
-    assert_roundtrip_mid_flight(Scheme::Rho, 53, 4, 60, 5_000);
+    for depth in [1u32, 4] {
+        assert_roundtrip_mid_flight(Scheme::Rho, depth, &cuts(3_300));
+    }
 }
 
 /// A snapshot of one path chooser never restores into the other: a ρ

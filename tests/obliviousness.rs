@@ -11,7 +11,7 @@
 //!    on, the slot *count per unit time* is a function of the configuration
 //!    alone, not of the request stream.
 
-use ir_oram::{RunLimit, Scheme, Simulation, SystemConfig};
+use ir_oram::{RunLimit, Scheme, Simulation, SystemConfig, ALL_SCHEMES};
 use iroram_dram::SubtreeLayout;
 use iroram_protocol::{OramConfig, PathOram, PathType};
 use iroram_sim_engine::SimRng;
@@ -140,13 +140,14 @@ fn slot_rate_is_workload_independent() {
     );
 }
 
-/// The pipelined controllers keep both uniformity arguments at every
-/// depth: over a fixed horizon, an idle (all-dummy) and a saturated
-/// (all-real) controller issue the same number of slots, and every slot
-/// carries exactly the same DRAM request count — so the externally visible
-/// address *volume and rate* are request-content-independent at depths 1,
-/// 2 and 4. Runs are audited, so the depth-k exact-schedule, conservation
-/// and oracle checks all gate the overlapped schedules too.
+/// Every scheme's controllers keep both uniformity arguments at every
+/// pipeline depth: over a fixed horizon, an idle (all-dummy) and a
+/// saturated (all-real) controller issue the same number of slots, and
+/// every slot carries exactly the same DRAM request count (for ρ, the same
+/// count per slot of each tree) — so the externally visible address
+/// *volume and rate* are request-content-independent at depths 1, 2 and
+/// 4. Runs are audited, so the depth-k exact-schedule, conservation and
+/// oracle checks all gate the overlapped schedules too.
 #[test]
 fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
     use ir_oram::TimedController;
@@ -155,69 +156,107 @@ fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
     use iroram_sim_engine::Cycle;
 
     let horizon = Cycle(300_000);
-    for depth in [1u32, 2, 4] {
-        let mut cfg = tiny(Scheme::Baseline);
-        cfg.pipeline_depth = depth;
-        cfg.audit = true;
+    // ρ's (main slots, small slots, DRAM requests) per run.
+    let mut rho_runs = Vec::new();
+    for scheme in ALL_SCHEMES {
+        for depth in [1u32, 2, 4] {
+            let mut cfg = tiny(scheme);
+            cfg.pipeline_depth = depth;
+            cfg.audit = true;
 
-        let mut idle = TimedController::new(&cfg);
-        let mut h1 = MemoryHierarchy::new(cfg.hierarchy);
-        idle.advance_until(horizon, &mut h1).unwrap();
-        let idle_slots = idle.slot_stats().total_slots;
-        // The pipelined controller legitimately holds one write batch in
-        // its deferred buffer mid-run; count it so the per-slot identity
-        // below stays exact.
-        let idle_reqs = idle.dram_stats().requests + idle.deferred_write_lines();
+            let mut idle = TimedController::new(&cfg);
+            let mut h1 = MemoryHierarchy::new(cfg.hierarchy);
+            idle.advance_until(horizon, &mut h1).unwrap();
 
-        let mut busy = TimedController::new(&cfg);
-        let mut h2 = MemoryHierarchy::new(cfg.hierarchy);
-        let mut id = 0;
-        for a in (0..4096u64).step_by(3) {
-            if busy.front_try(BlockAddr(a), Cycle(0)).is_none() {
-                id += 1;
-                busy.submit(ir_oram::OramRequest {
-                    id,
-                    addr: BlockAddr(a),
-                    arrival: Cycle(0),
-                    blocking: false,
-                });
+            let mut busy = TimedController::new(&cfg);
+            let mut h2 = MemoryHierarchy::new(cfg.hierarchy);
+            let mut id = 0;
+            for a in (0..4096u64).step_by(3) {
+                if busy.front_try(BlockAddr(a), Cycle(0)).is_none() {
+                    id += 1;
+                    busy.submit(ir_oram::OramRequest {
+                        id,
+                        addr: BlockAddr(a),
+                        arrival: Cycle(0),
+                        blocking: false,
+                    });
+                }
             }
-        }
-        busy.advance_until(horizon, &mut h2).unwrap();
-        let busy_slots = busy.slot_stats().total_slots;
-        let busy_reqs = busy.dram_stats().requests + busy.deferred_write_lines();
+            busy.advance_until(horizon, &mut h2).unwrap();
 
-        let lo = idle_slots.min(busy_slots) as f64;
-        let hi = idle_slots.max(busy_slots) as f64;
-        assert!(
-            hi / lo < 1.05,
-            "depth {depth}: slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
-        );
-        // Every slot moves an identical number of DRAM lines whatever it
-        // carries: requests-per-slot must match exactly across workloads.
+            let at = format!("{scheme:?}/depth {depth}");
+            // The pipelined controller legitimately holds one write batch
+            // in its deferred buffer mid-run; count it so the per-slot
+            // identities below stay exact.
+            let [(idle_slots, idle_reqs), (busy_slots, busy_reqs)] = [&idle, &busy].map(|c| {
+                (
+                    c.slot_stats().total_slots,
+                    c.dram_stats().requests + c.deferred_write_lines(),
+                )
+            });
+            let lo = idle_slots.min(busy_slots) as f64;
+            let hi = idle_slots.max(busy_slots) as f64;
+            assert!(
+                hi / lo < 1.05,
+                "{at}: slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
+            );
+            if scheme == Scheme::Rho {
+                for c in [&idle, &busy] {
+                    let (main, small) = c.protocol_stats();
+                    let small = small.expect("ρ has a small tree");
+                    let (m, s) = (main.total_paths(), small.total_paths());
+                    assert_eq!(
+                        m + s,
+                        c.slot_stats().total_slots,
+                        "{at}: every slot is one tree's path"
+                    );
+                    rho_runs.push((m, s, c.dram_stats().requests + c.deferred_write_lines()));
+                }
+            } else {
+                // Every slot moves an identical number of DRAM lines
+                // whatever it carries: requests-per-slot must match
+                // exactly across workloads.
+                assert_eq!(
+                    idle_reqs * busy_slots,
+                    busy_reqs * idle_slots,
+                    "{at}: per-slot DRAM request count depends on the workload \
+                     (idle {idle_reqs}/{idle_slots}, busy {busy_reqs}/{busy_slots})"
+                );
+            }
+            for (name, ctl) in [("idle", &idle), ("busy", &busy)] {
+                let report = ctl.audit_report().expect("audit enabled");
+                assert!(
+                    report.is_clean(),
+                    "{at}: {name} audit violations: {:?}",
+                    report.samples
+                );
+                assert!(report.checks > 0, "audit must actually run");
+            }
+            assert_eq!(
+                idle.pipeline_stats().is_some(),
+                depth > 1,
+                "{at}: only depth 1 runs the serial code path"
+            );
+        }
+    }
+    // ρ's 1 main : 2 small pattern splits an uneven slot count unevenly,
+    // so its aggregate requests per slot differ between runs. Per tree
+    // they must not: one (main, small) pair of per-slot request counts,
+    // solved from the first two runs, must account for every run exactly.
+    let (a1, b1, r1) = rho_runs[0];
+    let (a2, b2, r2) = rho_runs[1];
+    let det = a1 as i128 * b2 as i128 - a2 as i128 * b1 as i128;
+    assert_ne!(det, 0, "ρ: the first two runs split their slots alike");
+    let m = (r1 as i128 * b2 as i128 - r2 as i128 * b1 as i128) / det;
+    let s = (a1 as i128 * r2 as i128 - a2 as i128 * r1 as i128) / det;
+    assert!(m > 0 && s > 0, "ρ: per-slot request counts {m}, {s}");
+    for &(a, b, r) in &rho_runs {
         assert_eq!(
-            idle_reqs * busy_slots,
-            busy_reqs * idle_slots,
-            "depth {depth}: per-slot DRAM request count depends on the workload \
-             (idle {idle_reqs}/{idle_slots}, busy {busy_reqs}/{busy_slots})"
+            a as i128 * m + b as i128 * s,
+            r as i128,
+            "ρ: a run's DRAM requests depend on the workload \
+             ({a} main slots x {m} + {b} small slots x {s} != {r})"
         );
-        for (name, ctl) in [("idle", &idle), ("busy", &busy)] {
-            let report = ctl.audit_report().expect("audit enabled");
-            assert!(
-                report.is_clean(),
-                "depth {depth}: {name} audit violations: {:?}",
-                report.samples
-            );
-            assert!(report.checks > 0, "audit must actually run");
-        }
-        if depth == 1 {
-            assert!(
-                idle.pipeline_stats().is_none(),
-                "depth 1 must run the serial code path"
-            );
-        } else {
-            assert!(idle.pipeline_stats().is_some());
-        }
     }
 }
 
