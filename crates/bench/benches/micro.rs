@@ -121,11 +121,12 @@ fn filled_stash(rng: &mut SimRng, occupancy: u64) -> Vec<u8> {
 
 /// A path read to `leaf` of the L=17, Z=4 tree: `len` blocks filling the
 /// buckets of the deepest levels, four apiece, each mapped to a leaf under
-/// its bucket, with addresses from `first_addr` up.
+/// its bucket, with addresses from `first_addr` up. The buckets come root
+/// first, in the order `PathOram::path_access` reads them.
 fn read_path(rng: &mut SimRng, leaf: Leaf, len: u64, first_addr: u64) -> Vec<StoredBlock> {
     (0..len)
         .map(|i| {
-            let below = i / 4;
+            let below = (len - 1 - i) / 4;
             StoredBlock {
                 addr: BlockAddr(first_addr + i),
                 leaf: Leaf((leaf.0 >> below << below) | rng.next_below(1 << below)),
@@ -141,9 +142,11 @@ fn bench_stash(c: &mut Criterion) {
     // Resident occupancies from none through the soft capacity of 200 to
     // a deep over-capacity backlog (background-eviction storms), each
     // planned together with a 40-block path the way a path access does.
-    // One stash and one plan serve every iteration, so their scratch is
-    // warm; refilling the stash from one of 16 prepared cases is not
-    // timed, only the plan is.
+    // A plan keys only the residents near the path's leaf, so its time
+    // should grow far slower than the occupancy. One stash and one plan
+    // serve every iteration, so their scratch is warm; refilling the
+    // stash from one of 16 prepared cases (which sorts the residents by
+    // leaf) is not timed, only the plan is.
     for occupancy in [0u64, 50, 200, 800] {
         g.bench_function(&format!("plan_writeback_{occupancy}"), |b| {
             let mut rng = SimRng::seed_from(9);

@@ -433,8 +433,6 @@ pub struct TimedController {
     seen_detected: u64,
     /// Total re-fetch penalty cycles charged so far.
     penalty_cycles: u64,
-    /// Whether a stash-pressure storm suppresses bg eviction this slot.
-    storm_now: bool,
     /// Previous slot's bg-eviction-pending state (escalation edges).
     was_bg_pending: bool,
     overflow_slots: u64,
@@ -496,7 +494,6 @@ impl TimedController {
             degrade_watermark: cfg.effective_stash_hard_limit() / 4 * 3,
             seen_detected: 0,
             penalty_cycles: 0,
-            storm_now: false,
             was_bg_pending: false,
             overflow_slots: 0,
             bg_escalations: 0,
@@ -718,9 +715,9 @@ impl TimedController {
         // Fault plan: one storm/corruption decision per slot, before any
         // protocol work (a corrupted bucket may sit on this very path).
         // Corruption targets the main tree — the off-chip bulk of storage.
-        self.storm_now = false;
+        let mut storm = false;
         if let Some(plan) = &mut self.faults {
-            self.storm_now = plan.storm_active();
+            storm = plan.storm_active();
             if let Some((pick, mask)) = plan.corrupt_line() {
                 inject_corruption(self.chooser.main_mut(), pick, mask);
             }
@@ -774,7 +771,7 @@ impl TimedController {
         let (tree, pick) = self.chooser.slot_path(&mut SlotCtx {
             t,
             throttle,
-            storm: self.storm_now,
+            storm,
             pipe: self.pipe.as_mut(),
             audit: self.audit.as_deref_mut(),
             front_hit_lat: self.front_hit_lat,
@@ -998,7 +995,6 @@ impl TimedController {
         }
         w.put_u64(self.seen_detected);
         w.put_u64(self.penalty_cycles);
-        w.put_bool(self.storm_now);
         w.put_bool(self.was_bg_pending);
         w.put_u64(self.overflow_slots);
         w.put_u64(self.bg_escalations);
@@ -1062,7 +1058,6 @@ impl TimedController {
         }
         self.seen_detected = r.take_u64()?;
         self.penalty_cycles = r.take_u64()?;
-        self.storm_now = r.take_bool()?;
         self.was_bg_pending = r.take_bool()?;
         self.overflow_slots = r.take_u64()?;
         self.bg_escalations = r.take_u64()?;

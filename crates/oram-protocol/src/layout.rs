@@ -155,6 +155,20 @@ pub(crate) fn placement_key(block_leaf: u64, path_leaf: Leaf, addr: u64, index: 
     u64::from(inverse_depth) << KEY_DEPTH_SHIFT | addr << KEY_ADDR_SHIFT | index as u64
 }
 
+/// The leaf bits a placement key's block may differ from the path's leaf
+/// in: `L - 1 -` its common depth with the path.
+#[inline]
+pub(crate) fn key_spread(key: u64) -> u32 {
+    (key >> KEY_DEPTH_SHIFT) as u32
+}
+
+/// Placement keys below this bound belong to blocks whose leaves differ
+/// from the path's in the low `spread` bits at most.
+#[inline]
+pub(crate) fn spread_bound(spread: u32) -> u64 {
+    (u64::from(spread) + 1) << KEY_DEPTH_SHIFT
+}
+
 /// The candidate index a placement key was built with.
 #[inline]
 pub(crate) fn key_index(key: u64) -> usize {
@@ -167,7 +181,7 @@ impl TreeLayout {
     /// path may take.
     #[inline]
     pub(crate) fn placement_bound(&self, level: usize) -> u64 {
-        ((self.levels() - level) as u64) << KEY_DEPTH_SHIFT
+        spread_bound((self.levels() - 1 - level) as u32)
     }
 }
 

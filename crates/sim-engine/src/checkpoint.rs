@@ -26,7 +26,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"IRORAMCK";
 /// Current snapshot format version. Bumped on any layout change; loading a
 /// snapshot with a different version is a typed error, never a
 /// misinterpretation.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Fixed header length: magic + version + fingerprint + slots + len + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
@@ -532,12 +532,14 @@ mod tests {
             SnapError::BadVersion(_)
         ));
         // A frame of an older layout is refused by version, never misread.
-        let mut frame = encode_snapshot(1, 2, b"x");
-        frame[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            decode_snapshot(&frame).unwrap_err(),
-            SnapError::BadVersion(1)
-        );
+        for old in 1..SNAP_VERSION {
+            let mut frame = encode_snapshot(1, 2, b"x");
+            frame[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_snapshot(&frame).unwrap_err(),
+                SnapError::BadVersion(old)
+            );
+        }
     }
 
     #[test]

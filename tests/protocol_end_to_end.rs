@@ -78,6 +78,56 @@ fn stash_stays_bounded_under_uniform_load() {
     );
 }
 
+/// Path ORAM's stash tail against theory: Stefanov et al. prove that
+/// Pr[stash > R] falls geometrically in R, as 14 · 0.6002^R for Z ≥ 5,
+/// and observe the same fall for Z = 4. A Z = 4 tree with no tree top,
+/// filled about half like the standard configuration, runs uniform reads
+/// with background eviction out of reach (a soft capacity no stash
+/// meets), so after each access the stash holds exactly what the
+/// write-backs left. Over R, the count of accesses that left more than R
+/// blocks must stay under the geometric envelope `c₀ · 0.6^R` drawn from
+/// R = 0, and the tail must reach several R so the envelope says
+/// something.
+#[test]
+fn stash_tail_falls_geometrically_under_uniform_load() {
+    let levels = 10;
+    let cfg = OramConfig {
+        levels,
+        data_blocks: 1 << (levels + 1),
+        zalloc: ZAllocation::uniform(levels, 4),
+        treetop: TreeTopMode::None,
+        stash_capacity: 1 << 20,
+        encrypt_payloads: false,
+        integrity: false,
+        ..OramConfig::tiny()
+    };
+    let mut oram = PathOram::new(cfg);
+    let n = oram.config().data_blocks;
+    let mut rng = SimRng::seed_from(5);
+    // `over[r]`: accesses that left more than `r` blocks in the stash.
+    let mut over = [0u64; 24];
+    for _ in 0..20_000 {
+        oram.run_access(BlockAddr(rng.next_below(n)), None);
+        for c in over.iter_mut().take(oram.stash_len()) {
+            *c += 1;
+        }
+    }
+    assert_eq!(oram.stats().bg_evict_paths, 0, "background eviction ran");
+    let reached = over.iter().take_while(|&&c| c > 0).count();
+    assert!(
+        reached >= 4,
+        "the tail reaches only R < {reached}: {over:?}"
+    );
+    let mut envelope = over[0] as f64;
+    for (r, &c) in over.iter().enumerate() {
+        assert!(
+            c as f64 <= envelope,
+            "Pr[stash > {r}] is above the geometric envelope: {over:?}"
+        );
+        envelope *= 0.6;
+    }
+}
+
 #[test]
 fn delayed_remap_lifecycle_is_consistent() {
     let cfg = OramConfig {
