@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the substrate crates: the hot kernels
 //! every simulated path leans on (stash write-back planning, DRAM batch
-//! scheduling, path request tables, the payload Feistel permutation) and
-//! the standard-scale ORAM construction every simulator cell starts with.
+//! and path scheduling, path request tables, the payload Feistel
+//! permutation) and the standard-scale ORAM construction every simulator
+//! cell starts with.
 
 use std::time::{Duration, Instant};
 
@@ -46,6 +47,40 @@ fn bench_schedule_batch(c: &mut Criterion) {
                 b.iter(|| std::hint::black_box(dram.schedule_batch(&batch)))
             });
         }
+    }
+    // What the serial controller submits: one L=17 path read (40 lines
+    // under a 7-level tree top, the default system), then its write-back
+    // once the read is done, the next path a slot later. `batches` runs
+    // the two halves as separate batches, `path` through the path entry
+    // point; compare the two within one run of this binary.
+    let layout = SubtreeLayout::new(&[0, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4], 4);
+    let table = layout.path_table(0);
+    g.throughput(Throughput::Elements(
+        2 * layout.path_slots(0, 0).len() as u64,
+    ));
+    for via_path in [false, true] {
+        let name = if via_path { "path" } else { "batches" };
+        g.bench_function(&format!("L17_read_writeback_{name}"), |b| {
+            let mut dram = DramSystem::new(DramConfig::default());
+            let mut reqs: Vec<MemRequest> = Vec::new();
+            let (mut leaf, mut at) = (0u64, Cycle(0));
+            b.iter(|| {
+                leaf = (leaf + 12_345) % (1 << 16);
+                let read_done = if via_path {
+                    dram.schedule_path(table.lines(leaf, 0), at).0
+                } else {
+                    table.fill_reads(leaf, 0, at, &mut reqs);
+                    let read_done = dram.schedule_batch_done(&reqs, at);
+                    for r in &mut reqs {
+                        *r = MemRequest::write(r.line_addr, read_done);
+                    }
+                    dram.schedule_batch_done(&reqs, read_done);
+                    read_done
+                };
+                at = (at + 300).max(read_done);
+                std::hint::black_box(at)
+            })
+        });
     }
     g.finish();
 }

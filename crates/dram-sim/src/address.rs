@@ -40,12 +40,30 @@ pub struct DecodedAddr {
 /// let d1 = m.decode(1);
 /// assert_ne!(d0.channel, d1.channel); // line-interleaved
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     channels: u32,
     banks: u32,
     lines_per_row: u32,
     interleave: Interleave,
+    /// `log2` of channels, lines per row and banks; meaningful only when
+    /// `pow2`, i.e. all three are powers of two (every stock geometry).
+    shifts: (u32, u32, u32),
+    pow2: bool,
+}
+
+/// The configured dimensions only: `shifts` and `pow2` follow from them,
+/// and the `Debug` form is part of the config fingerprint that keys resume
+/// journals and the perf history.
+impl std::fmt::Debug for AddressMapping {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AddressMapping")
+            .field("channels", &self.channels)
+            .field("banks", &self.banks)
+            .field("lines_per_row", &self.lines_per_row)
+            .field("interleave", &self.interleave)
+            .finish()
+    }
 }
 
 impl AddressMapping {
@@ -64,6 +82,14 @@ impl AddressMapping {
             banks,
             lines_per_row,
             interleave,
+            shifts: (
+                channels.trailing_zeros(),
+                lines_per_row.trailing_zeros(),
+                banks.trailing_zeros(),
+            ),
+            pow2: channels.is_power_of_two()
+                && lines_per_row.is_power_of_two()
+                && banks.is_power_of_two(),
         }
     }
 
@@ -84,44 +110,36 @@ impl AddressMapping {
 
     /// Decodes a line address.
     pub fn decode(&self, line_addr: u64) -> DecodedAddr {
-        // The dimensions are runtime values, so without help the compiler
-        // emits real 64-bit divisions here — and the scheduler decodes
-        // every request of every batch. All stock geometries are powers of
-        // two, so strength-reduce to shift/mask when possible.
-        #[inline(always)]
-        fn divmod(v: u64, d: u64) -> (u64, u64) {
-            if d.is_power_of_two() {
-                (v >> d.trailing_zeros(), v & (d - 1))
+        // The scheduler decodes every line of every path, so a power-of-two
+        // geometry shifts and masks by exponents worked out in `new`
+        // instead of dividing.
+        let divmod = |v: u64, d: u32, log2: u32| {
+            if self.pow2 {
+                (v >> log2, v & ((1u64 << log2) - 1))
             } else {
-                (v / d, v % d)
+                (v / u64::from(d), v % u64::from(d))
             }
-        }
-        let ch_u64 = self.channels as u64;
-        let lpr = self.lines_per_row as u64;
-        let banks = self.banks as u64;
-        match self.interleave {
+        };
+        let (ch, lpr, banks) = self.shifts;
+        let (channel, bank, row, col) = match self.interleave {
             Interleave::CacheLine => {
-                let (within, channel) = divmod(line_addr, ch_u64);
-                let (row_seq, col) = divmod(within, lpr);
-                let (row, bank) = divmod(row_seq, banks);
-                DecodedAddr {
-                    channel: channel as u32,
-                    bank: bank as u32,
-                    row,
-                    col: col as u32,
-                }
+                let (within, channel) = divmod(line_addr, self.channels, ch);
+                let (row_seq, col) = divmod(within, self.lines_per_row, lpr);
+                let (row, bank) = divmod(row_seq, self.banks, banks);
+                (channel, bank, row, col)
             }
             Interleave::Row => {
-                let (row_seq, col) = divmod(line_addr, lpr);
-                let (rest, channel) = divmod(row_seq, ch_u64);
-                let (row, bank) = divmod(rest, banks);
-                DecodedAddr {
-                    channel: channel as u32,
-                    bank: bank as u32,
-                    row,
-                    col: col as u32,
-                }
+                let (row_seq, col) = divmod(line_addr, self.lines_per_row, lpr);
+                let (rest, channel) = divmod(row_seq, self.channels, ch);
+                let (row, bank) = divmod(rest, self.banks, banks);
+                (channel, bank, row, col)
             }
+        };
+        DecodedAddr {
+            channel: channel as u32,
+            bank: bank as u32,
+            row,
+            col: col as u32,
         }
     }
 }
@@ -187,6 +205,46 @@ mod tests {
                 .collect();
             assert_eq!(set.len(), 4096);
         }
+    }
+
+    #[test]
+    fn decode_matches_plain_division_for_every_geometry() {
+        // Power-of-two geometries take the shift path, the rest divide;
+        // both must agree with the mapping written out by division.
+        for (ch, banks, lpr) in [(4, 8, 128), (2, 4, 16), (1, 1, 1), (3, 5, 12), (4, 6, 128)] {
+            for il in [Interleave::CacheLine, Interleave::Row] {
+                let m = AddressMapping::new(ch, banks, lpr, il);
+                let (ch, banks, lpr) = (u64::from(ch), u64::from(banks), u64::from(lpr));
+                for a in (0..20_000u64).chain([u64::MAX / 3, u64::MAX]) {
+                    let (channel, bank, row, col) = match il {
+                        Interleave::CacheLine => {
+                            let row_seq = a / ch / lpr;
+                            (a % ch, row_seq % banks, row_seq / banks, a / ch % lpr)
+                        }
+                        Interleave::Row => {
+                            let rest = a / lpr / ch;
+                            (a / lpr % ch, rest % banks, rest / banks, a % lpr)
+                        }
+                    };
+                    let want = DecodedAddr {
+                        channel: channel as u32,
+                        bank: bank as u32,
+                        row,
+                        col: col as u32,
+                    };
+                    assert_eq!(m.decode(a), want, "{m:?} line {a}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_form_shows_the_configured_dimensions_only() {
+        // The config fingerprint hashes this form.
+        assert_eq!(
+            format!("{:?}", AddressMapping::default()),
+            "AddressMapping { channels: 4, banks: 8, lines_per_row: 128, interleave: CacheLine }"
+        );
     }
 
     #[test]

@@ -4,16 +4,23 @@ use iroram_sim_engine::{Cycle, SnapError, SnapReader, SnapWriter};
 
 use crate::DramTimings;
 
+/// [`BankState::open_row`]'s stored value for a bank with no open row. A
+/// plain `u64` keeps the state at 32 bytes and the hit test at one compare,
+/// so rows must stay below it.
+const NO_ROW: u64 = u64::MAX;
+
 /// The row-buffer and timing state of one DRAM bank.
 ///
 /// The bank tracks which row is open and the earliest cycles at which the
-/// next activate or column command may issue. [`BankState::access`] applies
+/// next activate or column command may issue. Rows are below `u64::MAX`,
+/// which marks a bank with no open row. [`BankState::access`] applies
 /// one read or write to the bank, returning the cycle at which the request's
 /// data transfer may begin (before bus arbitration) and whether it was a row
 /// hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankState {
-    open_row: Option<u64>,
+    /// The open row, or [`NO_ROW`].
+    open_row: u64,
     /// Earliest cycle the next activate may issue (tRC / tRP chains).
     next_act: Cycle,
     /// Earliest cycle the next column command may issue.
@@ -37,7 +44,7 @@ impl BankState {
     /// A bank with no open row and no timing debts.
     pub fn new() -> Self {
         BankState {
-            open_row: None,
+            open_row: NO_ROW,
             next_act: Cycle::ZERO,
             next_cas: Cycle::ZERO,
             next_pre: Cycle::ZERO,
@@ -46,12 +53,13 @@ impl BankState {
 
     /// The currently open row, if any.
     pub fn open_row(&self) -> Option<u64> {
-        self.open_row
+        (self.open_row != NO_ROW).then_some(self.open_row)
     }
 
     /// Returns whether an access to `row` at this point would be a row hit.
     pub fn would_hit(&self, row: u64) -> bool {
-        self.open_row == Some(row)
+        debug_assert_ne!(row, NO_ROW, "row {row} marks an empty bank");
+        self.open_row == row
     }
 
     /// Times one access to `row` arriving at `at`, updating bank state.
@@ -59,25 +67,24 @@ impl BankState {
     /// Returns when the CAS command issues; the caller adds CL/CWL and burst
     /// time and arbitrates the data bus.
     pub fn access(&mut self, row: u64, is_write: bool, at: Cycle, t: &DramTimings) -> BankAccess {
-        let (row_hit, row_empty, cas_ready) = match self.open_row {
-            Some(open) if open == row => (true, false, self.next_cas.max(at)),
-            Some(_) => {
-                // Conflict: precharge then activate then CAS.
-                let pre_issue = self.next_pre.max(at);
-                let act_issue = (pre_issue + t.t_rp).max(self.next_act);
-                self.open_row = Some(row);
-                self.next_act = act_issue + t.row_cycle();
-                self.next_pre = act_issue + t.t_ras;
-                (false, false, act_issue + t.t_rcd)
-            }
-            None => {
-                // Empty: just activate.
-                let act_issue = self.next_act.max(at);
-                self.open_row = Some(row);
-                self.next_act = act_issue + t.row_cycle();
-                self.next_pre = act_issue + t.t_ras;
-                (false, true, act_issue + t.t_rcd)
-            }
+        debug_assert_ne!(row, NO_ROW, "row {row} marks an empty bank");
+        let (row_hit, row_empty, cas_ready) = if self.open_row == row {
+            (true, false, self.next_cas.max(at))
+        } else if self.open_row != NO_ROW {
+            // Conflict: precharge then activate then CAS.
+            let pre_issue = self.next_pre.max(at);
+            let act_issue = (pre_issue + t.t_rp).max(self.next_act);
+            self.open_row = row;
+            self.next_act = act_issue + t.row_cycle();
+            self.next_pre = act_issue + t.t_ras;
+            (false, false, act_issue + t.t_rcd)
+        } else {
+            // Empty: just activate.
+            let act_issue = self.next_act.max(at);
+            self.open_row = row;
+            self.next_act = act_issue + t.row_cycle();
+            self.next_pre = act_issue + t.t_ras;
+            (false, true, act_issue + t.t_rcd)
         };
         let cas_issue = cas_ready.max(self.next_cas);
         self.next_cas = cas_issue + t.t_ccd;
@@ -97,7 +104,7 @@ impl BankState {
 
     /// Serializes the open row and timing debts for a checkpoint.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_opt_u64(self.open_row);
+        w.put_opt_u64(self.open_row());
         w.put_u64(self.next_act.raw());
         w.put_u64(self.next_cas.raw());
         w.put_u64(self.next_pre.raw());
@@ -109,7 +116,10 @@ impl BankState {
     ///
     /// Any [`SnapError`] on a truncated or corrupt payload.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.open_row = r.take_opt_u64()?;
+        self.open_row = match r.take_opt_u64()? {
+            Some(NO_ROW) => return Err(SnapError::Corrupt("bank row out of range")),
+            row => row.unwrap_or(NO_ROW),
+        };
         self.next_act = Cycle(r.take_u64()?);
         self.next_cas = Cycle(r.take_u64()?);
         self.next_pre = Cycle(r.take_u64()?);
@@ -184,6 +194,21 @@ mod tests {
             after_write.cas_issue > after_read.cas_issue,
             "write recovery should delay the following row conflict"
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_row_equal_to_the_empty_marker() {
+        let mut w = SnapWriter::new();
+        w.put_opt_u64(Some(u64::MAX));
+        for _ in 0..3 {
+            w.put_u64(0);
+        }
+        let bytes = w.into_bytes();
+        let mut b = BankState::new();
+        assert!(matches!(
+            b.restore_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

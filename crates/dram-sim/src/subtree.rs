@@ -240,9 +240,23 @@ impl PathTable {
         }
     }
 
-    /// Clears `out` and fills it with one read request per line on the
-    /// path to `leaf`, all arriving at `arrival`, each address displaced by
-    /// `offset` (ρ's small tree lives after the main tree's region).
+    /// The line addresses of the path to `leaf`, root first, each
+    /// displaced by `offset` (ρ's small tree lives after the main tree's
+    /// region): the lines [`DramSystem::schedule_path`] takes.
+    ///
+    /// [`DramSystem::schedule_path`]: crate::DramSystem::schedule_path
+    pub fn lines(&self, leaf: u64, offset: u64) -> impl Iterator<Item = u64> + '_ {
+        self.rows.iter().flat_map(move |r| {
+            let bucket = leaf >> r.shift;
+            let root = bucket >> r.depth;
+            let within = bucket & ((1u64 << r.depth) - 1);
+            let base = offset + r.base + root * r.subtree_size + within * r.z as u64;
+            base..base + r.z as u64
+        })
+    }
+
+    /// Clears `out` and fills it with one read request per line of
+    /// [`PathTable::lines`], all arriving at `arrival`.
     pub fn fill_reads(
         &self,
         leaf: u64,
@@ -252,15 +266,10 @@ impl PathTable {
     ) {
         out.clear();
         out.reserve(self.path_len);
-        for r in &self.rows {
-            let bucket = leaf >> r.shift;
-            let root = bucket >> r.depth;
-            let within = bucket & ((1u64 << r.depth) - 1);
-            let base = offset + r.base + root * r.subtree_size + within * r.z as u64;
-            for addr in base..base + r.z as u64 {
-                out.push(crate::MemRequest::read(addr, arrival));
-            }
-        }
+        out.extend(
+            self.lines(leaf, offset)
+                .map(|addr| crate::MemRequest::read(addr, arrival)),
+        );
     }
 }
 

@@ -122,9 +122,6 @@ struct DecodedRequest {
     row: u64,
     is_write: bool,
     arrival: Cycle,
-    /// Set once the request has been scheduled; served entries stay in
-    /// place (no tail shifting) and the scan skips them.
-    served: bool,
 }
 
 /// A multi-channel DRAM memory system with FR-FCFS scheduling.
@@ -133,7 +130,8 @@ struct DecodedRequest {
 /// all the block reads of one ORAM path) with [`DramSystem::schedule_batch`]
 /// and receive per-request completion times. Bank and bus state persist
 /// across batches, so sustained-bandwidth effects (queueing, row locality,
-/// write recovery) accumulate naturally.
+/// write recovery) accumulate naturally. [`DramSystem::schedule_path`]
+/// takes one ORAM path's lines and schedules its read and write-back.
 ///
 /// Within a batch the scheduler serves each channel's queue with FR-FCFS:
 /// among the oldest `reorder_window` pending requests it prefers one hitting
@@ -150,13 +148,14 @@ pub struct DramSystem {
     /// request, so this is kept out of [`DramStats`] (it is not a property
     /// of the modeled memory system) and asserted zero by the audit layer.
     latency_underflows: u64,
-    /// Per-channel scratch queues for [`DramSystem::schedule_batch`]:
-    /// cleared at the start of every batch, never deallocated, so the
-    /// steady state schedules with zero heap traffic.
+    /// Per-channel queues of the batch scheduled last, in batch order:
+    /// refilled by every batch, never deallocated, so the steady state
+    /// schedules with zero heap traffic. A path's write-back serves them
+    /// again instead of decoding its lines a second time.
     queues: Vec<Vec<DecodedRequest>>,
-    /// Direct-placement completion buffer: slot `i` receives request `i`'s
-    /// completion as it is scheduled, so no final sort is needed.
-    out: Vec<Completion>,
+    /// The scan's unserved-entry bitset (bit `i` = queue entry `i`), one
+    /// channel at a time.
+    live: Vec<u64>,
 }
 
 impl DramSystem {
@@ -176,7 +175,7 @@ impl DramSystem {
             stats: DramStats::default(),
             latency_underflows: 0,
             queues,
-            out: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -208,73 +207,126 @@ impl DramSystem {
         if reference::forced() {
             return self.schedule_batch_reference(requests);
         }
-        self.run_batch(requests);
-        self.out.clone()
-    }
-
-    /// Convenience: schedules a batch and returns the latest completion time
-    /// (the phase-done time the ORAM controller waits on), or `at` for an
-    /// empty batch. This is the allocation-free path the ORAM controllers
-    /// sit on: completions land in the internal buffer and only the fold
-    /// result escapes.
-    pub fn schedule_batch_done(&mut self, requests: &[MemRequest], at: Cycle) -> Cycle {
-        #[cfg(any(test, feature = "reference-scheduler"))]
-        if reference::forced() {
-            return self
-                .schedule_batch_reference(requests)
-                .into_iter()
-                .map(|c| c.completion)
-                .fold(at, Cycle::max);
-        }
-        at.max(self.run_batch(requests))
-    }
-
-    /// The FR-FCFS scheduling core. Fills `self.out` (slot `i` = request
-    /// `i`'s completion) and returns the latest completion in the batch
-    /// ([`Cycle::ZERO`] for an empty batch).
-    ///
-    /// Uses the persistent per-channel scratch queues: each request is
-    /// decoded exactly once at enqueue, and served entries are flagged in
-    /// place (index-cursor scan) rather than removed, so a batch performs no
-    /// heap allocation and no tail shifting once the scratch has warmed up.
-    fn run_batch(&mut self, requests: &[MemRequest]) -> Cycle {
-        let t = self.cfg.timings;
-        let window = self.cfg.reorder_window.max(1);
-        let DramSystem {
-            cfg,
-            channels,
-            stats,
-            latency_underflows,
-            queues,
-            out,
-        } = self;
-        // Partition into the per-channel scratch queues, decoding once.
-        for q in queues.iter_mut() {
-            q.clear();
-        }
-        for (i, req) in requests.iter().enumerate() {
-            let d = decode_once(&cfg.mapping, req.line_addr);
-            // lint: allow(panic, decode returns channel < cfg.mapping.channels() == queues.len() by construction)
-            queues[d.channel as usize].push(DecodedRequest {
-                orig_idx: i as u32,
-                bank: d.bank,
-                row: d.row,
-                is_write: req.is_write,
-                arrival: req.arrival,
-                served: false,
-            });
-        }
-        out.clear();
         let placeholder = Completion {
             index: 0,
             completion: Cycle::ZERO,
             row_hit: false,
         };
-        out.resize(requests.len(), placeholder);
+        let mut out = vec![placeholder; requests.len()];
+        let shape = self.enqueue(requests.iter().copied());
+        self.serve_queued(shape, Some(&mut out));
+        out
+    }
+
+    /// Convenience: schedules a batch and returns the latest completion time
+    /// (the phase-done time the ORAM controller waits on), or `at` for an
+    /// empty batch. Allocation-free: no per-request completion is kept,
+    /// only the fold escapes.
+    pub fn schedule_batch_done(&mut self, requests: &[MemRequest], at: Cycle) -> Cycle {
+        #[cfg(any(test, feature = "reference-scheduler"))]
+        if reference::forced() {
+            return self.reference_done(requests, at);
+        }
+        let shape = self.enqueue(requests.iter().copied());
+        at.max(self.serve_queued(shape, None))
+    }
+
+    /// Schedules one ORAM path as the serial controller issues it: a read
+    /// of each of `lines`, all arriving at `at`, then a write of each of
+    /// the same lines, all arriving when the last read completes. Returns
+    /// `(read_done, write_done)`, each folded like
+    /// [`DramSystem::schedule_batch_done`] (the read from `at`, the
+    /// write-back from `read_done`).
+    ///
+    /// The same as `schedule_batch_done(reads, at)` followed by
+    /// `schedule_batch_done(writes, read_done)`, but each line is decoded
+    /// once for both batches: the write-back serves the read's queues again.
+    pub fn schedule_path(
+        &mut self,
+        lines: impl IntoIterator<Item = u64>,
+        at: Cycle,
+    ) -> (Cycle, Cycle) {
+        let reads = lines.into_iter().map(|line| MemRequest::read(line, at));
+        #[cfg(any(test, feature = "reference-scheduler"))]
+        if reference::forced() {
+            let reads: Vec<MemRequest> = reads.collect();
+            let read_done = self.reference_done(&reads, at);
+            let writes: Vec<MemRequest> = reads
+                .iter()
+                .map(|r| MemRequest::write(r.line_addr, read_done))
+                .collect();
+            return (read_done, self.reference_done(&writes, read_done));
+        }
+        let shape = self.enqueue(reads);
+        let read_done = at.max(self.serve_queued(shape, None));
+        let write_back = Shape::Uniform {
+            is_write: true,
+            arrival: read_done,
+        };
+        (
+            read_done,
+            read_done.max(self.serve_queued(write_back, None)),
+        )
+    }
+
+    /// Refills the per-channel queues from `requests`, decoding each line
+    /// once, and reports the batch's [`Shape`].
+    fn enqueue(&mut self, requests: impl IntoIterator<Item = MemRequest>) -> Shape {
+        for q in self.queues.iter_mut() {
+            q.clear();
+        }
+        let mut first = None;
+        let mut mixed = false;
+        for (i, req) in requests.into_iter().enumerate() {
+            let d = decode_once(&self.cfg.mapping, req.line_addr);
+            let &mut (is_write, arrival) = first.get_or_insert((req.is_write, req.arrival));
+            mixed |= req.is_write != is_write || req.arrival != arrival;
+            // lint: allow(panic, decode returns channel < cfg.mapping.channels() == queues.len() by construction)
+            self.queues[d.channel as usize].push(DecodedRequest {
+                orig_idx: i as u32,
+                bank: d.bank,
+                row: d.row,
+                is_write: req.is_write,
+                arrival: req.arrival,
+            });
+        }
+        match first {
+            Some((is_write, arrival)) if !mixed => Shape::Uniform { is_write, arrival },
+            _ => Shape::Mixed,
+        }
+    }
+
+    /// Serves every queued request, channel by channel, placing request
+    /// `i`'s completion in `out[i]` when a buffer is given. Returns the
+    /// latest completion ([`Cycle::ZERO`] for an empty batch).
+    fn serve_queued(&mut self, shape: Shape, mut out: Option<&mut [Completion]>) -> Cycle {
+        let t = self.cfg.timings;
+        let window = self.cfg.reorder_window.max(1);
         let mut latest = Cycle::ZERO;
-        for (ch, queue) in channels.iter_mut().zip(queues.iter_mut()) {
-            let ch_latest = scan_channel(&t, window, ch, queue, out, stats, latency_underflows);
-            latest = latest.max(ch_latest);
+        for (ch, queue) in self.channels.iter_mut().zip(&self.queues) {
+            let live = &mut self.live;
+            let out = out.as_deref_mut();
+            let tally = match shape {
+                Shape::Mixed => {
+                    scan_channel::<true>(&t, window, ch, queue, live, out, (false, Cycle::ZERO))
+                }
+                Shape::Uniform { is_write, arrival } => {
+                    scan_channel::<false>(&t, window, ch, queue, live, out, (is_write, arrival))
+                }
+            };
+            let n = queue.len() as u64;
+            let s = &mut self.stats;
+            s.requests += n;
+            s.writes += tally.writes;
+            s.reads += n - tally.writes;
+            s.row_hits += tally.row_hits;
+            s.row_empties += tally.row_empties;
+            s.row_conflicts += n - tally.row_hits - tally.row_empties;
+            s.total_latency += tally.latency;
+            s.bus_busy_cycles += n * t.t_burst;
+            s.last_completion = s.last_completion.max(tally.latest.raw());
+            self.latency_underflows += tally.underflows;
+            latest = latest.max(tally.latest);
         }
         latest
     }
@@ -354,32 +406,75 @@ impl DramSystem {
     }
 }
 
+/// How the requests of a batch vary.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Every request has this direction and arrival, as a path's read batch
+    /// and its write-back do.
+    Uniform { is_write: bool, arrival: Cycle },
+    /// Directions or arrivals differ: each entry carries its own, and the
+    /// scan evaluates the hoist gate.
+    Mixed,
+}
+
+/// What one channel's scan adds to the lifetime statistics, kept in
+/// locals and folded into [`DramStats`] once per channel.
+struct Tally {
+    writes: u64,
+    row_hits: u64,
+    row_empties: u64,
+    latency: u64,
+    underflows: u64,
+    /// The channel's latest completion ([`Cycle::ZERO`] if it served none).
+    latest: Cycle,
+}
+
 /// The FR-FCFS scan for one channel: serves every entry in `queue`,
-/// placing request `i`'s [`Completion`] in `out[i]` (so the batch needs no
-/// final sort), folding the accounting into `stats` and `underflows`, and
-/// returning the channel's latest completion ([`Cycle::ZERO`] if `queue`
-/// is empty).
-fn scan_channel(
+/// placing request `i`'s [`Completion`] in `out[i]` when a buffer is given.
+///
+/// `live` is the unserved-entry bitset, so the scan walks only the entries
+/// still queued, however far served ones are scattered. With `MIXED` off
+/// every entry is served as `uniform`'s direction and arrival (the batch's
+/// [`Shape::Uniform`]), and the hoist gate is skipped: no entry can arrive
+/// after the oldest one.
+fn scan_channel<const MIXED: bool>(
     t: &DramTimings,
     window: usize,
     ch: &mut Channel,
-    queue: &mut [DecodedRequest],
-    out: &mut [Completion],
-    stats: &mut DramStats,
-    underflows: &mut u64,
-) -> Cycle {
-    let mut latest = Cycle::ZERO;
-    // `head` is the oldest unserved entry; everything before it is
-    // served. Picks are always within `window` unserved entries of
-    // `head`, so the skip loops below touch at most a window's worth
-    // of served holes.
-    let mut head = 0usize;
-    let mut remaining = queue.len();
-    while remaining > 0 {
-        // lint: allow(panic, head < queue.len(): `remaining` unserved entries all sit at or after head)
-        while queue[head].served {
-            head += 1;
+    queue: &[DecodedRequest],
+    live: &mut Vec<u64>,
+    mut out: Option<&mut [Completion]>,
+    uniform: (bool, Cycle),
+) -> Tally {
+    let mut tally = Tally {
+        writes: 0,
+        row_hits: 0,
+        row_empties: 0,
+        latency: 0,
+        underflows: 0,
+        latest: Cycle::ZERO,
+    };
+    let words = queue.len().div_ceil(64);
+    live.clear();
+    live.resize(words, !0);
+    if let Some(last) = live.last_mut() {
+        *last >>= words * 64 - queue.len();
+    }
+    // `head_word` is the first bitset word with an unserved entry; every
+    // word before it is spent.
+    let mut head_word = 0usize;
+    let mut bus_free = ch.bus_free;
+    let mut last_was_write = ch.last_was_write;
+    let banks = ch.banks.as_mut_slice();
+    for _ in 0..queue.len() {
+        // lint: allow(panic, an unserved entry remains on every iteration, so a nonzero word sits at or after head_word)
+        while live[head_word] == 0 {
+            head_word += 1;
         }
+        // lint: allow(panic, head_word was just positioned on a nonzero word)
+        let head = head_word * 64 + live[head_word].trailing_zeros() as usize;
+        // lint: allow(panic, head is a set bit, and bits are set only below queue.len())
+        let first = &queue[head];
         // FR-FCFS: among the window of oldest requests, pick the
         // first row hit; otherwise the oldest. A hit may only be
         // hoisted over the oldest request if it has arrived by the
@@ -387,47 +482,68 @@ fn scan_channel(
         // otherwise the channel would idle-wait on a future arrival
         // while an already-arrived request sits queued (priority
         // inversion that the latency-underflow audit flagged).
-        // lint: allow(panic, head was just positioned on an unserved entry)
-        let hoist_gate = queue[head].arrival.max(ch.bus_free);
-        let limit = window.min(remaining);
-        let mut pick = head;
-        let mut seen = 0usize;
-        // Probe by reference off a subslice: the window scan is the hottest
-        // loop in the scheduler, and iterating dodges both the per-probe
-        // bounds check and a full `DecodedRequest` copy per probe.
-        // lint: allow(panic, head < queue.len(): positioned on an unserved entry above)
-        for (off, e) in queue[head..].iter().enumerate() {
-            if e.served {
-                continue;
-            }
-            // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
-            if e.arrival <= hoist_gate && ch.banks[e.bank as usize].would_hit(e.row) {
-                pick = head + off;
-                break;
-            }
-            seen += 1;
-            if seen == limit {
-                break;
-            }
-        }
-        // lint: allow(panic, pick indexes an unserved entry found by the scan above)
-        let e = &mut queue[pick];
-        e.served = true;
-        remaining -= 1;
-        let e = *e;
-        if pick == head {
-            head += 1;
-        }
+        let hoist_gate = if MIXED {
+            first.arrival.max(bus_free)
+        } else {
+            Cycle::ZERO
+        };
+        // The oldest request is checked first: inside a run of one row it
+        // is the usual pick, and the gate never holds it back.
         // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
-        let acc = ch.banks[e.bank as usize].access(e.row, e.is_write, e.arrival, t);
+        let pick = if window == 1 || banks[first.bank as usize].would_hit(first.row) {
+            head
+        } else {
+            // The rest of the window: the next `window - 1` unserved
+            // entries after the head, word by word.
+            let mut pick = head;
+            let mut left = window - 1;
+            let mut w = head_word;
+            // lint: allow(panic, head_word was positioned on a nonzero word above)
+            let mut bits = live[w] & (!1u64 << (head % 64));
+            'scan: loop {
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // lint: allow(panic, i is a set bit, and bits are set only below queue.len())
+                    let e = &queue[i];
+                    // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
+                    let hit = banks[e.bank as usize].would_hit(e.row);
+                    if hit && (!MIXED || e.arrival <= hoist_gate) {
+                        pick = i;
+                        break 'scan;
+                    }
+                    left -= 1;
+                    if left == 0 {
+                        break 'scan;
+                    }
+                }
+                w += 1;
+                match live.get(w) {
+                    Some(&word) => bits = word,
+                    None => break,
+                }
+            }
+            pick
+        };
+        // lint: allow(panic, pick is a set bit, so pick / 64 < live.len())
+        live[pick / 64] &= !(1u64 << (pick % 64));
+        // lint: allow(panic, pick is a set bit, and bits are set only below queue.len())
+        let e = queue[pick];
+        let (is_write, arrival) = if MIXED {
+            (e.is_write, e.arrival)
+        } else {
+            uniform
+        };
+        // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
+        let acc = banks[e.bank as usize].access(e.row, is_write, arrival, t);
         // Data transfer: CAS + CL (or CWL) to first beat, bus holds
         // for t_burst; serialize on the channel data bus.
-        let lat = if e.is_write { t.cwl } else { t.cl };
+        let lat = if is_write { t.cwl } else { t.cl };
         // Channel-level read↔write turnaround: switching the data
         // bus direction costs bus idle time (write-to-read pays
         // tWTR; read-to-write pays the CL/CWL offset plus a bubble).
-        let turnaround = match ch.last_was_write {
-            Some(last) if last != e.is_write => {
+        let turnaround = match last_was_write {
+            Some(last) if last != is_write => {
                 if last {
                     t.t_wtr + 2
                 } else {
@@ -436,54 +552,52 @@ fn scan_channel(
             }
             _ => 0,
         };
-        let data_start = (acc.cas_issue + lat).max(ch.bus_free + turnaround);
+        let data_start = (acc.cas_issue + lat).max(bus_free + turnaround);
         let completion = data_start + t.t_burst;
-        ch.bus_free = completion;
-        ch.last_was_write = Some(e.is_write);
-        // Account.
-        stats.requests += 1;
-        if e.is_write {
-            stats.writes += 1;
-        } else {
-            stats.reads += 1;
+        bus_free = completion;
+        last_was_write = Some(is_write);
+        if MIXED {
+            tally.writes += u64::from(is_write);
         }
-        if acc.row_hit {
-            stats.row_hits += 1;
-        } else if acc.row_empty {
-            stats.row_empties += 1;
-        } else {
-            stats.row_conflicts += 1;
-        }
-        match completion.raw().checked_sub(e.arrival.raw()) {
-            Some(lat) => stats.total_latency += lat,
+        tally.row_hits += u64::from(acc.row_hit);
+        tally.row_empties += u64::from(acc.row_empty);
+        match completion.raw().checked_sub(arrival.raw()) {
+            Some(lat) => tally.latency += lat,
             None => {
                 // Completion before arrival means the scheduler
                 // violated causality; record it for the audit
                 // instead of silently clamping to zero latency.
-                *underflows += 1;
+                tally.underflows += 1;
                 debug_assert!(
                     false,
                     "DRAM completion {completion} precedes arrival {}",
-                    e.arrival
+                    arrival
                 );
             }
         }
-        stats.bus_busy_cycles += t.t_burst;
-        stats.last_completion = stats.last_completion.max(completion.raw());
-        latest = latest.max(completion);
-        // lint: allow(panic, orig_idx < requests.len() == out.len() by construction)
-        out[e.orig_idx as usize] = Completion {
-            index: e.orig_idx as usize,
-            completion,
-            row_hit: acc.row_hit,
-        };
+        if let Some(out) = out.as_deref_mut() {
+            // lint: allow(panic, orig_idx < requests.len() == out.len() by construction)
+            out[e.orig_idx as usize] = Completion {
+                index: e.orig_idx as usize,
+                completion,
+                row_hit: acc.row_hit,
+            };
+        }
     }
-    latest
+    ch.bus_free = bus_free;
+    ch.last_was_write = last_was_write;
+    if !queue.is_empty() {
+        tally.latest = ch.bus_free;
+    }
+    if !MIXED && uniform.0 {
+        tally.writes = queue.len() as u64;
+    }
+    tally
 }
 
 /// The scheduler's only call into [`AddressMapping::decode`] — a wrapper so
 /// tests can count invocations and assert the decode-once contract (exactly
-/// one decode per request per batch).
+/// one decode per request per batch, and per line per path).
 #[inline]
 fn decode_once(mapping: &AddressMapping, line_addr: u64) -> DecodedAddr {
     #[cfg(test)]
@@ -510,8 +624,8 @@ pub(crate) mod decode_count {
     }
 }
 
-/// Runtime switch routing [`DramSystem::schedule_batch`] (and `_done`)
-/// through the naive reference scheduler, so differential tests can run a
+/// Runtime switch routing [`DramSystem::schedule_batch`] (and `_done`, and
+/// [`DramSystem::schedule_path`]) through the naive reference scheduler, so differential tests can run a
 /// whole simulation against the pre-optimization implementation. The switch
 /// is thread-local: equivalence tests force it on their own thread (run
 /// cells with `jobs = 1`) without perturbing parallel neighbours.
@@ -617,6 +731,14 @@ impl DramSystem {
         }
         out.sort_by_key(|c| c.index);
         out
+    }
+
+    /// The reference run folded like [`DramSystem::schedule_batch_done`].
+    fn reference_done(&mut self, requests: &[MemRequest], at: Cycle) -> Cycle {
+        self.schedule_batch_reference(requests)
+            .into_iter()
+            .map(|c| c.completion)
+            .fold(at, Cycle::max)
     }
 }
 
@@ -820,6 +942,15 @@ mod tests {
         let before = decode_count::calls();
         d.schedule_batch_done(&reqs, Cycle(0));
         assert_eq!(decode_count::calls() - before, 64);
+        // A path's read and write-back decode each line once between them.
+        let lines = path_lines(&mut 7, 40);
+        let before = decode_count::calls();
+        d.schedule_path(lines, Cycle(9));
+        assert_eq!(
+            decode_count::calls() - before,
+            40,
+            "the write-back must reuse the read's decoded queues"
+        );
     }
 
     #[test]
@@ -881,6 +1012,91 @@ mod tests {
         let mut d = sys();
         assert_eq!(forced, c.schedule_batch(&reqs));
         assert_eq!(forced_done, d.schedule_batch_done(&reqs, Cycle(3)));
+        // The path entry point too: forced, the scheduler's decoder never
+        // runs, and both routes agree.
+        let lines = path_lines(&mut 3, 40);
+        let mut e = sys();
+        let mut f = sys();
+        reference::force(true);
+        let before = decode_count::calls();
+        let forced_path = e.schedule_path(lines.iter().copied(), Cycle(5));
+        assert_eq!(
+            decode_count::calls(),
+            before,
+            "forced run left the reference"
+        );
+        reference::force(false);
+        assert_eq!(forced_path, f.schedule_path(lines, Cycle(5)));
+        assert_eq!(e.stats(), f.stats());
+    }
+
+    /// The lines of one ORAM path: `n` lines to a random leaf of a Z=4
+    /// subtree layout under a 7-level tree top (40 lines is the L=17 path
+    /// `TimedController` submits). `seed` advances per call.
+    fn path_lines(seed: &mut u64, n: usize) -> Vec<u64> {
+        let mut z = vec![0u32; 7];
+        z.resize(7 + n.div_ceil(4), 4);
+        let table = crate::SubtreeLayout::new(&z, 4).path_table(0);
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let leaf = (*seed >> 33) % (1 << (z.len() - 1));
+        table.lines(leaf, 0).take(n).collect()
+    }
+
+    /// The path entry point against the reference scheduler running the
+    /// read batch and then the write-back of the same lines: equal done
+    /// times, stats, underflows and snapshot bytes after every path.
+    fn assert_paths_match_reference(cfg: DramConfig, lines: usize, paths: u64) {
+        let mut fast = DramSystem::new(cfg);
+        let mut naive = DramSystem::new(cfg);
+        let mut seed = lines as u64;
+        let mut at = Cycle(0);
+        for path in 0..paths {
+            let path_lines = path_lines(&mut seed, lines);
+            let (read_done, write_done) = fast.schedule_path(path_lines.iter().copied(), at);
+            let reads: Vec<MemRequest> = path_lines
+                .iter()
+                .map(|&l| MemRequest::read(l, at))
+                .collect();
+            let naive_read = naive.reference_done(&reads, at);
+            let writes: Vec<MemRequest> = path_lines
+                .iter()
+                .map(|&l| MemRequest::write(l, naive_read))
+                .collect();
+            let naive_write = naive.reference_done(&writes, naive_read);
+            assert_eq!(
+                (read_done, write_done),
+                (naive_read, naive_write),
+                "path {path}"
+            );
+            assert_eq!(fast.stats(), naive.stats(), "path {path}");
+            assert_eq!(fast.latency_underflows(), naive.latency_underflows());
+            let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
+            fast.save_state(&mut a);
+            naive.save_state(&mut b);
+            assert_eq!(a.into_bytes(), b.into_bytes(), "path {path}");
+            // The next path arrives one slot later, or when this read ends.
+            at = (at + 300).max(read_done);
+        }
+    }
+
+    #[test]
+    fn paths_match_the_reference_read_then_write_back() {
+        // The default system: 40 lines over 4 channels, 10 per queue.
+        assert_paths_match_reference(DramConfig::default(), 40, 200);
+        for reorder_window in [1, 16] {
+            // One channel: a 40-line queue longer than the window, and a
+            // 100-line queue whose unserved bits span two bitset words.
+            for lines in [40, 100] {
+                let cfg = DramConfig {
+                    mapping: AddressMapping::new(1, 8, 128, Interleave::CacheLine),
+                    reorder_window,
+                    ..DramConfig::default()
+                };
+                assert_paths_match_reference(cfg, lines, 100);
+            }
+        }
     }
 
     #[test]

@@ -250,12 +250,12 @@ impl SystemConfig {
     }
 
     /// The hard stash limit in force (`stash_hard_limit`, defaulting to
-    /// 8 × the soft capacity when unset).
+    /// 8 × the soft capacity when unset, saturating at `usize::MAX`).
     pub fn effective_stash_hard_limit(&self) -> usize {
         if self.stash_hard_limit > 0 {
             self.stash_hard_limit
         } else {
-            self.oram.stash_capacity * 8
+            self.oram.stash_capacity.saturating_mul(8)
         }
     }
 
@@ -398,6 +398,14 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_hard_limit_saturates() {
+        let mut cfg = SystemConfig::scaled(Scheme::Baseline);
+        cfg.oram.stash_capacity = usize::MAX;
+        assert_eq!(cfg.effective_stash_hard_limit(), usize::MAX);
+        assert_eq!(cfg.oram.validate(), Ok(()));
+    }
 
     #[test]
     fn scheme_names_unique() {

@@ -396,8 +396,10 @@ pub struct TimedController {
     pub(crate) chooser: PathChooser,
     dram: DramSystem,
     regions: Regions,
-    /// Reused request buffer for path read/write-back batches: filled from
-    /// the path table per path, rewritten in place for the write phase.
+    /// Pipelined mode's reused request buffer for a path's read batch,
+    /// filled from the path table per path; its lines are the deferred
+    /// write-back's too. Serially, paths go to the DRAM system straight
+    /// from the table.
     reqs_buf: Vec<MemRequest>,
     /// Pipelined mode's deferred write-back batch (the read-priority write
     /// buffer, shared by every tree — the slot schedule is one stream):
@@ -874,36 +876,36 @@ impl TimedController {
                 arrival = hold;
             }
         }
-        // Table fill into the reused buffer: the read batch, then the same
-        // addresses rewritten in place as the write-back batch.
-        region
-            .table
-            .fill_reads(path.leaf.0, region.offset, arrival, &mut self.reqs_buf);
         let expected_lines = region.lines;
-        let lines = self.reqs_buf.len() as u64;
-        let read_done = self.dram.schedule_batch_done(&self.reqs_buf, arrival);
-        let write_done = if self.pipe.is_some() {
+        let lines = region.table.path_len() as u64;
+        let (read_done, write_done) = if self.pipe.is_some() {
+            // Table fill into the reused buffer: the read batch, whose
+            // lines are also the deferred write-back batch's.
+            region
+                .table
+                .fill_reads(path.leaf.0, region.offset, arrival, &mut self.reqs_buf);
+            let read_done = self.dram.schedule_batch_done(&self.reqs_buf, arrival);
             // Read-priority write-back: flush the *previous* slot's writes
             // now that this read has been scheduled (the read outranks them
             // in the bank queues), then defer our own batch the same way.
             self.flush_writes();
             self.write_buf.clear();
-            self.write_buf.extend(self.reqs_buf.iter().map(|r| {
-                let mut w = *r;
-                w.is_write = true;
-                w.arrival = read_done;
-                w
-            }));
+            self.write_buf.extend(
+                self.reqs_buf
+                    .iter()
+                    .map(|r| MemRequest::write(r.line_addr, read_done)),
+            );
             if let Some(pipe) = &mut self.pipe {
                 pipe.stash_write(path.leaf.0, small_tree, read_done);
             }
-            None
+            (read_done, None)
         } else {
-            for r in &mut self.reqs_buf {
-                r.is_write = true;
-                r.arrival = read_done;
-            }
-            Some(self.dram.schedule_batch_done(&self.reqs_buf, read_done))
+            // Serially, the write-back follows the read at once: one call
+            // schedules both, straight from the path table, decoding each
+            // line once.
+            let path_lines = region.table.lines(path.leaf.0, region.offset);
+            let (read_done, write_done) = self.dram.schedule_path(path_lines, arrival);
+            (read_done, Some(write_done))
         };
         // Re-fetch penalty: every corruption this path's read phase detected
         // and repaired stretches the read-phase completion — the public
@@ -915,6 +917,7 @@ impl TimedController {
         self.penalty_cycles += penalty;
         let read_floor_cpu = self.clock.slow_to_fast(read_done) + penalty;
         let read_done_cpu = read_floor_cpu + self.decrypt_lat;
+        // lint: allow(secret-flow, the branch is serial vs pipelined mode, not the value; the leaf is already revealed by this path access)
         if let Some(wd) = write_done {
             let write_done_cpu = self.clock.slow_to_fast(wd);
             self.last_write_done = self.last_write_done.max(write_done_cpu);

@@ -227,7 +227,11 @@ impl OramConfig {
             });
         }
         let blocks = self.total_blocks();
-        let capacity = self.zalloc.total_slots() + self.stash_capacity as u64;
+        // Saturating: a stash of `usize::MAX` blocks holds any population.
+        let capacity = self
+            .zalloc
+            .total_slots()
+            .saturating_add(self.stash_capacity as u64);
         if blocks > capacity {
             return Err(ConfigError::Overfull { blocks, capacity });
         }
@@ -2606,6 +2610,30 @@ mod tests {
         assert!(err.to_string().contains("cannot fit 1084 slots"), "{err}");
         let result = std::panic::catch_unwind(|| PathOram::new(cfg));
         assert!(result.is_err(), "PathOram::new panics on an invalid config");
+    }
+
+    #[test]
+    fn validate_saturates_an_unbounded_stash_capacity() {
+        let huge = OramConfig {
+            stash_capacity: usize::MAX,
+            ..OramConfig::tiny()
+        };
+        assert_eq!(huge.validate(), Ok(()));
+        // A tree the slots alone cannot hold fits with that stash, and the
+        // other checks still run past the capacity sum.
+        let overfull = OramConfig {
+            data_blocks: 1 << 12,
+            ..huge.clone()
+        };
+        assert_eq!(overfull.validate(), Ok(()));
+        let too_many = OramConfig {
+            data_blocks: 1 << 32,
+            ..huge
+        };
+        assert!(matches!(
+            too_many.validate(),
+            Err(ConfigError::AddressOverflow { .. })
+        ));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * every scheme's **full-system report** is byte-identical under either
 //!   scheduler (the end-to-end contract the figures depend on), and
-//! * random request batches produce identical completions, stats, and
-//!   underflow counts straight at the [`DramSystem`] API (the unit-level
-//!   contract, via proptest).
+//! * random request batches, and paths read and then written back
+//!   ([`DramSystem::schedule_path`]), produce identical
+//!   completions, stats, underflow counts and snapshot bytes straight at
+//!   the [`DramSystem`] API (the unit-level contract, via proptest).
 //!
 //! Cells run with `jobs = 1`: the force switch is thread-local, so the
 //! reference runs must stay on the calling thread.
@@ -19,7 +20,7 @@
 use ir_oram::ALL_SCHEMES;
 use iroram_dram::{reference, AddressMapping, DramConfig, DramSystem, Interleave, MemRequest};
 use iroram_experiments::runner::{run_scheme, ExpOptions};
-use iroram_sim_engine::Cycle;
+use iroram_sim_engine::{Cycle, SnapWriter};
 use iroram_trace::Bench;
 use proptest::prelude::*;
 
@@ -154,6 +155,16 @@ fn random_batch(seed: &mut u64) -> Vec<MemRequest> {
         .collect()
 }
 
+/// One path's lines from `seed`: up to 160 lines in one strided run (a
+/// path's buckets sit in a few rows). Alone on one channel, more than 64
+/// entries queue at once.
+fn path_lines(seed: &mut u64) -> Vec<u64> {
+    let n = splitmix(seed) % 161;
+    let base = splitmix(seed) % 50_000;
+    let stride = 1 + splitmix(seed) % 8;
+    (0..n).map(|i| base + i * stride).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -180,8 +191,29 @@ proptest! {
             let a = fast.schedule_batch(&batch);
             let b = naive.schedule_batch_reference(&batch);
             prop_assert_eq!(a, b);
+            // A path the way the serial controller schedules it: the read
+            // batch, then the write-back of the same lines once it is done.
+            let lines = path_lines(&mut stream);
+            let at = Cycle(splitmix(&mut stream) % 400);
+            let done = |d: &[iroram_dram::Completion], from: Cycle| {
+                d.iter().map(|c| c.completion).fold(from, Cycle::max)
+            };
+            let reads: Vec<MemRequest> = lines.iter().map(|&l| MemRequest::read(l, at)).collect();
+            let read_done = done(&naive.schedule_batch_reference(&reads), at);
+            let writes: Vec<MemRequest> = lines
+                .iter()
+                .map(|&l| MemRequest::write(l, read_done))
+                .collect();
+            let write_done = done(&naive.schedule_batch_reference(&writes), read_done);
+            prop_assert_eq!(fast.schedule_path(lines, at), (read_done, write_done));
         }
         prop_assert_eq!(fast.stats(), naive.stats());
         prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
+        let snapshot = |d: &DramSystem| {
+            let mut w = SnapWriter::new();
+            d.save_state(&mut w);
+            w.into_bytes()
+        };
+        prop_assert_eq!(snapshot(&fast), snapshot(&naive));
     }
 }
