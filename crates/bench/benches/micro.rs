@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest, SubtreeLayout};
+use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, SubtreeLayout};
 use iroram_hash::FeistelCipher;
 use iroram_protocol::{
     BlockAddr, ChipBoundary, Leaf, OramConfig, PathOram, Stash, StoredBlock, TreeLayout,
@@ -16,19 +16,11 @@ use iroram_protocol::{
 };
 use iroram_sim_engine::{Cycle, SimRng, SnapReader, SnapWriter};
 
-/// A mixed read/write batch with shuffled addresses (no subtree locality),
-/// exercising the scheduler's queue handling rather than row-hit luck.
-fn shuffled_batch(n: usize) -> Vec<MemRequest> {
-    (0..n)
-        .map(|i| {
-            let addr = (i as u64).wrapping_mul(2_654_435_761) % 40_000;
-            let arrival = Cycle((i as u64 * 7) % 50);
-            if i % 3 == 0 {
-                MemRequest::write(addr, arrival)
-            } else {
-                MemRequest::read(addr, arrival)
-            }
-        })
+/// `n` shuffled lines (no subtree locality), exercising the scheduler's
+/// queue handling rather than row-hit luck.
+fn shuffled_lines(n: usize) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| i.wrapping_mul(2_654_435_761) % 40_000)
         .collect()
 }
 
@@ -43,16 +35,26 @@ fn bench_schedule_batch(c: &mut Criterion) {
                     ..DramConfig::default()
                 };
                 let mut dram = DramSystem::new(cfg);
-                let batch = shuffled_batch(n);
-                b.iter(|| std::hint::black_box(dram.schedule_batch(&batch)))
+                let lines = shuffled_lines(n);
+                // Reads and writes alternate, so every batch turns the bus.
+                let mut is_write = false;
+                b.iter(|| {
+                    is_write = !is_write;
+                    std::hint::black_box(dram.schedule_lines(
+                        lines.iter().copied(),
+                        is_write,
+                        Cycle(0),
+                    ))
+                })
             });
         }
     }
     // What the serial controller submits: one L=17 path read (40 lines
     // under a 7-level tree top, the default system), then its write-back
     // once the read is done, the next path a slot later. `batches` runs
-    // the two halves as separate batches, `path` through the path entry
-    // point; compare the two within one run of this binary.
+    // the two halves as separate batches, as the pipelined controller
+    // does, `path` through the path entry point, as the serial one does;
+    // compare the two within one run of this binary.
     let layout = SubtreeLayout::new(&[0, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4], 4);
     let table = layout.path_table(0);
     g.throughput(Throughput::Elements(
@@ -62,19 +64,14 @@ fn bench_schedule_batch(c: &mut Criterion) {
         let name = if via_path { "path" } else { "batches" };
         g.bench_function(&format!("L17_read_writeback_{name}"), |b| {
             let mut dram = DramSystem::new(DramConfig::default());
-            let mut reqs: Vec<MemRequest> = Vec::new();
             let (mut leaf, mut at) = (0u64, Cycle(0));
             b.iter(|| {
                 leaf = (leaf + 12_345) % (1 << 16);
                 let read_done = if via_path {
                     dram.schedule_path(table.lines(leaf, 0), at).0
                 } else {
-                    table.fill_reads(leaf, 0, at, &mut reqs);
-                    let read_done = dram.schedule_batch_done(&reqs, at);
-                    for r in &mut reqs {
-                        *r = MemRequest::write(r.line_addr, read_done);
-                    }
-                    dram.schedule_batch_done(&reqs, read_done);
+                    let read_done = dram.schedule_lines(table.lines(leaf, 0), false, at);
+                    dram.schedule_lines(table.lines(leaf, 0), true, read_done);
                     read_done
                 };
                 at = (at + 300).max(read_done);
@@ -116,22 +113,18 @@ fn bench_path_requests(c: &mut Criterion) {
         let mut leaf = 0u64;
         b.iter(|| {
             leaf = (leaf + 12_345) % (1 << 16);
-            let reqs: Vec<MemRequest> = layout
-                .path_slots(leaf, 0)
-                .into_iter()
-                .map(|a| MemRequest::read(a, Cycle(7)))
-                .collect();
-            std::hint::black_box(reqs)
+            std::hint::black_box(layout.path_slots(leaf, 0))
         })
     });
     // The precomputed table fill the controllers run now.
     g.bench_function("path_table_fill", |b| {
         let table = layout.path_table(0);
-        let mut buf: Vec<MemRequest> = Vec::new();
+        let mut buf: Vec<u64> = Vec::new();
         let mut leaf = 0u64;
         b.iter(|| {
             leaf = (leaf + 12_345) % (1 << 16);
-            table.fill_reads(leaf, 0, Cycle(7), &mut buf);
+            buf.clear();
+            buf.extend(table.lines(leaf, 0));
             std::hint::black_box(buf.len())
         })
     });

@@ -21,16 +21,20 @@
 //! # Examples
 //!
 //! ```
-//! use iroram_dram::{DramConfig, DramSystem, MemRequest};
+//! use iroram_dram::{DramConfig, DramSystem, SubtreeLayout};
 //! use iroram_sim_engine::Cycle;
 //!
 //! let mut dram = DramSystem::new(DramConfig::default());
-//! let done = dram.schedule_batch(&[
-//!     MemRequest::read(0x0, Cycle(0)),
-//!     MemRequest::write(0x40, Cycle(0)),
-//! ]);
-//! assert_eq!(done.len(), 2);
-//! assert!(done[0].completion > Cycle(0));
+//! // One path of a Z=4, 5-level tree in the subtree layout: its lines,
+//! // read at cycle 0, then written back once the read is done.
+//! let table = SubtreeLayout::new(&[4; 5], 2).path_table(0);
+//! let read_done = dram.schedule_lines(table.lines(3, 0), false, Cycle(0));
+//! let write_done = dram.schedule_lines(table.lines(3, 0), true, read_done);
+//! assert!(Cycle(0) < read_done && read_done < write_done);
+//! assert_eq!(dram.stats().requests, 2 * table.path_len() as u64);
+//! // `schedule_path` does both in one call, decoding each line once.
+//! let (read, write) = dram.schedule_path(table.lines(5, 0), write_done);
+//! assert!(write_done < read && read < write);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,5 +51,5 @@ pub use bank::BankState;
 pub use subtree::{PathTable, SubtreeLayout};
 #[cfg(any(test, feature = "reference-scheduler"))]
 pub use system::reference;
-pub use system::{Completion, DramConfig, DramStats, DramSystem, MemRequest};
+pub use system::{DramConfig, DramStats, DramSystem};
 pub use timing::DramTimings;

@@ -167,8 +167,8 @@ impl SubtreeLayout {
     /// The subtree layout is fixed at construction, so everything about a
     /// path's addresses except the leaf is static: per memory-backed level,
     /// the leaf→bucket shift, the bucket→subtree split, and the combined
-    /// base offset. [`PathTable::fill_reads`] then generates a whole path's
-    /// requests with two shifts, a mask and two multiplies per level — no
+    /// base offset. [`PathTable::lines`] then generates a whole path's
+    /// lines with two shifts, a mask and two multiplies per level — no
     /// asserts, no allocation.
     pub fn path_table(&self, from_level: usize) -> PathTable {
         let mut rows = Vec::new();
@@ -242,9 +242,12 @@ impl PathTable {
 
     /// The line addresses of the path to `leaf`, root first, each
     /// displaced by `offset` (ρ's small tree lives after the main tree's
-    /// region): the lines [`DramSystem::schedule_path`] takes.
+    /// region): the lines [`DramSystem::schedule_path`] and
+    /// [`DramSystem::schedule_lines`] take. `leaf` must be below the
+    /// tree's leaf count.
     ///
     /// [`DramSystem::schedule_path`]: crate::DramSystem::schedule_path
+    /// [`DramSystem::schedule_lines`]: crate::DramSystem::schedule_lines
     pub fn lines(&self, leaf: u64, offset: u64) -> impl Iterator<Item = u64> + '_ {
         self.rows.iter().flat_map(move |r| {
             let bucket = leaf >> r.shift;
@@ -253,23 +256,6 @@ impl PathTable {
             let base = offset + r.base + root * r.subtree_size + within * r.z as u64;
             base..base + r.z as u64
         })
-    }
-
-    /// Clears `out` and fills it with one read request per line of
-    /// [`PathTable::lines`], all arriving at `arrival`.
-    pub fn fill_reads(
-        &self,
-        leaf: u64,
-        offset: u64,
-        arrival: iroram_sim_engine::Cycle,
-        out: &mut Vec<crate::MemRequest>,
-    ) {
-        out.clear();
-        out.reserve(self.path_len);
-        out.extend(
-            self.lines(leaf, offset)
-                .map(|addr| crate::MemRequest::read(addr, arrival)),
-        );
     }
 }
 
@@ -398,24 +384,20 @@ mod tests {
 
     #[test]
     fn path_table_matches_path_slots() {
-        use iroram_sim_engine::Cycle;
         let shapes: [(&[u32], u32, usize); 4] = [
             (&[4, 4, 4, 4, 4, 4], 2, 0),
             (&[0, 0, 2, 4, 4], 2, 0),
             (&[4, 4, 2, 2, 3, 4], 3, 2),
             (&[4; 9], 4, 0),
         ];
-        let mut out = Vec::new();
         for (z, g, from) in shapes {
             let layout = SubtreeLayout::new(z, g);
             let table = layout.path_table(from);
             assert_eq!(table.path_len() as u64, layout.path_len(from));
             for leaf in 0..(1u64 << (layout.levels() - 1)) {
-                table.fill_reads(leaf, 0, Cycle(7), &mut out);
                 let expect = layout.path_slots(leaf, from);
-                let got: Vec<u64> = out.iter().map(|r| r.line_addr).collect();
+                let got: Vec<u64> = table.lines(leaf, 0).collect();
                 assert_eq!(got, expect, "leaf {leaf} of {z:?} group {g} from {from}");
-                assert!(out.iter().all(|r| !r.is_write && r.arrival == Cycle(7)));
             }
         }
     }
@@ -457,14 +439,10 @@ mod tests {
 
     #[test]
     fn path_table_offset_displaces_all_addresses() {
-        use iroram_sim_engine::Cycle;
         let layout = SubtreeLayout::new(&[4; 5], 2);
         let table = layout.path_table(0);
-        let (mut plain, mut displaced) = (Vec::new(), Vec::new());
-        table.fill_reads(9, 0, Cycle(0), &mut plain);
-        table.fill_reads(9, 1000, Cycle(0), &mut displaced);
-        let shifted: Vec<u64> = plain.iter().map(|r| r.line_addr + 1000).collect();
-        let got: Vec<u64> = displaced.iter().map(|r| r.line_addr).collect();
+        let shifted: Vec<u64> = table.lines(9, 0).map(|line| line + 1000).collect();
+        let got: Vec<u64> = table.lines(9, 1000).collect();
         assert_eq!(got, shifted);
     }
 }

@@ -4,48 +4,6 @@ use iroram_sim_engine::{Cycle, SnapError, SnapReader, SnapWriter};
 
 use crate::{AddressMapping, BankState, DecodedAddr, DramTimings};
 
-/// A single cache-line memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRequest {
-    /// Flat line address (one unit = one 64 B line).
-    pub line_addr: u64,
-    /// Write (true) or read (false).
-    pub is_write: bool,
-    /// Arrival time at the memory controller, in DRAM cycles.
-    pub arrival: Cycle,
-}
-
-impl MemRequest {
-    /// A read of `line_addr` arriving at `arrival`.
-    pub fn read(line_addr: u64, arrival: Cycle) -> Self {
-        MemRequest {
-            line_addr,
-            is_write: false,
-            arrival,
-        }
-    }
-
-    /// A write of `line_addr` arriving at `arrival`.
-    pub fn write(line_addr: u64, arrival: Cycle) -> Self {
-        MemRequest {
-            line_addr,
-            is_write: true,
-            arrival,
-        }
-    }
-}
-
-/// The completion record for one scheduled request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// Index of the request within its submitted batch.
-    pub index: usize,
-    /// Cycle at which the last data beat transfers.
-    pub completion: Cycle,
-    /// Whether the access hit an open row.
-    pub row_hit: bool,
-}
-
 /// DRAM system configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
@@ -110,31 +68,30 @@ struct Channel {
     last_was_write: Option<bool>,
 }
 
-/// A request with its address decoded exactly once, at enqueue. The channel
-/// is implicit (one scratch queue per channel), so the FR-FCFS scan reads
-/// `(bank, row)` straight from the entry instead of re-dividing the line
-/// address on every window iteration.
+/// A queued line with its address decoded exactly once, at enqueue. The
+/// channel is implicit (one scratch queue per channel) and every line of a
+/// batch shares its direction and arrival, so the FR-FCFS scan reads only
+/// `(bank, row)` from the entry instead of re-dividing the line address on
+/// every window iteration.
 #[derive(Debug, Clone, Copy)]
 struct DecodedRequest {
-    /// Position of the request in the submitted batch.
-    orig_idx: u32,
     bank: u32,
     row: u64,
-    is_write: bool,
-    arrival: Cycle,
 }
 
 /// A multi-channel DRAM memory system with FR-FCFS scheduling.
 ///
-/// The model is transaction-level: callers submit batches of requests (e.g.
-/// all the block reads of one ORAM path) with [`DramSystem::schedule_batch`]
-/// and receive per-request completion times. Bank and bus state persist
-/// across batches, so sustained-bandwidth effects (queueing, row locality,
-/// write recovery) accumulate naturally. [`DramSystem::schedule_path`]
-/// takes one ORAM path's lines and schedules its read and write-back.
+/// The model is transaction-level: a caller submits a batch of lines that
+/// share one direction and one arrival (all the block reads of one ORAM
+/// path, or its write-back) with [`DramSystem::schedule_lines`] and gets
+/// back the time its last line completes; [`DramSystem::schedule_path`]
+/// takes one path's lines and schedules its read and write-back. Bank and
+/// bus state persist across batches, so sustained-bandwidth effects
+/// (queueing, row locality, write recovery, read↔write turnaround)
+/// accumulate naturally.
 ///
 /// Within a batch the scheduler serves each channel's queue with FR-FCFS:
-/// among the oldest `reorder_window` pending requests it prefers one hitting
+/// among the oldest `reorder_window` pending lines it prefers one hitting
 /// an open row, falling back to the oldest. Across batches service is FIFO,
 /// matching a memory controller whose queues drain faster than the ORAM
 /// controller refills them.
@@ -195,130 +152,85 @@ impl DramSystem {
         self.latency_underflows
     }
 
-    /// Schedules a batch of requests, returning one [`Completion`] per
-    /// request in the order of the input slice (the `index` field also
-    /// records the position).
-    ///
-    /// All requests are fully served; the returned completion times may
-    /// exceed any request's arrival by the queueing delay implied by bank
-    /// and bus contention.
-    pub fn schedule_batch(&mut self, requests: &[MemRequest]) -> Vec<Completion> {
-        #[cfg(any(test, feature = "reference-scheduler"))]
-        if reference::forced() {
-            return self.schedule_batch_reference(requests);
-        }
-        let placeholder = Completion {
-            index: 0,
-            completion: Cycle::ZERO,
-            row_hit: false,
-        };
-        let mut out = vec![placeholder; requests.len()];
-        let shape = self.enqueue(requests.iter().copied());
-        self.serve_queued(shape, Some(&mut out));
-        out
-    }
-
-    /// Convenience: schedules a batch and returns the latest completion time
+    /// Schedules a batch of `lines`, all writes when `is_write` (else all
+    /// reads) and all arriving at `at`, and returns the latest completion
     /// (the phase-done time the ORAM controller waits on), or `at` for an
-    /// empty batch. Allocation-free: no per-request completion is kept,
-    /// only the fold escapes.
-    pub fn schedule_batch_done(&mut self, requests: &[MemRequest], at: Cycle) -> Cycle {
+    /// empty batch. Every line is fully served; the completion may exceed
+    /// `at` by the queueing delay implied by bank and bus contention.
+    pub fn schedule_lines(
+        &mut self,
+        lines: impl IntoIterator<Item = u64>,
+        is_write: bool,
+        at: Cycle,
+    ) -> Cycle {
         #[cfg(any(test, feature = "reference-scheduler"))]
         if reference::forced() {
-            return self.reference_done(requests, at);
+            let lines: Vec<u64> = lines.into_iter().collect();
+            return self.schedule_lines_reference(&lines, is_write, at);
         }
-        let shape = self.enqueue(requests.iter().copied());
-        at.max(self.serve_queued(shape, None))
+        self.enqueue(lines);
+        at.max(self.serve_queued(is_write, at))
     }
 
     /// Schedules one ORAM path as the serial controller issues it: a read
     /// of each of `lines`, all arriving at `at`, then a write of each of
     /// the same lines, all arriving when the last read completes. Returns
-    /// `(read_done, write_done)`, each folded like
-    /// [`DramSystem::schedule_batch_done`] (the read from `at`, the
-    /// write-back from `read_done`).
+    /// `(read_done, write_done)`.
     ///
-    /// The same as `schedule_batch_done(reads, at)` followed by
-    /// `schedule_batch_done(writes, read_done)`, but each line is decoded
+    /// The same as `schedule_lines(lines, false, at)` followed by
+    /// `schedule_lines(lines, true, read_done)`, but each line is decoded
     /// once for both batches: the write-back serves the read's queues again.
     pub fn schedule_path(
         &mut self,
         lines: impl IntoIterator<Item = u64>,
         at: Cycle,
     ) -> (Cycle, Cycle) {
-        let reads = lines.into_iter().map(|line| MemRequest::read(line, at));
         #[cfg(any(test, feature = "reference-scheduler"))]
         if reference::forced() {
-            let reads: Vec<MemRequest> = reads.collect();
-            let read_done = self.reference_done(&reads, at);
-            let writes: Vec<MemRequest> = reads
-                .iter()
-                .map(|r| MemRequest::write(r.line_addr, read_done))
-                .collect();
-            return (read_done, self.reference_done(&writes, read_done));
+            let lines: Vec<u64> = lines.into_iter().collect();
+            let read_done = self.schedule_lines_reference(&lines, false, at);
+            return (
+                read_done,
+                self.schedule_lines_reference(&lines, true, read_done),
+            );
         }
-        let shape = self.enqueue(reads);
-        let read_done = at.max(self.serve_queued(shape, None));
-        let write_back = Shape::Uniform {
-            is_write: true,
-            arrival: read_done,
-        };
-        (
-            read_done,
-            read_done.max(self.serve_queued(write_back, None)),
-        )
+        self.enqueue(lines);
+        let read_done = at.max(self.serve_queued(false, at));
+        (read_done, read_done.max(self.serve_queued(true, read_done)))
     }
 
-    /// Refills the per-channel queues from `requests`, decoding each line
-    /// once, and reports the batch's [`Shape`].
-    fn enqueue(&mut self, requests: impl IntoIterator<Item = MemRequest>) -> Shape {
+    /// Refills the per-channel queues from `lines`, decoding each once.
+    fn enqueue(&mut self, lines: impl IntoIterator<Item = u64>) {
         for q in self.queues.iter_mut() {
             q.clear();
         }
-        let mut first = None;
-        let mut mixed = false;
-        for (i, req) in requests.into_iter().enumerate() {
-            let d = decode_once(&self.cfg.mapping, req.line_addr);
-            let &mut (is_write, arrival) = first.get_or_insert((req.is_write, req.arrival));
-            mixed |= req.is_write != is_write || req.arrival != arrival;
+        for line in lines {
+            let d = decode_once(&self.cfg.mapping, line);
             // lint: allow(panic, decode returns channel < cfg.mapping.channels() == queues.len() by construction)
             self.queues[d.channel as usize].push(DecodedRequest {
-                orig_idx: i as u32,
                 bank: d.bank,
                 row: d.row,
-                is_write: req.is_write,
-                arrival: req.arrival,
             });
-        }
-        match first {
-            Some((is_write, arrival)) if !mixed => Shape::Uniform { is_write, arrival },
-            _ => Shape::Mixed,
         }
     }
 
-    /// Serves every queued request, channel by channel, placing request
-    /// `i`'s completion in `out[i]` when a buffer is given. Returns the
-    /// latest completion ([`Cycle::ZERO`] for an empty batch).
-    fn serve_queued(&mut self, shape: Shape, mut out: Option<&mut [Completion]>) -> Cycle {
+    /// Serves every queued line, channel by channel, as a write when
+    /// `is_write` (else a read) arriving at `arrival`. Returns the latest
+    /// completion ([`Cycle::ZERO`] for an empty batch).
+    fn serve_queued(&mut self, is_write: bool, arrival: Cycle) -> Cycle {
         let t = self.cfg.timings;
         let window = self.cfg.reorder_window.max(1);
         let mut latest = Cycle::ZERO;
         for (ch, queue) in self.channels.iter_mut().zip(&self.queues) {
-            let live = &mut self.live;
-            let out = out.as_deref_mut();
-            let tally = match shape {
-                Shape::Mixed => {
-                    scan_channel::<true>(&t, window, ch, queue, live, out, (false, Cycle::ZERO))
-                }
-                Shape::Uniform { is_write, arrival } => {
-                    scan_channel::<false>(&t, window, ch, queue, live, out, (is_write, arrival))
-                }
-            };
+            let tally = scan_channel(&t, window, ch, queue, &mut self.live, is_write, arrival);
             let n = queue.len() as u64;
             let s = &mut self.stats;
             s.requests += n;
-            s.writes += tally.writes;
-            s.reads += n - tally.writes;
+            if is_write {
+                s.writes += n;
+            } else {
+                s.reads += n;
+            }
             s.row_hits += tally.row_hits;
             s.row_empties += tally.row_empties;
             s.row_conflicts += n - tally.row_hits - tally.row_empties;
@@ -406,21 +318,9 @@ impl DramSystem {
     }
 }
 
-/// How the requests of a batch vary.
-#[derive(Debug, Clone, Copy)]
-enum Shape {
-    /// Every request has this direction and arrival, as a path's read batch
-    /// and its write-back do.
-    Uniform { is_write: bool, arrival: Cycle },
-    /// Directions or arrivals differ: each entry carries its own, and the
-    /// scan evaluates the hoist gate.
-    Mixed,
-}
-
 /// What one channel's scan adds to the lifetime statistics, kept in
 /// locals and folded into [`DramStats`] once per channel.
 struct Tally {
-    writes: u64,
     row_hits: u64,
     row_empties: u64,
     latency: u64,
@@ -429,25 +329,23 @@ struct Tally {
     latest: Cycle,
 }
 
-/// The FR-FCFS scan for one channel: serves every entry in `queue`,
-/// placing request `i`'s [`Completion`] in `out[i]` when a buffer is given.
+/// The FR-FCFS scan for one channel: serves every entry in `queue` as a
+/// write when `is_write` (else a read) arriving at `arrival`.
 ///
 /// `live` is the unserved-entry bitset, so the scan walks only the entries
-/// still queued, however far served ones are scattered. With `MIXED` off
-/// every entry is served as `uniform`'s direction and arrival (the batch's
-/// [`Shape::Uniform`]), and the hoist gate is skipped: no entry can arrive
-/// after the oldest one.
-fn scan_channel<const MIXED: bool>(
+/// still queued, however far served ones are scattered. Every entry of a
+/// batch arrives at once, so a row hit never waits on a later arrival and
+/// any hit in the window may be hoisted over the oldest entry.
+fn scan_channel(
     t: &DramTimings,
     window: usize,
     ch: &mut Channel,
     queue: &[DecodedRequest],
     live: &mut Vec<u64>,
-    mut out: Option<&mut [Completion]>,
-    uniform: (bool, Cycle),
+    is_write: bool,
+    arrival: Cycle,
 ) -> Tally {
     let mut tally = Tally {
-        writes: 0,
         row_hits: 0,
         row_empties: 0,
         latency: 0,
@@ -466,6 +364,9 @@ fn scan_channel<const MIXED: bool>(
     let mut bus_free = ch.bus_free;
     let mut last_was_write = ch.last_was_write;
     let banks = ch.banks.as_mut_slice();
+    // Data transfer: CAS + CL (or CWL) to first beat, bus holds for
+    // t_burst; serialize on the channel data bus.
+    let cas_lat = if is_write { t.cwl } else { t.cl };
     for _ in 0..queue.len() {
         // lint: allow(panic, an unserved entry remains on every iteration, so a nonzero word sits at or after head_word)
         while live[head_word] == 0 {
@@ -475,20 +376,9 @@ fn scan_channel<const MIXED: bool>(
         let head = head_word * 64 + live[head_word].trailing_zeros() as usize;
         // lint: allow(panic, head is a set bit, and bits are set only below queue.len())
         let first = &queue[head];
-        // FR-FCFS: among the window of oldest requests, pick the
-        // first row hit; otherwise the oldest. A hit may only be
-        // hoisted over the oldest request if it has arrived by the
-        // time the channel could start serving that oldest request —
-        // otherwise the channel would idle-wait on a future arrival
-        // while an already-arrived request sits queued (priority
-        // inversion that the latency-underflow audit flagged).
-        let hoist_gate = if MIXED {
-            first.arrival.max(bus_free)
-        } else {
-            Cycle::ZERO
-        };
-        // The oldest request is checked first: inside a run of one row it
-        // is the usual pick, and the gate never holds it back.
+        // FR-FCFS: among the window of oldest entries, pick the first row
+        // hit; otherwise the oldest. The oldest entry is checked first:
+        // inside a run of one row it is the usual pick.
         // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
         let pick = if window == 1 || banks[first.bank as usize].would_hit(first.row) {
             head
@@ -507,8 +397,7 @@ fn scan_channel<const MIXED: bool>(
                     // lint: allow(panic, i is a set bit, and bits are set only below queue.len())
                     let e = &queue[i];
                     // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
-                    let hit = banks[e.bank as usize].would_hit(e.row);
-                    if hit && (!MIXED || e.arrival <= hoist_gate) {
+                    if banks[e.bank as usize].would_hit(e.row) {
                         pick = i;
                         break 'scan;
                     }
@@ -529,16 +418,8 @@ fn scan_channel<const MIXED: bool>(
         live[pick / 64] &= !(1u64 << (pick % 64));
         // lint: allow(panic, pick is a set bit, and bits are set only below queue.len())
         let e = queue[pick];
-        let (is_write, arrival) = if MIXED {
-            (e.is_write, e.arrival)
-        } else {
-            uniform
-        };
         // lint: allow(panic, decode returns bank < cfg.mapping.banks() == ch.banks.len() by construction)
         let acc = banks[e.bank as usize].access(e.row, is_write, arrival, t);
-        // Data transfer: CAS + CL (or CWL) to first beat, bus holds
-        // for t_burst; serialize on the channel data bus.
-        let lat = if is_write { t.cwl } else { t.cl };
         // Channel-level read↔write turnaround: switching the data
         // bus direction costs bus idle time (write-to-read pays
         // tWTR; read-to-write pays the CL/CWL offset plus a bubble).
@@ -552,13 +433,10 @@ fn scan_channel<const MIXED: bool>(
             }
             _ => 0,
         };
-        let data_start = (acc.cas_issue + lat).max(bus_free + turnaround);
+        let data_start = (acc.cas_issue + cas_lat).max(bus_free + turnaround);
         let completion = data_start + t.t_burst;
         bus_free = completion;
         last_was_write = Some(is_write);
-        if MIXED {
-            tally.writes += u64::from(is_write);
-        }
         tally.row_hits += u64::from(acc.row_hit);
         tally.row_empties += u64::from(acc.row_empty);
         match completion.raw().checked_sub(arrival.raw()) {
@@ -575,29 +453,18 @@ fn scan_channel<const MIXED: bool>(
                 );
             }
         }
-        if let Some(out) = out.as_deref_mut() {
-            // lint: allow(panic, orig_idx < requests.len() == out.len() by construction)
-            out[e.orig_idx as usize] = Completion {
-                index: e.orig_idx as usize,
-                completion,
-                row_hit: acc.row_hit,
-            };
-        }
     }
     ch.bus_free = bus_free;
     ch.last_was_write = last_was_write;
     if !queue.is_empty() {
         tally.latest = ch.bus_free;
     }
-    if !MIXED && uniform.0 {
-        tally.writes = queue.len() as u64;
-    }
     tally
 }
 
 /// The scheduler's only call into [`AddressMapping::decode`] — a wrapper so
 /// tests can count invocations and assert the decode-once contract (exactly
-/// one decode per request per batch, and per line per path).
+/// one decode per line per batch, and per line per path).
 #[inline]
 fn decode_once(mapping: &AddressMapping, line_addr: u64) -> DecodedAddr {
     #[cfg(test)]
@@ -624,9 +491,10 @@ pub(crate) mod decode_count {
     }
 }
 
-/// Runtime switch routing [`DramSystem::schedule_batch`] (and `_done`, and
-/// [`DramSystem::schedule_path`]) through the naive reference scheduler, so differential tests can run a
-/// whole simulation against the pre-optimization implementation. The switch
+/// Runtime switch routing [`DramSystem::schedule_lines`] and
+/// [`DramSystem::schedule_path`] through the naive reference scheduler, so
+/// differential tests can run a whole simulation against the
+/// pre-optimization implementation. The switch
 /// is thread-local: equivalence tests force it on their own thread (run
 /// cells with `jobs = 1`) without perturbing parallel neighbours.
 #[cfg(any(test, feature = "reference-scheduler"))]
@@ -650,35 +518,49 @@ pub mod reference {
 
 /// The pre-optimization scheduler, kept verbatim as the differential-testing
 /// oracle for the decoded-request pipeline: allocate-per-batch queues, a
-/// decode per scan candidate, `remove(pick)` tail shifts, and a final sort.
-/// Every report must be byte-identical whichever implementation runs.
+/// decode per scan candidate, an arrival gate on every hoist, and
+/// `remove(pick)` tail shifts. Every report must be byte-identical whichever
+/// implementation runs.
 #[cfg(any(test, feature = "reference-scheduler"))]
 impl DramSystem {
-    /// [`DramSystem::schedule_batch`] as originally written (naive FR-FCFS).
-    pub fn schedule_batch_reference(&mut self, requests: &[MemRequest]) -> Vec<Completion> {
+    /// [`DramSystem::schedule_lines`] as originally written (naive
+    /// FR-FCFS over a list of requests, one per line, each carrying the
+    /// batch's direction and arrival).
+    pub fn schedule_lines_reference(&mut self, lines: &[u64], is_write: bool, at: Cycle) -> Cycle {
+        /// One line's request in the reference's private list.
+        #[derive(Clone, Copy)]
+        struct Request {
+            line_addr: u64,
+            is_write: bool,
+            arrival: Cycle,
+        }
         let t = self.cfg.timings;
         let window = self.cfg.reorder_window.max(1);
-        // Partition into per-channel queues, keeping original indices.
+        // Partition into per-channel queues.
         let nch = self.channels.len();
-        let mut queues: Vec<Vec<(usize, MemRequest)>> = vec![Vec::new(); nch];
-        for (i, req) in requests.iter().enumerate() {
-            let d = self.cfg.mapping.decode(req.line_addr);
-            queues[d.channel as usize].push((i, *req));
+        let mut queues: Vec<Vec<Request>> = vec![Vec::new(); nch];
+        for &line_addr in lines {
+            let d = self.cfg.mapping.decode(line_addr);
+            queues[d.channel as usize].push(Request {
+                line_addr,
+                is_write,
+                arrival: at,
+            });
         }
-        let mut out = Vec::with_capacity(requests.len());
+        let mut done = at;
         for (ch_idx, mut queue) in queues.into_iter().enumerate() {
             let ch = &mut self.channels[ch_idx];
             while !queue.is_empty() {
                 let scan = queue.len().min(window);
-                let hoist_gate = queue[0].1.arrival.max(ch.bus_free);
+                let hoist_gate = queue[0].arrival.max(ch.bus_free);
                 let pick = queue[..scan]
                     .iter()
-                    .position(|(_, r)| {
+                    .position(|r| {
                         let d = self.cfg.mapping.decode(r.line_addr);
                         r.arrival <= hoist_gate && ch.banks[d.bank as usize].would_hit(d.row)
                     })
                     .unwrap_or(0);
-                let (orig_idx, req) = queue.remove(pick);
+                let req = queue.remove(pick);
                 let d = self.cfg.mapping.decode(req.line_addr);
                 let acc = ch.banks[d.bank as usize].access(d.row, req.is_write, req.arrival, &t);
                 let lat = if req.is_write { t.cwl } else { t.cl };
@@ -722,23 +604,10 @@ impl DramSystem {
                 }
                 self.stats.bus_busy_cycles += t.t_burst;
                 self.stats.last_completion = self.stats.last_completion.max(completion.raw());
-                out.push(Completion {
-                    index: orig_idx,
-                    completion,
-                    row_hit: acc.row_hit,
-                });
+                done = done.max(completion);
             }
         }
-        out.sort_by_key(|c| c.index);
-        out
-    }
-
-    /// The reference run folded like [`DramSystem::schedule_batch_done`].
-    fn reference_done(&mut self, requests: &[MemRequest], at: Cycle) -> Cycle {
-        self.schedule_batch_reference(requests)
-            .into_iter()
-            .map(|c| c.completion)
-            .fold(at, Cycle::max)
+        done
     }
 }
 
@@ -751,34 +620,49 @@ mod tests {
         DramSystem::new(DramConfig::default())
     }
 
+    fn snapshot(d: &DramSystem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        d.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Equal stats, underflow counts and snapshot bytes (banks, buses,
+    /// turnaround state) on the two systems.
+    fn assert_same_state(fast: &DramSystem, naive: &DramSystem, at: &str) {
+        assert_eq!(fast.stats(), naive.stats(), "stats after {at}");
+        assert_eq!(
+            fast.latency_underflows(),
+            naive.latency_underflows(),
+            "underflows after {at}"
+        );
+        assert!(snapshot(fast) == snapshot(naive), "state after {at}");
+    }
+
     #[test]
     fn single_read_latency() {
         let mut d = sys();
-        let done = d.schedule_batch(&[MemRequest::read(0, Cycle(0))]);
+        let done = d.schedule_lines([0], false, Cycle(0));
         let t = DramTimings::ddr3_1600();
         // Empty bank: activate + tRCD + CL + burst.
-        assert_eq!(done[0].completion, Cycle(t.t_rcd + t.cl + t.t_burst));
-        assert!(!done[0].row_hit);
+        assert_eq!(done, Cycle(t.t_rcd + t.cl + t.t_burst));
+        assert_eq!((d.stats().row_hits, d.stats().row_empties), (0, 1));
     }
 
     #[test]
     fn sequential_lines_fan_out_across_channels() {
+        let one = sys().schedule_lines([0], false, Cycle(0));
         let mut d = sys();
-        let reqs: Vec<MemRequest> = (0..4).map(|i| MemRequest::read(i, Cycle(0))).collect();
-        let done = d.schedule_batch(&reqs);
-        // All four should finish at the same time (independent channels).
-        let t0 = done[0].completion;
-        assert!(done.iter().all(|c| c.completion == t0));
+        // All four finish as one read alone does (independent channels).
+        assert_eq!(d.schedule_lines(0..4, false, Cycle(0)), one);
+        assert!(d.channels.iter().all(|ch| ch.bus_free == one));
     }
 
     #[test]
     fn same_row_accesses_become_hits() {
         let mut d = sys();
         // Lines 0,4,8,… land in channel 0, same row.
-        let reqs: Vec<MemRequest> = (0..8).map(|i| MemRequest::read(i * 4, Cycle(0))).collect();
-        let done = d.schedule_batch(&reqs);
-        let hits = done.iter().filter(|c| c.row_hit).count();
-        assert_eq!(hits, 7, "all but the opener should hit");
+        d.schedule_lines((0..8).map(|i| i * 4), false, Cycle(0));
+        assert_eq!(d.stats().row_hits, 7, "all but the opener should hit");
         assert!(d.stats().row_hit_rate() > 0.8);
     }
 
@@ -791,14 +675,10 @@ mod tests {
         };
         // Same bank, alternating rows → conflicts.
         let mut d = DramSystem::new(cfg);
-        let conflict_reqs: Vec<MemRequest> = (0..8)
-            .map(|i| MemRequest::read((i % 2) * 16, Cycle(0)))
-            .collect();
-        let conflict_done = d.schedule_batch_done(&conflict_reqs, Cycle(0));
+        let conflict_done = d.schedule_lines((0..8).map(|i| (i % 2) * 16), false, Cycle(0));
 
         let mut d2 = DramSystem::new(cfg);
-        let hit_reqs: Vec<MemRequest> = (0..8).map(|i| MemRequest::read(i, Cycle(0))).collect();
-        let hit_done = d2.schedule_batch_done(&hit_reqs, Cycle(0));
+        let hit_done = d2.schedule_lines(0..8, false, Cycle(0));
         assert!(
             conflict_done > hit_done,
             "conflicts {conflict_done} vs hits {hit_done}"
@@ -807,55 +687,47 @@ mod tests {
 
     #[test]
     fn frfcfs_prefers_row_hits() {
-        // Two requests to row A (open), one to row B interleaved between
-        // them in queue order; FR-FCFS should serve A,A before B... but the
-        // conflict request arrived first so FCFS would do B first. Verify the
-        // hit count is higher than strict FCFS would give.
+        // Two requests to row A (open), one to row B ahead of them in queue
+        // order; FCFS would serve B first, FR-FCFS serves A,A as hits, then
+        // B, whose row is left open.
         let mapping = AddressMapping::new(1, 1, 16, Interleave::CacheLine);
-        let cfg = DramConfig {
-            mapping,
-            reorder_window: 8,
-            ..DramConfig::default()
+        let run = |reorder_window| {
+            let mut d = DramSystem::new(DramConfig {
+                mapping,
+                reorder_window,
+                ..DramConfig::default()
+            });
+            // Open row 0.
+            d.schedule_lines([0], false, Cycle(0));
+            // Queue: B(row1), A(row0), A(row0).
+            let done = d.schedule_lines([16, 1, 2], false, Cycle(0));
+            (done, d.stats().row_hits, d.channels[0].banks[0].open_row())
         };
-        let mut d = DramSystem::new(cfg);
-        // Open row 0.
-        d.schedule_batch(&[MemRequest::read(0, Cycle(0))]);
-        // Queue: B(row1), A(row0), A(row0).
-        let done = d.schedule_batch(&[
-            MemRequest::read(16, Cycle(0)),
-            MemRequest::read(1, Cycle(0)),
-            MemRequest::read(2, Cycle(0)),
-        ]);
-        let hits = done.iter().filter(|c| c.row_hit).count();
+        let (frfcfs_done, frfcfs_hits, open_row) = run(8);
         assert_eq!(
-            hits, 2,
+            frfcfs_hits, 2,
             "both row-0 requests should be served as hits first"
         );
-        // And the row-1 request finishes last.
-        assert!(done[0].completion > done[1].completion);
+        assert_eq!(open_row, Some(1), "the row-1 request is served last");
+        let (fcfs_done, fcfs_hits, _) = run(1);
+        assert_eq!(fcfs_hits, 1);
+        assert!(frfcfs_done < fcfs_done);
     }
 
     #[test]
     fn bank_state_persists_across_batches() {
         let mut d = sys();
-        d.schedule_batch(&[MemRequest::read(0, Cycle(0))]);
-        let again = d.schedule_batch(&[MemRequest::read(0, Cycle(1000))]);
-        assert!(again[0].row_hit);
+        d.schedule_lines([0], false, Cycle(0));
+        d.schedule_lines([0], true, Cycle(1000));
+        assert_eq!(d.stats().row_hits, 1);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut d = sys();
-        let reqs: Vec<MemRequest> = (0..100)
-            .map(|i| {
-                if i % 3 == 0 {
-                    MemRequest::write(i, Cycle(0))
-                } else {
-                    MemRequest::read(i, Cycle(0))
-                }
-            })
-            .collect();
-        d.schedule_batch(&reqs);
+        let (writes, reads): (Vec<u64>, Vec<u64>) = (0..100).partition(|i| i % 3 == 0);
+        d.schedule_lines(reads, false, Cycle(0));
+        d.schedule_lines(writes, true, Cycle(0));
         let s = d.stats();
         assert_eq!(s.requests, 100);
         assert_eq!(s.reads + s.writes, 100);
@@ -868,80 +740,68 @@ mod tests {
     #[test]
     fn empty_batch_done_returns_at() {
         let mut d = sys();
-        assert_eq!(d.schedule_batch_done(&[], Cycle(42)), Cycle(42));
-    }
-
-    #[test]
-    fn frfcfs_does_not_hoist_future_arrivals() {
-        // Regression: the row-hit preference used to ignore arrival times,
-        // so a row hit arriving far in the future was hoisted over an
-        // already-arrived older request, stalling the channel (and inflating
-        // the older request's latency by the whole wait).
-        let mapping = AddressMapping::new(1, 1, 16, Interleave::CacheLine);
-        let cfg = DramConfig {
-            mapping,
-            reorder_window: 8,
-            ..DramConfig::default()
-        };
-        let mut d = DramSystem::new(cfg);
-        // Open row 0.
-        d.schedule_batch(&[MemRequest::read(0, Cycle(0))]);
-        // Oldest request targets row 1 and has arrived; a row-0 hit arrives
-        // only at cycle 10 000. FCFS order must win: the arrived request is
-        // served first and completes long before the future arrival.
-        let done = d.schedule_batch(&[
-            MemRequest::read(16, Cycle(0)),
-            MemRequest::read(1, Cycle(10_000)),
-        ]);
-        assert!(
-            done[0].completion < Cycle(10_000),
-            "arrived request was stalled behind a future arrival: {}",
-            done[0].completion
-        );
-        assert!(done[1].completion > Cycle(10_000));
-        assert_eq!(d.latency_underflows(), 0);
+        assert_eq!(d.schedule_lines([], true, Cycle(42)), Cycle(42));
+        assert_eq!(d.schedule_path([], Cycle(42)), (Cycle(42), Cycle(42)));
+        assert_eq!(d.stats(), &DramStats::default());
     }
 
     #[test]
     fn arrival_time_floors_service() {
         let mut d = sys();
-        let done = d.schedule_batch(&[MemRequest::read(0, Cycle(10_000))]);
-        assert!(done[0].completion > Cycle(10_000));
+        assert!(d.schedule_lines([0], false, Cycle(10_000)) > Cycle(10_000));
     }
 
-    /// A shuffled multi-channel batch mixing rows, banks, directions and
-    /// arrivals — enough to exercise hoisting, turnaround and cross-channel
-    /// interleaving in one go.
-    fn shuffled_batch(n: u64) -> Vec<MemRequest> {
+    /// `n` lines spread over rows, banks and channels by a multiplicative
+    /// shuffle (no subtree locality); `salt` makes successive batches
+    /// differ.
+    fn shuffled_lines(n: u64, salt: u64) -> Vec<u64> {
         (0..n)
-            .map(|i| {
-                // A multiplicative shuffle (odd constant => bijection mod 2^k
-                // ranges is not needed; spread is what matters).
-                let addr = (i * 2654435761) % 40_000;
-                if i % 3 == 0 {
-                    MemRequest::write(addr, Cycle(i * 7 % 50))
-                } else {
-                    MemRequest::read(addr, Cycle(i * 5 % 50))
-                }
-            })
+            .map(|i| (i + salt * 977) * 2654435761 % 40_000)
             .collect()
+    }
+
+    /// Batch `b` of a differential run: `n` shuffled lines whose direction
+    /// and arrival change from batch to batch. The directions run
+    /// read, write, write, read, read, so every turnaround (and no
+    /// turnaround) occurs; the arrivals step down from far ahead of the
+    /// channels to behind them, so a batch may find them idle or busy.
+    /// Bank and bus state carry across the batches.
+    fn batch(b: u64, n: u64) -> (Vec<u64>, bool, Cycle) {
+        (
+            shuffled_lines(n, b),
+            matches!(b % 5, 1 | 2),
+            Cycle(b * 7919 % 9000),
+        )
+    }
+
+    /// Runs `batches` through the scheduler and the reference side by side:
+    /// equal done times, stats, underflows and snapshot bytes after every
+    /// batch.
+    fn assert_batches_match_reference(
+        cfg: DramConfig,
+        batches: impl IntoIterator<Item = (Vec<u64>, bool, Cycle)>,
+    ) {
+        let mut fast = DramSystem::new(cfg);
+        let mut naive = DramSystem::new(cfg);
+        for (b, (lines, is_write, at)) in batches.into_iter().enumerate() {
+            let done = fast.schedule_lines(lines.iter().copied(), is_write, at);
+            let naive_done = naive.schedule_lines_reference(&lines, is_write, at);
+            assert_eq!(done, naive_done, "batch {b} of {cfg:?}");
+            assert_same_state(&fast, &naive, &format!("batch {b} of {cfg:?}"));
+        }
     }
 
     #[test]
     fn decode_runs_exactly_once_per_request_per_batch() {
         let mut d = sys();
-        let reqs = shuffled_batch(64);
+        let lines = shuffled_lines(64, 0);
         let before = decode_count::calls();
-        d.schedule_batch(&reqs);
+        d.schedule_lines(lines, true, Cycle(0));
         assert_eq!(
             decode_count::calls() - before,
             64,
-            "decode must run exactly N times for an N-request batch"
+            "decode must run exactly N times for an N-line batch"
         );
-        // And again for the allocation-free done path.
-        let before = decode_count::calls();
-        d.schedule_batch_done(&reqs, Cycle(0));
-        assert_eq!(decode_count::calls() - before, 64);
         // A path's read and write-back decode each line once between them.
         let lines = path_lines(&mut 7, 40);
         let before = decode_count::calls();
@@ -954,23 +814,8 @@ mod tests {
     }
 
     #[test]
-    fn completions_are_in_input_order_for_shuffled_batch() {
-        let mut d = sys();
-        let reqs = shuffled_batch(100);
-        let done = d.schedule_batch(&reqs);
-        assert_eq!(done.len(), reqs.len());
-        for (i, c) in done.iter().enumerate() {
-            assert_eq!(
-                c.index, i,
-                "slot {i} holds completion for request {}",
-                c.index
-            );
-        }
-    }
-
-    #[test]
     fn matches_reference_scheduler_across_batches() {
-        // Same request stream through both implementations, multiple batches
+        // Same batch stream through both implementations, multiple batches
         // so bank/bus state differences would accumulate and surface.
         let cfgs = [
             DramConfig::default(),
@@ -986,34 +831,29 @@ mod tests {
             },
         ];
         for cfg in cfgs {
-            let mut fast = DramSystem::new(cfg);
-            let mut naive = DramSystem::new(cfg);
-            for batch in 0..8u64 {
-                let reqs = shuffled_batch(48 + batch * 7);
-                let a = fast.schedule_batch(&reqs);
-                let b = naive.schedule_batch_reference(&reqs);
-                assert_eq!(a, b, "batch {batch}");
-                assert_eq!(fast.stats(), naive.stats(), "stats after batch {batch}");
-                assert_eq!(fast.latency_underflows(), naive.latency_underflows());
-            }
+            assert_batches_match_reference(cfg, (0..8).map(|b| batch(b, 48 + b * 7)));
         }
     }
 
     #[test]
     fn reference_force_switch_routes_public_api() {
-        let reqs = shuffled_batch(32);
+        // Forced, the scheduler's decoder never runs, and both routes
+        // agree, for a batch and for a path.
+        let lines = shuffled_lines(32, 0);
         let mut a = sys();
-        let mut b = sys();
         reference::force(true);
-        let forced = a.schedule_batch(&reqs);
-        let forced_done = b.schedule_batch_done(&reqs, Cycle(3));
+        let before = decode_count::calls();
+        let forced = a.schedule_lines(lines.iter().copied(), true, Cycle(3));
+        assert_eq!(
+            decode_count::calls(),
+            before,
+            "forced run left the reference"
+        );
         reference::force(false);
-        let mut c = sys();
-        let mut d = sys();
-        assert_eq!(forced, c.schedule_batch(&reqs));
-        assert_eq!(forced_done, d.schedule_batch_done(&reqs, Cycle(3)));
-        // The path entry point too: forced, the scheduler's decoder never
-        // runs, and both routes agree.
+        let mut b = sys();
+        assert_eq!(forced, b.schedule_lines(lines, true, Cycle(3)));
+        assert_same_state(&a, &b, "the forced batch");
+
         let lines = path_lines(&mut 3, 40);
         let mut e = sys();
         let mut f = sys();
@@ -1027,7 +867,7 @@ mod tests {
         );
         reference::force(false);
         assert_eq!(forced_path, f.schedule_path(lines, Cycle(5)));
-        assert_eq!(e.stats(), f.stats());
+        assert_same_state(&e, &f, "the forced path");
     }
 
     /// The lines of one ORAM path: `n` lines to a random leaf of a Z=4
@@ -1055,27 +895,14 @@ mod tests {
         for path in 0..paths {
             let path_lines = path_lines(&mut seed, lines);
             let (read_done, write_done) = fast.schedule_path(path_lines.iter().copied(), at);
-            let reads: Vec<MemRequest> = path_lines
-                .iter()
-                .map(|&l| MemRequest::read(l, at))
-                .collect();
-            let naive_read = naive.reference_done(&reads, at);
-            let writes: Vec<MemRequest> = path_lines
-                .iter()
-                .map(|&l| MemRequest::write(l, naive_read))
-                .collect();
-            let naive_write = naive.reference_done(&writes, naive_read);
+            let naive_read = naive.schedule_lines_reference(&path_lines, false, at);
+            let naive_write = naive.schedule_lines_reference(&path_lines, true, naive_read);
             assert_eq!(
                 (read_done, write_done),
                 (naive_read, naive_write),
                 "path {path}"
             );
-            assert_eq!(fast.stats(), naive.stats(), "path {path}");
-            assert_eq!(fast.latency_underflows(), naive.latency_underflows());
-            let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
-            fast.save_state(&mut a);
-            naive.save_state(&mut b);
-            assert_eq!(a.into_bytes(), b.into_bytes(), "path {path}");
+            assert_same_state(&fast, &naive, &format!("path {path}"));
             // The next path arrives one slot later, or when this read ends.
             at = (at + 300).max(read_done);
         }
@@ -1102,56 +929,42 @@ mod tests {
     #[test]
     fn parallel_scheduling_matches_serial_and_reference() {
         // Batches several times a path's size (a path is at most a few
-        // dozen requests) spread over every channel at once; the
-        // per-channel scans must still match the serial reference schedule
-        // bit for bit, batch after batch, at every channel count.
-        for channels in [2u32, 4, 8] {
+        // dozen lines) spread over every channel at once, and at one
+        // channel a queue spanning several bitset words; the per-channel
+        // scans must still match the serial reference schedule bit for
+        // bit, batch after batch, at every channel count.
+        for channels in [1u32, 2, 4, 8] {
             let cfg = DramConfig {
                 mapping: AddressMapping::new(channels, 8, 128, Interleave::CacheLine),
                 ..DramConfig::default()
             };
-            let mut fast = DramSystem::new(cfg);
-            let mut naive = DramSystem::new(cfg);
-            for batch in 0..4u64 {
-                let reqs = shuffled_batch(256 + batch * 11);
-                let a = fast.schedule_batch(&reqs);
-                let b = naive.schedule_batch_reference(&reqs);
-                assert_eq!(a, b, "channels {channels} batch {batch}");
-                assert_eq!(
-                    fast.stats(),
-                    naive.stats(),
-                    "channels {channels} batch {batch}"
-                );
-                assert_eq!(fast.latency_underflows(), naive.latency_underflows());
-            }
+            assert_batches_match_reference(cfg, (0..4).map(|b| batch(b, 256 + b * 11)));
         }
     }
 
     #[test]
     fn save_restore_continues_schedule_identically() {
         let mut live = sys();
-        live.schedule_batch(&shuffled_batch(128));
-        let mut w = SnapWriter::new();
-        live.save_state(&mut w);
-        let bytes = w.into_bytes();
+        live.schedule_lines(shuffled_lines(128, 0), false, Cycle(0));
+        let bytes = snapshot(&live);
         let mut fresh = sys();
         let mut r = SnapReader::new(&bytes);
         fresh.restore_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(fresh.stats(), live.stats());
-        for batch in 0..3u64 {
-            let reqs = shuffled_batch(40 + batch * 9);
-            assert_eq!(fresh.schedule_batch(&reqs), live.schedule_batch(&reqs));
-            assert_eq!(fresh.stats(), live.stats(), "batch {batch}");
+        assert_same_state(&fresh, &live, "the restore");
+        for b in 1..4u64 {
+            let (lines, is_write, at) = batch(b, 40 + b * 9);
+            assert_eq!(
+                fresh.schedule_lines(lines.iter().copied(), is_write, at),
+                live.schedule_lines(lines, is_write, at)
+            );
+            assert_same_state(&fresh, &live, &format!("batch {b}"));
         }
     }
 
     #[test]
     fn restore_rejects_geometry_mismatch() {
-        let live = sys();
-        let mut w = SnapWriter::new();
-        live.save_state(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = snapshot(&sys());
         let mut other = DramSystem::new(DramConfig {
             mapping: AddressMapping::new(1, 2, 8, Interleave::CacheLine),
             ..DramConfig::default()
@@ -1165,13 +978,20 @@ mod tests {
 
     #[test]
     fn scratch_buffers_persist_and_stay_clean_across_batches() {
-        let mut d = sys();
         // A big batch warms the scratch; a following small batch must not
-        // see stale entries (wrong stats/completions would betray leakage).
-        d.schedule_batch(&shuffled_batch(256));
+        // see stale entries (wrong stats or done times would betray
+        // leakage).
+        let (big, small) = (shuffled_lines(256, 0), shuffled_lines(3, 1));
+        let mut d = sys();
+        let mut naive = sys();
+        d.schedule_lines(big.iter().copied(), true, Cycle(0));
+        naive.schedule_lines_reference(&big, true, Cycle(0));
         let before = d.stats().requests;
-        let done = d.schedule_batch(&shuffled_batch(3));
-        assert_eq!(done.len(), 3);
+        assert_eq!(
+            d.schedule_lines(small.iter().copied(), false, Cycle(0)),
+            naive.schedule_lines_reference(&small, false, Cycle(0))
+        );
         assert_eq!(d.stats().requests - before, 3);
+        assert_same_state(&d, &naive, "the small batch");
     }
 }

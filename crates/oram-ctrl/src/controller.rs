@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use iroram_cache::MemoryHierarchy;
-use iroram_dram::{DramStats, DramSystem, MemRequest, PathTable, SubtreeLayout};
+use iroram_dram::{DramStats, DramSystem, PathTable, SubtreeLayout};
 use iroram_protocol::{
     BlockAddr, IntegrityStats, PathOram, PathRecord, ProtocolStats, RemapPolicy,
 };
@@ -383,6 +383,11 @@ impl Regions {
             _ => &self.main,
         }
     }
+
+    /// The region of the tree a pipeline record names.
+    fn of_record(&self, small_tree: bool) -> &Region {
+        self.get(if small_tree { Tree::Small } else { Tree::Main })
+    }
 }
 
 /// The timed Path ORAM controller for every scheme.
@@ -396,16 +401,6 @@ pub struct TimedController {
     pub(crate) chooser: PathChooser,
     dram: DramSystem,
     regions: Regions,
-    /// Pipelined mode's reused request buffer for a path's read batch,
-    /// filled from the path table per path; its lines are the deferred
-    /// write-back's too. Serially, paths go to the DRAM system straight
-    /// from the table.
-    reqs_buf: Vec<MemRequest>,
-    /// Pipelined mode's deferred write-back batch (the read-priority write
-    /// buffer, shared by every tree — the slot schedule is one stream):
-    /// slot `i`'s writes wait here until slot `i+1`'s read batch has been
-    /// scheduled. Always empty at effective depth 1.
-    write_buf: Vec<MemRequest>,
     t_interval: u64,
     timing_protection: bool,
     clock: ClockRatio,
@@ -473,8 +468,6 @@ impl TimedController {
             chooser,
             dram: DramSystem::new(cfg.dram),
             regions,
-            reqs_buf: Vec::new(),
-            write_buf: Vec::new(),
             t_interval: cfg.t_interval,
             timing_protection: cfg.timing_protection,
             clock: cfg.clock,
@@ -798,16 +791,18 @@ impl TimedController {
         Ok(())
     }
 
-    /// Flushes the deferred write-back batch (pipelined mode) into the
-    /// memory controller, records the path as in flight for conflict
-    /// detection, and returns the write completion — `None` when nothing
-    /// was pending.
+    /// Flushes the deferred write-back (pipelined mode) into the memory
+    /// controller, its lines rebuilt from the pending path's tree and leaf,
+    /// records the path as in flight for conflict detection, and returns
+    /// the write completion — `None` when nothing was pending.
     fn flush_writes(&mut self) -> Option<Cycle> {
         let pending = self.pipe.as_mut()?.take_pending()?;
-        let write_done = self
-            .dram
-            .schedule_batch_done(&self.write_buf, pending.read_done);
-        self.write_buf.clear();
+        let region = self.regions.of_record(pending.small_tree);
+        let write_done = self.dram.schedule_lines(
+            region.table.lines(pending.leaf, region.offset),
+            true,
+            pending.read_done,
+        );
         if let Some(pipe) = &mut self.pipe {
             pipe.record(pending.leaf, pending.small_tree, write_done);
         }
@@ -817,11 +812,17 @@ impl TimedController {
         Some(write_done)
     }
 
-    /// Lines of the deferred write-back batch still awaiting flush (0 in
-    /// serial mode). The DRAM request counter trails the slot count by
-    /// exactly this amount mid-run; [`TimedController::drain`] flushes it.
+    /// Lines of the deferred write-back still awaiting flush: one path of
+    /// the pending path's tree (0 in serial mode, or with nothing pending).
+    /// The DRAM request counter trails the slot count by exactly this
+    /// amount mid-run; [`TimedController::drain`] flushes it.
     pub fn deferred_write_lines(&self) -> u64 {
-        self.write_buf.len() as u64
+        self.pipe
+            .as_ref()
+            .and_then(PipelineState::pending)
+            .map_or(0, |p| {
+                self.regions.of_record(p.small_tree).table.path_len() as u64
+            })
     }
 
     /// Counts the slot, schedules the path's DRAM traffic in its tree's
@@ -878,23 +879,15 @@ impl TimedController {
         }
         let expected_lines = region.lines;
         let lines = region.table.path_len() as u64;
+        let path_lines = region.table.lines(path.leaf.0, region.offset);
         let (read_done, write_done) = if self.pipe.is_some() {
-            // Table fill into the reused buffer: the read batch, whose
-            // lines are also the deferred write-back batch's.
-            region
-                .table
-                .fill_reads(path.leaf.0, region.offset, arrival, &mut self.reqs_buf);
-            let read_done = self.dram.schedule_batch_done(&self.reqs_buf, arrival);
+            let read_done = self.dram.schedule_lines(path_lines, false, arrival);
             // Read-priority write-back: flush the *previous* slot's writes
             // now that this read has been scheduled (the read outranks them
-            // in the bank queues), then defer our own batch the same way.
+            // in the bank queues), then defer our own the same way. The
+            // pipeline keeps only its tree, leaf and read completion; the
+            // flush rebuilds its lines from the path table.
             self.flush_writes();
-            self.write_buf.clear();
-            self.write_buf.extend(
-                self.reqs_buf
-                    .iter()
-                    .map(|r| MemRequest::write(r.line_addr, read_done)),
-            );
             if let Some(pipe) = &mut self.pipe {
                 pipe.stash_write(path.leaf.0, small_tree, read_done);
             }
@@ -903,7 +896,6 @@ impl TimedController {
             // Serially, the write-back follows the read at once: one call
             // schedules both, straight from the path table, decoding each
             // line once.
-            let path_lines = region.table.lines(path.leaf.0, region.offset);
             let (read_done, write_done) = self.dram.schedule_path(path_lines, arrival);
             (read_done, Some(write_done))
         };
@@ -925,6 +917,7 @@ impl TimedController {
         if let Some(id) = completes {
             self.completions.push((id, read_done_cpu));
         }
+        let deferred = self.deferred_write_lines();
         if let Some(audit) = &mut self.audit {
             audit.note_slot(t, self.t_interval, read_floor_cpu, self.timing_protection);
             audit.check_conservation(
@@ -932,7 +925,7 @@ impl TimedController {
                 expected_lines,
                 self.dram.stats().requests - req_before,
                 self.dram.latency_underflows(),
-                self.write_buf.len() as u64,
+                deferred,
             );
         }
         // Fixed rate with the occupancy constraint: serially, the
@@ -952,17 +945,12 @@ impl TimedController {
     /// Serializes the controller's complete logical state — the chooser
     /// (tag, trees, queues, in-flight work, IR-DWB), DRAM timing state,
     /// pipeline, audit, fault plan, and every counter — for a checkpoint
-    /// snapshot. Derived state (the path tables) and per-call scratch
-    /// (`reqs_buf`) are rebuilt from configuration instead.
+    /// snapshot. Derived state (the path tables) is rebuilt from
+    /// configuration instead, and so are the deferred write-back's lines
+    /// (from the pending path's tree and leaf, which the pipeline saves).
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.chooser.save_state(w);
         self.dram.save_state(w);
-        w.put_usize(self.write_buf.len());
-        for r in &self.write_buf {
-            w.put_u64(r.line_addr);
-            w.put_bool(r.is_write);
-            w.put_u64(r.arrival.0);
-        }
         w.put_u64(self.next_slot.0);
         match &self.pipe {
             None => w.put_u8(0),
@@ -1014,26 +1002,19 @@ impl TimedController {
     ///
     /// [`SnapError`] when the payload is malformed or was written by a
     /// controller with a different configuration (single tree vs ρ, and
-    /// pipeline/DWB/audit/fault presence must match).
+    /// pipeline/DWB/audit/fault presence must match), or when a pipeline
+    /// path's leaf lies outside its tree.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.chooser.restore_state(r)?;
         self.dram.restore_state(r)?;
-        let n = r.take_seq_len(17)?;
-        self.write_buf.clear();
-        for _ in 0..n {
-            let line_addr = r.take_u64()?;
-            let is_write = r.take_bool()?;
-            let arrival = Cycle(r.take_u64()?);
-            self.write_buf.push(MemRequest {
-                line_addr,
-                is_write,
-                arrival,
-            });
-        }
         self.next_slot = Cycle(r.take_u64()?);
+        let leaves = (
+            self.chooser.main().layout().num_leaves(),
+            self.chooser.small().map(|s| s.layout().num_leaves()),
+        );
         match (r.take_u8()?, &mut self.pipe) {
             (0, None) => {}
-            (1, Some(p)) => p.restore_state(r)?,
+            (1, Some(p)) => p.restore_state(r, leaves)?,
             _ => return Err(SnapError::Corrupt("pipeline presence mismatch")),
         }
         let n = r.take_seq_len(16)?;

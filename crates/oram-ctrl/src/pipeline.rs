@@ -60,9 +60,9 @@ struct InFlightPath {
     write_done: Cycle,
 }
 
-/// Metadata of the one write-back batch currently deferred behind the
-/// next slot's read (the request buffer itself lives in the controller's
-/// reusable scratch).
+/// The one write-back currently deferred behind the next slot's read. Its
+/// lines are the path's own: the controller rebuilds them from the tree's
+/// path table when it flushes.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingWrite {
     /// Leaf of the path whose write-back is deferred.
@@ -167,10 +167,10 @@ impl PipelineState {
         });
     }
 
-    /// Defers a just-read path's write-back: the controller keeps the
-    /// batch in its scratch buffer and flushes it only after the next
-    /// slot's read has been scheduled. At most one batch is ever pending
-    /// (the previous one is flushed before this is called).
+    /// Defers a just-read path's write-back: the controller flushes it
+    /// only after the next slot's read has been scheduled. At most one
+    /// write-back is ever pending (the previous one is flushed before this
+    /// is called).
     pub fn stash_write(&mut self, leaf: u64, small_tree: bool, read_done: Cycle) {
         debug_assert!(self.pending.is_none(), "unflushed write batch");
         self.pending = Some(PendingWrite {
@@ -181,9 +181,14 @@ impl PipelineState {
         self.stats.deferred_writes += 1;
     }
 
-    /// Takes the deferred write-back's metadata for flushing, if any.
+    /// Takes the deferred write-back for flushing, if any.
     pub fn take_pending(&mut self) -> Option<PendingWrite> {
         self.pending.take()
+    }
+
+    /// The deferred write-back, if any, left in place.
+    pub fn pending(&self) -> Option<PendingWrite> {
+        self.pending
     }
 
     /// Whether a new path to `leaf` shares a memory bucket with the
@@ -229,7 +234,7 @@ impl PipelineState {
     }
 
     /// Serializes the pipeline's logical state (floor ring, in-flight
-    /// paths, cached speculation, deferred-write metadata, counters) for a
+    /// paths, cached speculation, the deferred write-back, counters) for a
     /// checkpoint snapshot.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.ring.save_state(w);
@@ -266,13 +271,37 @@ impl PipelineState {
     }
 
     /// Restores state written by [`PipelineState::save_state`] into a
-    /// freshly built pipeline of the same configured depth.
+    /// freshly built pipeline of the same configured depth, whose
+    /// controller's trees have `leaves` leaves (the main tree's, and ρ's
+    /// small tree's if there is one).
     ///
     /// # Errors
     ///
     /// [`SnapError`] when the payload is malformed or does not fit this
-    /// pipeline's depth.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// pipeline's depth or trees: a path's leaf must lie in its tree, since
+    /// a write-back's lines are rebuilt from it, and only a ρ controller
+    /// has small-tree paths.
+    pub fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        leaves: (u64, Option<u64>),
+    ) -> Result<(), SnapError> {
+        let in_tree = |leaf: u64, small_tree: bool| {
+            let count = match leaves {
+                (main, _) if !small_tree => main,
+                (_, Some(small)) => small,
+                (_, None) => {
+                    return Err(SnapError::Corrupt(
+                        "small-tree path on a single-tree controller",
+                    ))
+                }
+            };
+            if leaf < count {
+                Ok(())
+            } else {
+                Err(SnapError::Corrupt("pipeline path leaf outside its tree"))
+            }
+        };
         self.ring.restore_state(r)?;
         let n = r.take_seq_len(17)?;
         if n > self.ring.depth() {
@@ -282,6 +311,7 @@ impl PipelineState {
         for _ in 0..n {
             let leaf = r.take_u64()?;
             let small_tree = r.take_bool()?;
+            in_tree(leaf, small_tree)?;
             let write_done = Cycle(r.take_u64()?);
             self.inflight.push_back(InFlightPath {
                 leaf,
@@ -304,11 +334,16 @@ impl PipelineState {
         };
         self.pending = match r.take_u8()? {
             0 => None,
-            1 => Some(PendingWrite {
-                leaf: r.take_u64()?,
-                small_tree: r.take_bool()?,
-                read_done: Cycle(r.take_u64()?),
-            }),
+            1 => {
+                let leaf = r.take_u64()?;
+                let small_tree = r.take_bool()?;
+                in_tree(leaf, small_tree)?;
+                Some(PendingWrite {
+                    leaf,
+                    small_tree,
+                    read_done: Cycle(r.take_u64()?),
+                })
+            }
             _ => return Err(SnapError::Corrupt("bad pending-write tag")),
         };
         self.stats.conflicts = r.take_u64()?;

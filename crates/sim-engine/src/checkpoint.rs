@@ -26,7 +26,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"IRORAMCK";
 /// Current snapshot format version. Bumped on any layout change; loading a
 /// snapshot with a different version is a typed error, never a
 /// misinterpretation.
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// Fixed header length: magic + version + fingerprint + slots + len + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
@@ -531,7 +531,10 @@ mod tests {
             decode_snapshot(&frame).unwrap_err(),
             SnapError::BadVersion(_)
         ));
-        // A frame of an older layout is refused by version, never misread.
+        // A frame of an older layout is refused by version, never misread:
+        // version 3 saved the deferred write-back's requests beside the
+        // pipeline's record of the same path.
+        const _: () = assert!(SNAP_VERSION > 3);
         for old in 1..SNAP_VERSION {
             let mut frame = encode_snapshot(1, 2, b"x");
             frame[8..12].copy_from_slice(&old.to_le_bytes());

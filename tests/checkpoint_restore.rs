@@ -512,6 +512,79 @@ fn snapshot_of_one_chooser_never_restores_into_the_other() {
     }
 }
 
+/// A restored pipeline path must lie in a tree the controller has, since
+/// the deferred write-back's lines are rebuilt from its leaf: a depth-4
+/// snapshot saved while a write-back is deferred is `Corrupt` once its
+/// pending leaf is moved to the tree's leaf count or beyond, or onto a
+/// small tree a single-tree controller lacks, and the whole snapshot is
+/// `Corrupt` in a depth-1 controller, which has no pipeline to defer into.
+#[test]
+fn restored_pipeline_leaves_must_lie_in_their_tree() {
+    let mut cfg = tiny(Scheme::Baseline);
+    cfg.pipeline_depth = 4;
+    let mut c = TimedController::new(&cfg);
+    let mut hier = MemoryHierarchy::new(cfg.hierarchy);
+    for i in 0..8u64 {
+        c.submit(OramRequest {
+            id: i + 1,
+            addr: BlockAddr(i * 37),
+            blocking: false,
+            arrival: Cycle(0),
+        });
+    }
+    c.advance_until(Cycle(2_000), &mut hier).expect("advance");
+    assert!(c.deferred_write_lines() > 0, "no write-back is deferred");
+    let bytes = save(&c);
+    // The pipeline section ends with the pending write-back (tag 1, leaf,
+    // small-tree flag, read completion) and then its four counters.
+    let stats = c.pipeline_stats().expect("depth 4 has a pipeline");
+    let counters: Vec<u8> = [
+        stats.conflicts,
+        stats.spec_hits,
+        stats.spec_misses,
+        stats.deferred_writes,
+    ]
+    .iter()
+    .flat_map(|v| v.to_le_bytes())
+    .collect();
+    let at = bytes
+        .windows(counters.len())
+        .position(|w| w == counters)
+        .expect("the pipeline counters are in the snapshot");
+    let (leaf_at, small_at) = (at - 17, at - 9);
+    assert_eq!((bytes[at - 18], bytes[small_at]), (1, 0), "pending layout");
+    let leaf = u64::from_le_bytes(bytes[leaf_at..leaf_at + 8].try_into().unwrap());
+    let leaves = 1u64 << (cfg.oram.levels - 1);
+    assert!(leaf < leaves, "pending leaf {leaf} of {leaves}");
+
+    let restore = |bytes: &[u8], cfg: &SystemConfig| {
+        let mut r = SnapReader::new(bytes);
+        TimedController::new(cfg).restore_state(&mut r)?;
+        r.finish()
+    };
+    restore(&bytes, &cfg).expect("the saved snapshot restores");
+    for bad in [leaves, u64::MAX] {
+        let mut moved = bytes.clone();
+        moved[leaf_at..leaf_at + 8].copy_from_slice(&bad.to_le_bytes());
+        match restore(&moved, &cfg) {
+            Err(SnapError::Corrupt(_)) => {}
+            other => panic!("pending leaf {bad} must be Corrupt, got {other:?}"),
+        }
+    }
+    let mut small = bytes.clone();
+    small[small_at] = 1;
+    match restore(&small, &cfg) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => panic!("a small-tree write-back must be Corrupt, got {other:?}"),
+    }
+    let mut serial = cfg.clone();
+    serial.pipeline_depth = 1;
+    match restore(&bytes, &serial) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => panic!("a deferred write-back at depth 1 must be Corrupt, got {other:?}"),
+    }
+}
+
 /// Every way a snapshot can be damaged must surface as a typed
 /// [`SimError::Snapshot`] from the resuming run — never a panic, never a
 /// silent fresh start over bad state.

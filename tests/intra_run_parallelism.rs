@@ -6,14 +6,14 @@
 //! Each simulation cell runs on one thread — DRAM scheduling included —
 //! so the worker count of `--jobs` is the only host parallelism inside a
 //! sweep. This suite pins the full scheme grid against it: every scheme
-//! reports byte-identically at `jobs ∈ {1, 2, 4}`, and random batches far
-//! larger than one ORAM path produce the reference scheduler's exact
-//! completions at 2, 4 and 8 channels.
+//! reports byte-identically at `jobs ∈ {1, 2, 4}`, and random uniform
+//! batches far larger than one ORAM path produce the reference scheduler's
+//! exact done times, stats and state at 2, 4 and 8 channels.
 
 use ir_oram::ALL_SCHEMES;
-use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave, MemRequest};
+use iroram_dram::{AddressMapping, DramConfig, DramSystem, Interleave};
 use iroram_experiments::runner::{run_scheme, ExpOptions};
-use iroram_sim_engine::Cycle;
+use iroram_sim_engine::{Cycle, SnapWriter};
 use iroram_trace::Bench;
 use proptest::prelude::*;
 
@@ -51,20 +51,18 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A batch of exactly `n` requests whose addresses, kinds, and arrivals
+/// A batch of exactly `n` lines whose addresses, direction and arrival
 /// come from `seed`.
-fn random_batch(seed: &mut u64, n: usize) -> Vec<MemRequest> {
-    (0..n)
-        .map(|_| {
-            let addr = splitmix(seed) % 50_000;
-            let arrival = Cycle(splitmix(seed) % 400);
-            if splitmix(seed) & 1 == 1 {
-                MemRequest::write(addr, arrival)
-            } else {
-                MemRequest::read(addr, arrival)
-            }
-        })
-        .collect()
+fn random_batch(seed: &mut u64, n: usize) -> (Vec<u64>, bool, Cycle) {
+    let lines = (0..n).map(|_| splitmix(seed) % 50_000).collect();
+    let is_write = splitmix(seed) & 1 == 1;
+    (lines, is_write, Cycle(splitmix(seed) % 4_000))
+}
+
+fn snapshot(d: &DramSystem) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    d.save_state(&mut w);
+    w.into_bytes()
 }
 
 /// Smallest batch the proptest draws: above the largest single-path batch
@@ -91,12 +89,12 @@ proptest! {
         let mut stream = seed;
         let n = MIN_BATCH + extra;
         for _ in 0..3 {
-            let batch = random_batch(&mut stream, n);
-            let a = fast.schedule_batch(&batch);
-            let b = naive.schedule_batch_reference(&batch);
-            prop_assert_eq!(a, b);
+            let (lines, is_write, at) = random_batch(&mut stream, n);
+            let naive_done = naive.schedule_lines_reference(&lines, is_write, at);
+            prop_assert_eq!(fast.schedule_lines(lines, is_write, at), naive_done);
+            prop_assert_eq!(fast.stats(), naive.stats());
+            prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
+            prop_assert_eq!(snapshot(&fast), snapshot(&naive));
         }
-        prop_assert_eq!(fast.stats(), naive.stats());
-        prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
     }
 }

@@ -237,6 +237,13 @@ fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
                 depth > 1,
                 "{at}: only depth 1 runs the serial code path"
             );
+            // A single-tree controller speculates on its queue front, which
+            // is always the request it pops next, so every speculation is
+            // consumed: the mismatch fallback stays as a guard only.
+            if let (Some(pipe), false) = (busy.pipeline_stats(), scheme == Scheme::Rho) {
+                assert_eq!(pipe.spec_misses, 0, "{at}: a speculation missed");
+                assert!(pipe.spec_hits > 0, "{at}: nothing was speculated");
+            }
         }
     }
     // ρ's 1 main : 2 small pattern splits an uneven slot count unevenly,

@@ -9,16 +9,18 @@
 //!
 //! * every scheme's **full-system report** is byte-identical under either
 //!   scheduler (the end-to-end contract the figures depend on), and
-//! * random request batches, and paths read and then written back
-//!   ([`DramSystem::schedule_path`]), produce identical
-//!   completions, stats, underflow counts and snapshot bytes straight at
-//!   the [`DramSystem`] API (the unit-level contract, via proptest).
+//! * random runs of uniform batches ([`DramSystem::schedule_lines`]: a
+//!   batch's lines share one direction and one arrival, which change from
+//!   batch to batch), and paths read and then written back
+//!   ([`DramSystem::schedule_path`]), produce identical done times, stats,
+//!   underflow counts and snapshot bytes after every batch straight at the
+//!   [`DramSystem`] API (the unit-level contract, via proptest).
 //!
 //! Cells run with `jobs = 1`: the force switch is thread-local, so the
 //! reference runs must stay on the calling thread.
 
 use ir_oram::ALL_SCHEMES;
-use iroram_dram::{reference, AddressMapping, DramConfig, DramSystem, Interleave, MemRequest};
+use iroram_dram::{reference, AddressMapping, DramConfig, DramSystem, Interleave};
 use iroram_experiments::runner::{run_scheme, ExpOptions};
 use iroram_sim_engine::{Cycle, SnapWriter};
 use iroram_trace::Bench;
@@ -139,20 +141,20 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A batch whose length, addresses, kinds, and arrivals come from `seed`.
-fn random_batch(seed: &mut u64) -> Vec<MemRequest> {
-    let n = (splitmix(seed) % 96) as usize;
-    (0..n)
-        .map(|_| {
-            let addr = splitmix(seed) % 50_000;
-            let arrival = Cycle(splitmix(seed) % 400);
-            if splitmix(seed) & 1 == 1 {
-                MemRequest::write(addr, arrival)
-            } else {
-                MemRequest::read(addr, arrival)
-            }
-        })
-        .collect()
+/// A batch from `seed`: its length, lines, direction and arrival. The
+/// arrival may fall before or after the channels free up, so a batch may
+/// find them busy or idle.
+fn random_batch(seed: &mut u64) -> (Vec<u64>, bool, Cycle) {
+    let n = splitmix(seed) % 96;
+    let lines = (0..n).map(|_| splitmix(seed) % 50_000).collect();
+    let is_write = splitmix(seed) & 1 == 1;
+    (lines, is_write, Cycle(splitmix(seed) % 4_000))
+}
+
+fn snapshot(d: &DramSystem) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    d.save_state(&mut w);
+    w.into_bytes()
 }
 
 /// One path's lines from `seed`: up to 160 lines in one strided run (a
@@ -187,33 +189,22 @@ proptest! {
         let mut naive = DramSystem::new(cfg);
         let mut stream = seed;
         for _ in 0..n_batches {
-            let batch = random_batch(&mut stream);
-            let a = fast.schedule_batch(&batch);
-            let b = naive.schedule_batch_reference(&batch);
-            prop_assert_eq!(a, b);
+            let (lines, is_write, at) = random_batch(&mut stream);
+            let naive_done = naive.schedule_lines_reference(&lines, is_write, at);
+            prop_assert_eq!(fast.schedule_lines(lines, is_write, at), naive_done);
+            prop_assert_eq!(fast.stats(), naive.stats());
+            prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
+            prop_assert_eq!(snapshot(&fast), snapshot(&naive));
             // A path the way the serial controller schedules it: the read
             // batch, then the write-back of the same lines once it is done.
             let lines = path_lines(&mut stream);
-            let at = Cycle(splitmix(&mut stream) % 400);
-            let done = |d: &[iroram_dram::Completion], from: Cycle| {
-                d.iter().map(|c| c.completion).fold(from, Cycle::max)
-            };
-            let reads: Vec<MemRequest> = lines.iter().map(|&l| MemRequest::read(l, at)).collect();
-            let read_done = done(&naive.schedule_batch_reference(&reads), at);
-            let writes: Vec<MemRequest> = lines
-                .iter()
-                .map(|&l| MemRequest::write(l, read_done))
-                .collect();
-            let write_done = done(&naive.schedule_batch_reference(&writes), read_done);
+            let at = Cycle(splitmix(&mut stream) % 4_000);
+            let read_done = naive.schedule_lines_reference(&lines, false, at);
+            let write_done = naive.schedule_lines_reference(&lines, true, read_done);
             prop_assert_eq!(fast.schedule_path(lines, at), (read_done, write_done));
+            prop_assert_eq!(fast.stats(), naive.stats());
+            prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
+            prop_assert_eq!(snapshot(&fast), snapshot(&naive));
         }
-        prop_assert_eq!(fast.stats(), naive.stats());
-        prop_assert_eq!(fast.latency_underflows(), naive.latency_underflows());
-        let snapshot = |d: &DramSystem| {
-            let mut w = SnapWriter::new();
-            d.save_state(&mut w);
-            w.into_bytes()
-        };
-        prop_assert_eq!(snapshot(&fast), snapshot(&naive));
     }
 }

@@ -2,7 +2,7 @@
 //! trace generators composing the way the full system relies on.
 
 use iroram_cache::{HierarchyConfig, MemoryHierarchy};
-use iroram_dram::{DramConfig, DramSystem, MemRequest, SubtreeLayout};
+use iroram_dram::{DramConfig, DramSystem, SubtreeLayout};
 use iroram_sim_engine::{ClockRatio, Cycle, SimRng};
 use iroram_trace::{Bench, WorkloadGen};
 
@@ -18,12 +18,7 @@ fn subtree_layout_beats_level_scatter_on_row_hits() {
     let mut dram = DramSystem::new(DramConfig::default());
     for _ in 0..200 {
         let leaf = rng.next_below(1 << 14);
-        let reqs: Vec<MemRequest> = layout
-            .path_slots(leaf, 0)
-            .into_iter()
-            .map(|a| MemRequest::read(a, Cycle(0)))
-            .collect();
-        dram.schedule_batch(&reqs);
+        dram.schedule_lines(layout.path_slots(leaf, 0), false, Cycle(0));
     }
     let subtree_hits = dram.stats().row_hit_rate();
 
@@ -31,10 +26,8 @@ fn subtree_layout_beats_level_scatter_on_row_hits() {
     let mut dram2 = DramSystem::new(DramConfig::default());
     let total = layout.total_lines();
     for _ in 0..200 {
-        let reqs: Vec<MemRequest> = (0..60)
-            .map(|_| MemRequest::read(rng.next_below(total), Cycle(0)))
-            .collect();
-        dram2.schedule_batch(&reqs);
+        let lines: Vec<u64> = (0..60).map(|_| rng.next_below(total)).collect();
+        dram2.schedule_lines(lines, false, Cycle(0));
     }
     let random_hits = dram2.stats().row_hit_rate();
 
@@ -63,12 +56,7 @@ fn shorter_paths_finish_sooner() {
         for i in 0..100u64 {
             let leaf = rng.next_below(1 << 14);
             let at = Cycle(i * 200);
-            let reads: Vec<MemRequest> = layout
-                .path_slots(leaf, 0)
-                .into_iter()
-                .map(|a| MemRequest::read(a, at))
-                .collect();
-            done = dram.schedule_batch_done(&reads, at);
+            done = dram.schedule_lines(layout.path_slots(leaf, 0), false, at);
         }
         done
     };
@@ -87,7 +75,7 @@ fn clock_conversion_is_causal() {
     let mut dram = DramSystem::new(DramConfig::default());
     for cpu_t in [0u64, 999, 1000, 12_345] {
         let arrival = clock.fast_to_slow(Cycle(cpu_t));
-        let done = dram.schedule_batch_done(&[MemRequest::read(cpu_t, arrival)], arrival);
+        let done = dram.schedule_lines([cpu_t], false, arrival);
         let done_cpu = clock.slow_to_fast(done);
         assert!(
             done_cpu >= Cycle(cpu_t),
