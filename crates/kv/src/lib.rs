@@ -24,8 +24,8 @@
 //!    worker count (the serial path is the reference twin).
 //!
 //! All randomness flows through [`iroram_sim_engine::SimRng`]; the crate is
-//! covered by the workspace determinism, secret-flow and thread-order
-//! lints.
+//! covered by the workspace determinism and thread-order lints, and its
+//! server view by the shard's payload-independence and access-count tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -333,8 +333,11 @@ fn exec_op(
     }
     // The decisions below branch on probed payloads: that is the KV
     // client's own plaintext working state (the trusted side of the
-    // boundary), and every branch arm issues the same number of ORAM
-    // accesses, so the server-visible trace stays independent of them.
+    // boundary). Every arm but displacement issues one write-phase
+    // access; displacement adds 0–MAX_KICKS relocation rounds, a leak
+    // DESIGN.md § "Service layer" names and ROADMAP item 4 removes. The
+    // shard's `every_op_costs_the_accesses_its_arm_and_kicks_dictate` test
+    // pins each op's access count to its arm and kick count.
     let found = entries.iter().position(|&e| key_of(e) == key);
     let empty = entries.iter().position(|&e| e == 0);
     let in_overflow = overflow.contains_key(&key);
@@ -640,6 +643,146 @@ mod tests {
         let mut d = s.dump();
         d.sort_unstable();
         assert_eq!(d, vec![(1, 10), (3, 30), (7, 70)]);
+    }
+
+    /// A fixed op stream over the tiny table: 240 keys, so it collides,
+    /// displaces, overflows and refuses; plus key 2265, whose three
+    /// candidates are one slot of the 64. Values come from `value`.
+    fn op_stream(value: impl Fn(u64) -> u32) -> Vec<KvOp> {
+        let mut rng = SimRng::seed_from(41);
+        (0..900u64)
+            .map(|i| {
+                let key = match rng.next_below(40) {
+                    0 => 2265,
+                    _ => 1 + rng.next_below(240) as u32,
+                };
+                match rng.next_below(4) {
+                    0 => KvOp::Get { key },
+                    1 => KvOp::Delete { key },
+                    _ => KvOp::Put {
+                        key,
+                        value: value(i),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// The ORAM's memory-facing state after an op: the counters, every
+    /// block's PosMap leaf, and each block's place and leaf in the stash,
+    /// tree top, tree and escrow — everything but the payloads. The shard
+    /// keeps its path records to itself, so this stands in for the leaf
+    /// sequence: a path more or fewer, or one to another leaf, changes a
+    /// counter, the random draws behind every later remap, or where
+    /// blocks sit.
+    fn server_view(oram: &PathOram) -> (ProtocolStats, Vec<u64>) {
+        let pm = oram.posmap();
+        let mut v: Vec<u64> = (0..pm.space().total_blocks())
+            .map(|a| pm.leaf_of(BlockAddr(a)).map_or(u64::MAX, |l| l.0))
+            .collect();
+        v.extend(oram.stash().iter().flat_map(|b| [b.addr.0, b.leaf.0]));
+        if let Some(top) = oram.treetop_store() {
+            for level in 0..top.cached_levels() {
+                for bucket in 0..1u64 << level {
+                    let held = top.peek_bucket(level, bucket);
+                    v.extend(held.iter().flat_map(|b| [b.addr.0, b.leaf.0]));
+                }
+            }
+        }
+        for (level, bucket, b) in oram.tree().iter_blocks() {
+            v.extend([level as u64, bucket, b.addr.0, b.leaf.0]);
+        }
+        v.extend(oram.escrowed().map(|a| a.0));
+        (oram.stats().clone(), v)
+    }
+
+    /// The KV counterpart of the protocol's payload-independence test: one
+    /// key stream, stored once with all-zero values and once with odd
+    /// pseudo-random ones, in batches of one to four ops, must leave the
+    /// ORAM's memory-facing state identical after every batch. Catches any
+    /// branch on a stored value that reaches an ORAM access. The shard
+    /// also takes no path of its own: it asks for no dummy path, and the
+    /// second shard's stash is too roomy ever to overflow, so a background
+    /// eviction there would be a stray path.
+    #[test]
+    fn server_view_is_payload_independent() {
+        let roomy = OramConfig {
+            stash_capacity: 1 << 12,
+            ..OramConfig::tiny()
+        };
+        for cfg in [OramConfig::tiny(), roomy] {
+            let run = |value: fn(u64) -> u32| {
+                let ops = op_stream(value);
+                let mut s = KvShard::new(cfg.clone(), 64);
+                let mut sizes = SimRng::seed_from(7);
+                let mut views = Vec::new();
+                let mut rest = &ops[..];
+                while !rest.is_empty() {
+                    let n = (1 + sizes.next_below(4) as usize).min(rest.len());
+                    s.run_batch(&rest[..n]);
+                    let st = s.oram.stats();
+                    assert_eq!(st.dummy_paths, 0, "a stray dummy path");
+                    if s.oram.stash_peak() <= cfg.stash_capacity {
+                        assert_eq!(st.bg_evict_paths, 0, "an eviction with room");
+                    }
+                    views.push(server_view(&s.oram));
+                    rest = &rest[n..];
+                }
+                views
+            };
+            let zeros = run(|_| 0);
+            let odd = run(|i| mix64(i) as u32 | 1);
+            assert_eq!(zeros.len(), odd.len());
+            for (i, (z, o)) in zeros.iter().zip(&odd).enumerate() {
+                assert!(
+                    z == o,
+                    "batch {i}: the ORAM's view depends on the stored values"
+                );
+            }
+        }
+    }
+
+    /// Each op issues exactly the ORAM accesses its cuckoo arm and kick
+    /// count dictate — [`PROBES`] reads plus one write-phase access, and
+    /// as many again per relocation round, less the write of a round that
+    /// carried a key whose candidates are all one slot (it parks after the
+    /// reads) — however full the stash is. Stray dummy paths between ops
+    /// vary the stash; the accesses are counted by the ORAM. (A degenerate
+    /// key parked as the last victim of a full `MAX_KICKS` chain would
+    /// read as a broken round too; this stream parks none that way.)
+    #[test]
+    fn every_op_costs_the_accesses_its_arm_and_kicks_dictate() {
+        let mut s = tiny_shard();
+        let mut noise = SimRng::seed_from(5);
+        let (mut kicked, mut broke) = (0, 0);
+        for op in op_stream(|i| i as u32) {
+            for _ in 0..noise.next_below(3) {
+                s.oram.dummy_path();
+            }
+            let accesses = s.oram.stats().accesses;
+            let kicks = s.stats.kicks;
+            let parked: Vec<u32> = s.overflow.keys().copied().collect();
+            let _ = s.run_op(op);
+            let kicks = s.stats.kicks - kicks;
+            let degenerate_park = s
+                .overflow
+                .keys()
+                .filter(|k| !parked.contains(k))
+                .any(|&k| s.candidates(k).iter().all(|&c| c == s.candidates(k)[0]));
+            let expect = (PROBES as u64 + 1) * (1 + kicks) - u64::from(degenerate_park);
+            assert_eq!(
+                s.oram.stats().accesses - accesses,
+                expect,
+                "{op:?} ({kicks} kicks, degenerate park {degenerate_park})"
+            );
+            kicked += u64::from(kicks > 0);
+            broke += u64::from(degenerate_park);
+        }
+        assert!(
+            kicked > 0 && broke > 0,
+            "{kicked} displacing ops, {broke} broken rounds"
+        );
+        assert!(s.stats.store_full > 0, "the stream must fill the table");
     }
 
     #[test]

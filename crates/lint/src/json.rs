@@ -276,8 +276,8 @@ mod tests {
             Finding {
                 file: "crates/a/src/x.rs".into(),
                 line: 42,
-                rule: "secret-flow".into(),
-                message: "branch on `.payload` — \"quoted\"\nand a newline \\ backslash".into(),
+                rule: "determinism".into(),
+                message: "`HashMap` in `run` — \"quoted\"\nand a newline \\ backslash".into(),
             },
             Finding {
                 file: "b.rs".into(),

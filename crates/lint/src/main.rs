@@ -1,6 +1,6 @@
 //! The `iroram-lint` binary: runs the determinism, panic-ratchet,
-//! secret-flow, panic-reach and thread-order passes over the workspace and
-//! prints machine-readable findings.
+//! panic-reach and thread-order passes over the workspace and prints
+//! machine-readable findings.
 //! Exit 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::path::PathBuf;
@@ -14,7 +14,7 @@ usage: iroram-lint [--root DIR] [--fix-ratchet] [--format text|json]
                  `json`: a stable document with files_scanned and findings
 Exemptions: `// lint: allow(<rule>, <reason>)` on the flagged line, the line
 above it, or the statement starting there (rules: determinism, panic,
-secret-flow, thread-order; the reason is mandatory).";
+thread-order; the reason is mandatory).";
 
 enum Format {
     Text,

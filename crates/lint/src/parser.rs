@@ -1,8 +1,8 @@
 //! A lightweight item/expression parser on top of the hand-rolled lexer:
 //! recovers `fn` items (with body token ranges) and `impl`/`trait` block
-//! extents — just enough structure for the secret-flow and
-//! panic-reachability passes to reason about *which function* a token is
-//! in and *which type* a method belongs to.
+//! extents — just enough structure for the panic-reachability pass to
+//! reason about *which function* a token is in and *which type* a method
+//! belongs to.
 //!
 //! Like the lexer, this is deliberately not a full Rust grammar: it tracks
 //! bracket depth and a handful of item keywords, and it degrades gracefully

@@ -1,13 +1,5 @@
-//! Fixture hot-path file with a seeded secret-dependent branch.
+//! Fixture hot-path file: clean.
 
 pub fn access() -> u64 {
     4
-}
-
-pub fn serve(b: &Block) -> u64 {
-    if b.payload > 0 {
-        1
-    } else {
-        0
-    }
 }

@@ -722,13 +722,14 @@ impl TimedController {
         // admission is throttled so background eviction can drain the
         // stash; over the hard limit itself a bounded grace of degraded
         // slots runs before the typed transient error fires. Clean runs
-        // never cross the watermark, so the schedule is unchanged.
+        // never cross the watermark, so the schedule is unchanged
+        // (`dram_traffic_is_workload_independent_at_every_pipeline_depth`
+        // asserts it for every scheme, idle and saturated).
         let occupancy = self
             .chooser
             .trees()
             .map(|o| o.stash_len())
             .fold(0, usize::max);
-        // lint: allow(secret-flow, overflow stats counter; occupancy never alters the issued DRAM schedule)
         if occupancy > self.chooser.main().config().stash_capacity {
             self.overflow_slots += 1;
         }
@@ -738,11 +739,9 @@ impl TimedController {
         }
         self.was_bg_pending = pending;
         let degraded = occupancy > self.degrade_watermark;
-        // lint: allow(secret-flow, degraded-slot stats counter; the admission gate below is the sanctioned throttle)
         if degraded {
             self.degraded_slots += 1;
         }
-        // lint: allow(secret-flow, documented graceful-degradation exit; clean runs stay under the watermark so the schedule is unchanged)
         if occupancy > self.stash_hard_limit {
             self.overflow_grace += 1;
             if self.overflow_grace > OVERFLOW_GRACE_SLOTS {
@@ -773,7 +772,6 @@ impl TimedController {
             completions: &mut self.completions,
             throttled_admissions: &mut self.throttled_admissions,
         })?;
-        // lint: allow(secret-flow, occupancy reaches the pick only through the documented stash-pressure admission throttle; clean runs never cross the watermark (DESIGN.md))
         if let Some(p) = pick {
             self.finish_path(t, p.path, tree, p.kind, p.completes);
         } else if let Some(path) = self.chooser.convert_idle(hierarchy, t)? {
@@ -862,7 +860,6 @@ impl TimedController {
         if self
             .pipe
             .as_mut()
-            // lint: allow(secret-flow, leaf already revealed by this path access; the conflict check compares only public path addresses)
             .is_some_and(|p| p.pending_conflicts(table, path.leaf.0, small_tree))
         {
             if let Some(done) = self.flush_writes() {
@@ -872,7 +869,6 @@ impl TimedController {
         let region = self.regions.get(tree);
         if let Some(pipe) = &mut self.pipe {
             let hold = pipe.conflict_hold(&region.table, path.leaf.0, small_tree, arrival);
-            // lint: allow(secret-flow, leaf already revealed by this path access; the hold compares only public path addresses)
             if let Some(hold) = hold {
                 arrival = hold;
             }
@@ -909,7 +905,6 @@ impl TimedController {
         self.penalty_cycles += penalty;
         let read_floor_cpu = self.clock.slow_to_fast(read_done) + penalty;
         let read_done_cpu = read_floor_cpu + self.decrypt_lat;
-        // lint: allow(secret-flow, the branch is serial vs pipelined mode, not the value; the leaf is already revealed by this path access)
         if let Some(wd) = write_done {
             let write_done_cpu = self.clock.slow_to_fast(wd);
             self.last_write_done = self.last_write_done.max(write_done_cpu);

@@ -199,7 +199,6 @@ impl PipelineState {
         let hit = self.pending.as_ref().is_some_and(|p| {
             p.small_tree == small_tree && table.paths_share_memory_bucket(p.leaf, leaf)
         });
-        // lint: allow(secret-flow, conflict bookkeeping on revealed leaves; both operands are public path addresses)
         if hit {
             self.stats.conflicts += 1;
         }

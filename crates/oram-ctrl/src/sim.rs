@@ -265,7 +265,6 @@ impl Simulation {
                 gen.restore_state(&mut r)?;
                 cpu.restore_state(&mut r)?;
                 hierarchy.restore_state(&mut r)?;
-                // lint: allow(secret-flow, snapshot payload is operator-visible checkpoint bytes, not ORAM block contents)
                 match (r.take_u8()?, &mut trace_plan) {
                     (0, None) => {}
                     (1, Some(p)) => p.restore_state(&mut r)?,

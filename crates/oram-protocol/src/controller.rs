@@ -647,7 +647,6 @@ impl PathOram {
     /// paths while the stash is over capacity. Returns the paths taken.
     fn drain_init_overflow(&mut self) -> usize {
         let mut evicts = 0;
-        // lint: allow(secret-flow, init-time background-eviction drain, before any measured access stream)
         while self.stash.over_capacity() && evicts < 32 {
             self.bg_evict_once();
             evicts += 1;
@@ -860,7 +859,6 @@ impl PathOram {
             }
         }
         let leaf = self.posmap.leaf_of(addr);
-        // lint: allow(secret-flow, on-chip stash lookup keyed by the block's own leaf: it hits exactly when a by-address lookup would, and issues no memory traffic)
         if let Some(p) = leaf.and_then(|leaf| self.stash.payload_mut(leaf, addr)) {
             let payload = *p;
             *p = write.apply(payload);
@@ -1147,7 +1145,6 @@ impl PathOram {
         if self
             .stash
             .iter()
-            // lint: allow(secret-flow, a restore-time consistency check of on-chip state; it issues no memory traffic)
             .any(|b| b.addr.0 >= space || self.posmap.leaf_of(b.addr) != Some(b.leaf))
         {
             return Err(SnapError::Corrupt("stash block off its PosMap leaf"));
@@ -1238,7 +1235,6 @@ impl PathOram {
                 let payload = b.payload;
                 b.payload = write.apply(payload);
                 self.stats.sstash_hits += 1;
-                // lint: allow(secret-flow, stats bucket index; an on-chip S-Stash hit issues no memory traffic at any level)
                 self.stats.served_level[level] += 1;
                 return Ok(AccessRecord {
                     paths: PathList::new(),
@@ -1248,7 +1244,6 @@ impl PathOram {
             }
         }
         let mapped = self.posmap.leaf_of(addr);
-        // lint: allow(secret-flow, on-chip stash lookup keyed by the block's own leaf: it hits exactly when a by-address lookup would, and issues no memory traffic)
         if let Some(leaf) = mapped.filter(|&leaf| self.stash.contains(leaf, addr)) {
             return self.serve_from_stash(leaf, addr, action, write);
         }
@@ -1259,10 +1254,8 @@ impl PathOram {
         // in the on-chip sub-stashes", Section IV-E). A hit needs no path
         // access and no remap.
         if self.top.is_some() {
-            // lint: allow(secret-flow, tree-top probe gate, Section IV-E: the on-chip check deciding whether any off-chip access starts is the modeled IR-ORAM mechanism itself)
             if let Some((level, payload)) = self.top_path_probe(leaf, addr, write) {
                 self.stats.treetop_hits += 1;
-                // lint: allow(secret-flow, stats bucket index; an on-chip tree-top hit issues no memory traffic at any level)
                 self.stats.served_level[level] += 1;
                 return Ok(AccessRecord {
                     paths: PathList::new(),

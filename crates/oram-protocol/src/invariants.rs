@@ -152,7 +152,6 @@ impl PathOram {
                     cap: layout.z_of(level),
                 });
             }
-            // lint: allow(secret-flow, functional-oracle invariant audit; runs off the timed path and issues no DRAM traffic)
             if layout.bucket_on_path(block.leaf, level) != bucket {
                 return Err(InvariantError::OffPath {
                     addr: block.addr,
@@ -160,7 +159,6 @@ impl PathOram {
                     bucket,
                 });
             }
-            // lint: allow(secret-flow, functional-oracle invariant audit; runs off the timed path and issues no DRAM traffic)
             if self.posmap().leaf_of(block.addr) != Some(block.leaf) {
                 return Err(InvariantError::LeafMismatch { addr: block.addr });
             }
@@ -184,7 +182,6 @@ impl PathOram {
                         cap: layout.z_of(level),
                     });
                 }
-                // lint: allow(secret-flow, functional-oracle invariant audit; runs off the timed path and issues no DRAM traffic)
                 if layout.bucket_on_path(block.leaf, level) != bucket {
                     return Err(InvariantError::OffPath {
                         addr: block.addr,
@@ -192,7 +189,6 @@ impl PathOram {
                         bucket,
                     });
                 }
-                // lint: allow(secret-flow, functional-oracle invariant audit; runs off the timed path and issues no DRAM traffic)
                 if self.posmap().leaf_of(block.addr) != Some(block.leaf) {
                     return Err(InvariantError::LeafMismatch { addr: block.addr });
                 }
@@ -201,7 +197,6 @@ impl PathOram {
         // Stash blocks (leaf must agree with the map; position free).
         for block in self.stash().iter() {
             record(block.addr, "stash".to_owned())?;
-            // lint: allow(secret-flow, functional-oracle invariant audit; runs off the timed path and issues no DRAM traffic)
             if self.posmap().leaf_of(block.addr) != Some(block.leaf) {
                 return Err(InvariantError::LeafMismatch { addr: block.addr });
             }

@@ -256,7 +256,6 @@ impl Stash {
                 .all(|b| b.addr != block.addr || b.leaf == block.leaf),
             "a copy of the block is resident under another leaf"
         );
-        // lint: allow(secret-flow, a block's place in the on-chip stash order issues no memory traffic)
         match self.pos(block.leaf, block.addr) {
             // lint: allow(panic, index returned by binary_search is in range)
             Ok(i) => self.blocks[i] = block,

@@ -104,7 +104,6 @@ impl StoredBlock {
     /// truncated payload.
     pub fn restore_within(r: &mut SnapReader<'_>, layout: &TreeLayout) -> Result<Self, SnapError> {
         let b = StoredBlock::restore_state(r)?;
-        // lint: allow(secret-flow, checkpoint decoding: a corrupt snapshot is rejected before any path access runs)
         if b.leaf.0 >= layout.num_leaves() {
             return Err(SnapError::Corrupt("block mapped past the last leaf"));
         }

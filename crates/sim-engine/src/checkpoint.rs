@@ -324,7 +324,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), SnapErro
         return Err(SnapError::Truncated);
     }
     let payload = r.take(len)?;
-    // lint: allow(secret-flow, snapshot payload checksum over operator-visible checkpoint bytes, not ORAM block contents)
     if header_checksum(fingerprint, slots_done, payload) != checksum {
         return Err(SnapError::BadChecksum);
     }

@@ -10,10 +10,17 @@
 //! 2. **Access intensity is workload-independent** — with timing protection
 //!    on, the slot *count per unit time* is a function of the configuration
 //!    alone, not of the request stream.
+//!
+//! Under both sits Path ORAM's security definition (Stefanov et al.): the
+//! trace is a function of the address stream alone, so one address stream
+//! run with two value streams must take the same paths to the same leaves.
 
 use ir_oram::{RunLimit, Scheme, Simulation, SystemConfig, ALL_SCHEMES};
 use iroram_dram::SubtreeLayout;
-use iroram_protocol::{OramConfig, PathOram, PathType};
+use iroram_hash::mix64;
+use iroram_protocol::{
+    BlockAddr, OramConfig, PathOram, PathRecord, PathType, ProtocolStats, RemapPolicy, TreeTopMode,
+};
 use iroram_sim_engine::SimRng;
 use iroram_trace::Bench;
 
@@ -93,53 +100,6 @@ fn dummy_and_real_leaves_are_equally_distributed() {
     );
 }
 
-/// With timing protection, the number of slots issued over a window is the
-/// same whether the workload is idle (all dummies) or saturated (all real):
-/// the attacker learns nothing from access intensity.
-#[test]
-fn slot_rate_is_workload_independent() {
-    use ir_oram::TimedController;
-    use iroram_cache::MemoryHierarchy;
-    use iroram_protocol::BlockAddr;
-    use iroram_sim_engine::Cycle;
-
-    let cfg = tiny(Scheme::Baseline);
-    let horizon = Cycle(400_000);
-
-    // Idle controller: dummies only.
-    let mut idle = TimedController::new(&cfg);
-    let mut h1 = MemoryHierarchy::new(cfg.hierarchy);
-    idle.advance_until(horizon, &mut h1).unwrap();
-    let idle_slots = idle.slot_stats().total_slots;
-
-    // Saturated controller: a deep queue of real requests.
-    let mut busy = TimedController::new(&cfg);
-    let mut h2 = MemoryHierarchy::new(cfg.hierarchy);
-    let mut id = 0;
-    for a in (0..4096u64).step_by(3) {
-        if busy.front_try(BlockAddr(a), Cycle(0)).is_none() {
-            id += 1;
-            busy.submit(ir_oram::OramRequest {
-                id,
-                addr: BlockAddr(a),
-                arrival: Cycle(0),
-                blocking: false,
-            });
-        }
-    }
-    busy.advance_until(horizon, &mut h2).unwrap();
-    let busy_slots = busy.slot_stats().total_slots;
-
-    // Path service time varies slightly with row-buffer state, so allow a
-    // small band — but idle and busy must be within a few percent.
-    let lo = idle_slots.min(busy_slots) as f64;
-    let hi = idle_slots.max(busy_slots) as f64;
-    assert!(
-        hi / lo < 1.05,
-        "slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
-    );
-}
-
 /// Every scheme's controllers keep both uniformity arguments at every
 /// pipeline depth: over a fixed horizon, an idle (all-dummy) and a
 /// saturated (all-real) controller issue the same number of slots, and
@@ -152,7 +112,6 @@ fn slot_rate_is_workload_independent() {
 fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
     use ir_oram::TimedController;
     use iroram_cache::MemoryHierarchy;
-    use iroram_protocol::BlockAddr;
     use iroram_sim_engine::Cycle;
 
     let horizon = Cycle(300_000);
@@ -171,7 +130,9 @@ fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
             let mut busy = TimedController::new(&cfg);
             let mut h2 = MemoryHierarchy::new(cfg.hierarchy);
             let mut id = 0;
-            for a in (0..4096u64).step_by(3) {
+            // Each address twice: the repeat finds its block on-chip at
+            // its data phase, so the front-hit arm is exercised too.
+            for a in (0..4096u64).step_by(3).flat_map(|a| [a, a]) {
                 if busy.front_try(BlockAddr(a), Cycle(0)).is_none() {
                     id += 1;
                     busy.submit(ir_oram::OramRequest {
@@ -205,11 +166,6 @@ fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
                     let (main, small) = c.protocol_stats();
                     let small = small.expect("ρ has a small tree");
                     let (m, s) = (main.total_paths(), small.total_paths());
-                    assert_eq!(
-                        m + s,
-                        c.slot_stats().total_slots,
-                        "{at}: every slot is one tree's path"
-                    );
                     rho_runs.push((m, s, c.dram_stats().requests + c.deferred_write_lines()));
                 }
             } else {
@@ -231,6 +187,25 @@ fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
                     report.samples
                 );
                 assert!(report.checks > 0, "audit must actually run");
+                // Every slot carries exactly one path that the protocol
+                // performed (IR-DWB's converted paths are the controller's
+                // own), and no path runs outside a slot.
+                let slots = ctl.slot_stats();
+                let (main, small) = ctl.protocol_stats();
+                let paths = main.total_paths() + small.map_or(0, |s| s.total_paths());
+                assert_eq!(
+                    paths + slots.converted_slots,
+                    slots.total_slots,
+                    "{at}: {name} protocol paths and slots disagree"
+                );
+                // The stash-pressure throttle is the one place occupancy
+                // reaches the schedule; a clean run never engages it.
+                let pressure = ctl.stash_pressure();
+                assert_eq!(
+                    (pressure.degraded_slots, pressure.throttled_admissions),
+                    (0, 0),
+                    "{at}: {name} run crossed the stash watermark"
+                );
             }
             assert_eq!(
                 idle.pipeline_stats().is_some(),
@@ -319,29 +294,156 @@ fn paths_per_cycle_stable_across_benchmarks() {
 }
 
 /// Dummy paths are indistinguishable in *effect* too: they read and rewrite
-/// a full path, so their DRAM footprint equals a real path's.
+/// a full path, so their DRAM footprint equals a real path's, both ways.
 #[test]
 fn dummy_dram_footprint_equals_real() {
     let mut oram = PathOram::new(OramConfig::tiny());
-    let before = oram.stats().blocks_from_memory;
+    let moved = |o: &PathOram| (o.stats().blocks_from_memory, o.stats().blocks_to_memory);
+    let before = moved(&oram);
     oram.dummy_path();
-    let dummy_blocks = oram.stats().blocks_from_memory - before;
+    let after = moved(&oram);
+    let dummy = (after.0 - before.0, after.1 - before.1);
 
-    let before = oram.stats().blocks_from_memory;
-    let rec = oram.run_access(iroram_protocol::BlockAddr(5), None);
+    let before = moved(&oram);
+    let rec = oram.run_access(BlockAddr(5), None);
     assert!(
         rec.paths
             .iter()
             .all(|p| !matches!(p.ptype, PathType::Dummy)),
         "a demand access issues no dummies"
     );
-    let per_real = if rec.paths.is_empty() {
-        dummy_blocks // served on-chip: nothing to compare
-    } else {
-        (oram.stats().blocks_from_memory - before) / rec.paths.len() as u64
-    };
+    let n = rec.paths.len() as u64;
+    assert!(n > 0, "the cold access must take a path");
+    let after = moved(&oram);
     assert_eq!(
-        dummy_blocks, per_real,
-        "dummy and real paths must move the same number of blocks"
+        (after.0 - before.0, after.1 - before.1),
+        (n * dummy.0, n * dummy.1),
+        "dummy and real paths must move the same number of blocks each way"
     );
+}
+
+/// What the memory sees of one protocol op: the leaf of every path it
+/// took, in order, and the protocol counters after it.
+type OpView = (Vec<u64>, ProtocolStats);
+
+/// Runs a fixed stream of reads, writes, read-modify-writes, delayed
+/// write-backs and dummy paths, drawing every written value from `value`,
+/// and returns each op's [`OpView`]. Along the way it checks the rules
+/// every op keeps whatever the values: each path reads and writes one
+/// path's worth of memory blocks, no path runs without a cause, and a
+/// block already on-chip is served on-chip.
+fn protocol_server_view(cfg: &OramConfig, value: impl Fn(u64) -> u64) -> Vec<OpView> {
+    let mut oram = PathOram::new(cfg.clone());
+    let per_path = oram.layout().path_len_memory(cfg.treetop.cached_levels());
+    let mut rng = SimRng::seed_from(29);
+    let mut view = Vec::new();
+    for i in 0..1_500u64 {
+        let before = oram.stats().clone();
+        let addr = BlockAddr(rng.next_below(cfg.data_blocks));
+        let kind = rng.next_below(5);
+        // Where the block sits on-chip, before the op (for the rule below).
+        let in_front = oram.stash().iter().any(|b| b.addr == addr) || oram.is_escrowed(addr);
+        let in_top = oram.treetop_store().is_some_and(|t| {
+            (0..t.cached_levels())
+                .any(|l| (0..1u64 << l).any(|b| t.peek_bucket(l, b).iter().any(|x| x.addr == addr)))
+        });
+        let paths: Vec<PathRecord> = match kind {
+            0 => oram.run_access(addr, None).paths.to_vec(),
+            1 => oram.run_access(addr, Some(value(i))).paths.to_vec(),
+            2 => oram.run_access_with(addr, |v| v ^ value(i)).paths.to_vec(),
+            3 => {
+                let held = oram.escrowed().next();
+                match held {
+                    Some(held) => oram.delayed_writeback(held).unwrap().paths.to_vec(),
+                    None => oram.run_access(addr, None).paths.to_vec(),
+                }
+            }
+            _ => vec![oram.dummy_path()],
+        };
+        let after = oram.stats();
+        let n = paths.len() as u64;
+        assert_eq!(
+            (
+                after.blocks_from_memory - before.blocks_from_memory,
+                after.blocks_to_memory - before.blocks_to_memory
+            ),
+            (n * per_path, n * per_path),
+            "op {i}: {n} path(s) must each move {per_path} blocks each way"
+        );
+        // No path without a cause: a dummy only when one is asked for, and
+        // background eviction only once the stash can have overflowed.
+        let of = |t: PathType| paths.iter().filter(|p| p.ptype == t).count();
+        assert_eq!(of(PathType::Dummy), usize::from(kind == 4), "op {i}");
+        if oram.stash_peak() <= cfg.stash_capacity {
+            assert_eq!(of(PathType::BgEvict), 0, "op {i}: eviction with room");
+        }
+        // An on-chip block is served on-chip: one in the stash or escrow
+        // before PosMap resolution, one in the tree top without a data path.
+        if kind < 3 {
+            let lookups = of(PathType::Pos1) + of(PathType::Pos2);
+            let data = of(PathType::Data);
+            assert!(
+                !in_front || lookups + data == 0,
+                "op {i}: front hit took a path"
+            );
+            assert!(
+                !in_top || data == 0,
+                "op {i}: tree-top hit took a data path"
+            );
+        }
+        view.push((paths.iter().map(|p| p.leaf.0).collect(), after.clone()));
+    }
+    view
+}
+
+/// Path ORAM's security argument in its strongest form: the memory sees
+/// a function of the address stream alone. One address stream, run once
+/// writing only zeros and once writing odd pseudo-random values, must take
+/// the same paths to the same leaves and leave the same counters after
+/// every op — across tree-top modes, both remap policies, with and without
+/// payload encryption. A branch on a block's contents anywhere on the
+/// access path changes a path count, a leaf or a counter here. One more
+/// mode has a stash too roomy to overflow, so every background eviction
+/// there would be a stray path.
+#[test]
+fn protocol_server_view_is_payload_independent() {
+    let ir_stash = TreeTopMode::IrStash {
+        levels: 3,
+        sets: 8,
+        ways: 4,
+    };
+    let tiny = OramConfig::tiny();
+    for cfg in [
+        tiny.clone(),
+        OramConfig {
+            treetop: TreeTopMode::None,
+            encrypt_payloads: false,
+            ..tiny.clone()
+        },
+        OramConfig {
+            treetop: ir_stash,
+            remap: RemapPolicy::Delayed,
+            ..tiny.clone()
+        },
+        OramConfig {
+            treetop: ir_stash,
+            encrypt_payloads: false,
+            ..tiny.clone()
+        },
+        // Too roomy ever to overflow: no background eviction may run.
+        OramConfig {
+            stash_capacity: 1 << 12,
+            ..tiny.clone()
+        },
+    ] {
+        let zeros = protocol_server_view(&cfg, |_| 0);
+        let odd = protocol_server_view(&cfg, |i| mix64(i) | 1);
+        for (i, (z, o)) in zeros.iter().zip(&odd).enumerate() {
+            assert_eq!(
+                z, o,
+                "{:?}/{:?}: op {i}'s server view depends on the values written",
+                cfg.treetop, cfg.remap
+            );
+        }
+    }
 }
