@@ -88,6 +88,18 @@ pub struct HierarchyStats {
     pub dirty_writebacks: u64,
 }
 
+iroram_sim_engine::counter_codec!(HierarchyStats {
+    accesses,
+    reads,
+    writes,
+    l1_hits,
+    llc_hits,
+    misses,
+    read_misses,
+    write_misses,
+    dirty_writebacks
+});
+
 /// An inclusive L1 + LLC hierarchy with immediate fill.
 ///
 /// `access` models the complete transaction tag-wise: on a miss the line is
@@ -213,15 +225,7 @@ impl MemoryHierarchy {
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.l1.save_state(w);
         self.llc.save_state(w);
-        w.put_u64(self.stats.accesses);
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.writes);
-        w.put_u64(self.stats.l1_hits);
-        w.put_u64(self.stats.llc_hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.read_misses);
-        w.put_u64(self.stats.write_misses);
-        w.put_u64(self.stats.dirty_writebacks);
+        self.stats.save(w);
     }
 
     /// Restores the state captured by [`MemoryHierarchy::save_state`] into
@@ -234,17 +238,7 @@ impl MemoryHierarchy {
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.l1.restore_state(r)?;
         self.llc.restore_state(r)?;
-        self.stats = HierarchyStats {
-            accesses: r.take_u64()?,
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            l1_hits: r.take_u64()?,
-            llc_hits: r.take_u64()?,
-            misses: r.take_u64()?,
-            read_misses: r.take_u64()?,
-            write_misses: r.take_u64()?,
-            dirty_writebacks: r.take_u64()?,
-        };
+        self.stats = HierarchyStats::restore(r)?;
         Ok(())
     }
 }

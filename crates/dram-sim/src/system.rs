@@ -49,6 +49,18 @@ pub struct DramStats {
     pub last_completion: u64,
 }
 
+iroram_sim_engine::counter_codec!(DramStats {
+    row_hits,
+    row_empties,
+    row_conflicts,
+    requests,
+    reads,
+    writes,
+    total_latency,
+    bus_busy_cycles,
+    last_completion
+});
+
 impl DramStats {
     /// Row-buffer hit rate over all served requests.
     pub fn row_hit_rate(&self) -> f64 {
@@ -262,15 +274,7 @@ impl DramSystem {
                 Some(true) => 2,
             });
         }
-        w.put_u64(self.stats.row_hits);
-        w.put_u64(self.stats.row_empties);
-        w.put_u64(self.stats.row_conflicts);
-        w.put_u64(self.stats.requests);
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.writes);
-        w.put_u64(self.stats.total_latency);
-        w.put_u64(self.stats.bus_busy_cycles);
-        w.put_u64(self.stats.last_completion);
+        self.stats.save(w);
         w.put_u64(self.latency_underflows);
     }
 
@@ -302,17 +306,7 @@ impl DramSystem {
                 _ => return Err(SnapError::Corrupt("bad bus-direction tag")),
             };
         }
-        self.stats = DramStats {
-            row_hits: r.take_u64()?,
-            row_empties: r.take_u64()?,
-            row_conflicts: r.take_u64()?,
-            requests: r.take_u64()?,
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            total_latency: r.take_u64()?,
-            bus_busy_cycles: r.take_u64()?,
-            last_completion: r.take_u64()?,
-        };
+        self.stats = DramStats::restore(r)?;
         self.latency_underflows = r.take_u64()?;
         Ok(())
     }

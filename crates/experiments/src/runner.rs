@@ -29,7 +29,7 @@ use crate::journal::{self, Journal};
 pub const MAX_CELL_RETRIES: u32 = 3;
 
 /// Environment variable overriding the `--resume` journal path
-/// (default `iroram-resume.jsonl` in the working directory).
+/// (default `iroram-resume.journal` in the working directory).
 pub const RESUME_PATH_ENV: &str = "IRORAM_RESUME_PATH";
 
 /// Environment variable that aborts the process (exit 3) after this many
@@ -53,9 +53,9 @@ usage: <experiment> [--quick | --standard | --full] [--jobs N] [--csv DIR] [--au
   --csv DIR    also write each table as DIR/<name>.csv
   --audit      run every cell with the audit subsystem on and abort on any
                violation (results are identical; audits observe only)
-  --resume     journal finished cells to a JSONL file and skip any cell the
+  --resume     journal finished cells, one line each, and skip any cell the
                journal already holds (path: $IRORAM_RESUME_PATH, default
-               iroram-resume.jsonl)
+               iroram-resume.journal)
   --profile    time the simulator's steady-state phases (DRAM schedule,
                stash, posmap, LLC) and print a wall-time table to stderr;
                reports stay byte-identical
@@ -508,15 +508,16 @@ fn try_run_cell(
 }
 
 /// The `--resume` journal path: [`RESUME_PATH_ENV`] if set, else
-/// `iroram-resume.jsonl` in the working directory.
+/// `iroram-resume.journal` in the working directory.
 pub fn resume_path() -> PathBuf {
     // lint: allow(determinism, RESUME_PATH_ENV is the documented resume-journal knob; it picks a file path and cannot affect reported numbers)
     std::env::var_os(RESUME_PATH_ENV)
-        .map_or_else(|| PathBuf::from("iroram-resume.jsonl"), PathBuf::from)
+        .map_or_else(|| PathBuf::from("iroram-resume.journal"), PathBuf::from)
 }
 
 /// Opens the resume journal when `opts.resume` is set (announcing how many
-/// cells it already holds), or returns `None`.
+/// cells it already holds and how many lines it skipped), or returns
+/// `None`.
 fn open_journal(opts: &ExpOptions) -> Option<Journal> {
     if !opts.resume {
         return None;
@@ -524,11 +525,12 @@ fn open_journal(opts: &ExpOptions) -> Option<Journal> {
     let path = resume_path();
     match Journal::open(&path) {
         Ok(j) => {
-            if !j.is_empty() {
+            if !j.is_empty() || j.skipped() > 0 {
                 eprintln!(
-                    "resume: {} finished cell(s) in {}",
+                    "resume: {} finished cell(s) in {}, {} unreadable line(s) skipped",
                     j.len(),
-                    j.path().display()
+                    j.path().display(),
+                    j.skipped()
                 );
             }
             Some(j)
@@ -822,6 +824,13 @@ mod tests {
         assert!(ExpOptions::parse(&args(&["--csv"])).is_err());
         assert!(ExpOptions::parse(&args(&["--csv", "out"])).is_ok());
         assert!(ExpOptions::parse(&args(&["--set", "sched_threads=4"])).is_err());
+        // Zeros the CPU model and the subtree layout cannot run with.
+        for zero in ["rob_insts=0", "ipc=0", "mshrs=0", "subtree_group=0"] {
+            assert!(
+                ExpOptions::parse(&args(&["--set", zero])).is_err(),
+                "{zero}"
+            );
+        }
     }
 
     #[test]

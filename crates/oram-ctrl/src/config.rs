@@ -271,13 +271,24 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown key, an unparsable value, or a
-    /// structured field.
+    /// Returns a message for an unknown key, an unparsable value, a zero
+    /// where the run needs at least one (`rob_insts`, `ipc`, `mshrs`,
+    /// `subtree_group`, `pipeline_depth`), or a structured field.
     pub fn set_field(&mut self, key: &str, value: &str) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("--set {key}: cannot parse `{value}` as a number"))
+        }
+        fn positive<T: std::str::FromStr + Default + PartialEq>(
+            key: &str,
+            value: &str,
+        ) -> Result<T, String> {
+            let n: T = num(key, value)?;
+            if n == T::default() {
+                return Err(format!("--set {key}: must be >= 1"));
+            }
+            Ok(n)
         }
         fn flag(key: &str, value: &str) -> Result<bool, String> {
             match value {
@@ -296,25 +307,19 @@ impl SystemConfig {
             }
             "t_interval" => self.t_interval = num(key, value)?,
             "timing_protection" => self.timing_protection = flag(key, value)?,
-            "rob_insts" => self.rob_insts = num(key, value)?,
-            "ipc" => self.ipc = num(key, value)?,
-            "mshrs" => self.mshrs = num(key, value)?,
+            "rob_insts" => self.rob_insts = positive(key, value)?,
+            "ipc" => self.ipc = positive(key, value)?,
+            "mshrs" => self.mshrs = positive(key, value)?,
             "l1_hit_lat" => self.l1_hit_lat = num(key, value)?,
             "llc_hit_lat" => self.llc_hit_lat = num(key, value)?,
             "front_hit_lat" => self.front_hit_lat = num(key, value)?,
             "decrypt_lat" => self.decrypt_lat = num(key, value)?,
-            "subtree_group" => self.subtree_group = num(key, value)?,
+            "subtree_group" => self.subtree_group = positive(key, value)?,
             "seed" => self.seed = num(key, value)?,
             "audit" => self.audit = flag(key, value)?,
             "refetch_lat" => self.refetch_lat = num(key, value)?,
             "stash_hard_limit" => self.stash_hard_limit = num(key, value)?,
-            "pipeline_depth" => {
-                let n: u32 = num(key, value)?;
-                if n == 0 {
-                    return Err("--set pipeline_depth: must be >= 1 (1 = serial pipeline)".into());
-                }
-                self.pipeline_depth = n;
-            }
+            "pipeline_depth" => self.pipeline_depth = positive(key, value)?,
             "checkpoint_interval" => self.checkpoint_interval = num(key, value)?,
             "oram" => {
                 return Err("--set oram: structured; use the scale flags or edit the config".into())
@@ -490,8 +495,20 @@ mod tests {
     #[test]
     fn set_field_rejects_zero_for_clamped_knobs() {
         let mut cfg = SystemConfig::scaled(Scheme::Baseline);
-        assert!(cfg.set_field("pipeline_depth", "0").is_err());
-        assert_eq!(cfg.pipeline_depth, 1, "rejected value must not be applied");
+        let before = cfg.clone();
+        for key in [
+            "pipeline_depth",
+            "rob_insts",
+            "ipc",
+            "mshrs",
+            "subtree_group",
+        ] {
+            let err = cfg.set_field(key, "0").expect_err(key);
+            assert!(err.contains("must be >= 1"), "{err}");
+            assert_eq!(cfg, before, "rejected {key}=0 must not be applied");
+            cfg.set_field(key, "1").expect(key);
+            cfg = before.clone();
+        }
     }
 
     #[test]

@@ -70,6 +70,14 @@ pub struct SlotStats {
     pub converted_slots: u64,
 }
 
+iroram_sim_engine::counter_codec!(SlotStats {
+    total_slots,
+    real_slots,
+    bg_slots,
+    dummy_slots,
+    converted_slots
+});
+
 /// Stash soft-capacity pressure accounting. The soft capacity is a
 /// background-eviction trigger, not a wall (Stefanov et al. treat overflow
 /// as a probabilistic event); these counters measure how hard the workload
@@ -90,6 +98,15 @@ pub struct StashPressure {
     /// Eligible demand/write-back admissions deferred by that throttle.
     pub throttled_admissions: u64,
 }
+
+iroram_sim_engine::counter_codec!(StashPressure {
+    soft_capacity,
+    max_occupancy,
+    overflow_slots,
+    bg_escalations,
+    degraded_slots,
+    throttled_admissions
+});
 
 /// The tree a path belongs to. Only ρ has a small tree; its paths use the
 /// DRAM region after the main tree.
@@ -959,11 +976,7 @@ impl TimedController {
             w.put_u64(id);
             w.put_u64(done.0);
         }
-        w.put_u64(self.slot_stats.total_slots);
-        w.put_u64(self.slot_stats.real_slots);
-        w.put_u64(self.slot_stats.bg_slots);
-        w.put_u64(self.slot_stats.dummy_slots);
-        w.put_u64(self.slot_stats.converted_slots);
+        self.slot_stats.save(w);
         w.put_u64(self.last_write_done.0);
         match &self.audit {
             None => w.put_u8(0),
@@ -1019,11 +1032,7 @@ impl TimedController {
             let done = Cycle(r.take_u64()?);
             self.completions.push((id, done));
         }
-        self.slot_stats.total_slots = r.take_u64()?;
-        self.slot_stats.real_slots = r.take_u64()?;
-        self.slot_stats.bg_slots = r.take_u64()?;
-        self.slot_stats.dummy_slots = r.take_u64()?;
-        self.slot_stats.converted_slots = r.take_u64()?;
+        self.slot_stats = SlotStats::restore(r)?;
         self.last_write_done = Cycle(r.take_u64()?);
         match (r.take_u8()?, &mut self.audit) {
             (0, None) => {}

@@ -28,6 +28,14 @@ pub struct DwbStats {
     pub aborted: u64,
 }
 
+iroram_sim_engine::counter_codec!(DwbStats {
+    converted_slots,
+    converted_posmap,
+    converted_data,
+    completed,
+    aborted
+});
+
 /// The dummy-to-write-back conversion engine.
 ///
 /// The victim lifecycle is single-owner: a sequence begins only in `adopt`
@@ -82,11 +90,7 @@ impl DwbEngine {
         self.scanner.save_state(w);
         w.put_opt_u64(self.victim.map(|v| v.0));
         w.put_u64(self.started);
-        w.put_u64(self.stats.converted_slots);
-        w.put_u64(self.stats.converted_posmap);
-        w.put_u64(self.stats.converted_data);
-        w.put_u64(self.stats.completed);
-        w.put_u64(self.stats.aborted);
+        self.stats.save(w);
         for s in self.rng.state() {
             w.put_u64(s);
         }
@@ -105,11 +109,7 @@ impl DwbEngine {
             return Err(SnapError::Corrupt("DWB victim disagrees with scanner"));
         }
         self.started = r.take_u64()?;
-        self.stats.converted_slots = r.take_u64()?;
-        self.stats.converted_posmap = r.take_u64()?;
-        self.stats.converted_data = r.take_u64()?;
-        self.stats.completed = r.take_u64()?;
-        self.stats.aborted = r.take_u64()?;
+        self.stats = DwbStats::restore(r)?;
         let in_flight = u64::from(self.victim.is_some());
         if self.started != self.stats.completed + self.stats.aborted + in_flight {
             return Err(SnapError::Corrupt("DWB sequence ledger does not balance"));

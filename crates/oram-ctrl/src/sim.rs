@@ -73,6 +73,19 @@ pub struct FaultStats {
     pub refetch_penalty_cycles: u64,
 }
 
+iroram_sim_engine::counter_codec!(FaultStats {
+    injected_corruptions,
+    detected,
+    recovered,
+    undetected,
+    bank_stalls,
+    stall_cycles,
+    storms,
+    mangled_records,
+    rejected_records,
+    refetch_penalty_cycles
+});
+
 /// Results of one full-system run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -105,6 +118,78 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// Writes the whole report, in declaration order, through each stats
+    /// type's own codec: the resume journal stores this payload.
+    pub fn save(&self, w: &mut SnapWriter) {
+        let SimReport {
+            scheme,
+            workload,
+            cycles,
+            instructions,
+            mem_ops,
+            protocol,
+            protocol_small,
+            slots,
+            dram,
+            hierarchy,
+            dwb,
+            faults,
+            stash,
+        } = self;
+        w.put_str(scheme.name());
+        w.put_str(workload);
+        w.put_u64(*cycles);
+        w.put_u64(*instructions);
+        w.put_u64(*mem_ops);
+        protocol.save(w);
+        w.put_bool(protocol_small.is_some());
+        if let Some(p) = protocol_small {
+            p.save(w);
+        }
+        slots.save(w);
+        dram.save(w);
+        hierarchy.save(w);
+        w.put_bool(dwb.is_some());
+        if let Some(d) = dwb {
+            d.save(w);
+        }
+        faults.save(w);
+        stash.save(w);
+    }
+
+    /// Reads a report written by [`SimReport::save`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] for a scheme name outside
+    /// [`crate::ALL_SCHEMES`] or a bad presence byte, and any other
+    /// [`SnapError`] on malformed input.
+    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let name = r.take_str()?;
+        let scheme = crate::ALL_SCHEMES
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or(SnapError::Corrupt("unknown scheme"))?;
+        Ok(SimReport {
+            scheme,
+            workload: r.take_str()?.to_owned(),
+            cycles: r.take_u64()?,
+            instructions: r.take_u64()?,
+            mem_ops: r.take_u64()?,
+            protocol: ProtocolStats::restore(r)?,
+            protocol_small: r
+                .take_bool()?
+                .then(|| ProtocolStats::restore(r))
+                .transpose()?,
+            slots: SlotStats::restore(r)?,
+            dram: DramStats::restore(r)?,
+            hierarchy: HierarchyStats::restore(r)?,
+            dwb: r.take_bool()?.then(|| DwbStats::restore(r)).transpose()?,
+            faults: FaultStats::restore(r)?,
+            stash: StashPressure::restore(r)?,
+        })
+    }
+
     /// Instructions per cycle achieved.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

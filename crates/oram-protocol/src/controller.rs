@@ -356,6 +356,25 @@ pub struct ProtocolStats {
     pub delayed_inserts: u64,
 }
 
+iroram_sim_engine::counter_codec!(ProtocolStats {
+    accesses,
+    fstash_hits,
+    sstash_hits,
+    escrow_hits,
+    treetop_hits,
+    pos1_paths,
+    pos2_paths,
+    data_paths,
+    bg_evict_paths,
+    dummy_paths,
+    served_level,
+    served_stash,
+    blocks_from_memory,
+    blocks_to_memory,
+    sstash_rejects,
+    delayed_inserts,
+});
+
 impl ProtocolStats {
     /// All path accesses of any type.
     pub fn total_paths(&self) -> u64 {
@@ -1104,26 +1123,7 @@ impl PathOram {
         for s in self.rng.state() {
             w.put_u64(s);
         }
-        let st = &self.stats;
-        w.put_u64(st.accesses);
-        w.put_u64(st.fstash_hits);
-        w.put_u64(st.sstash_hits);
-        w.put_u64(st.escrow_hits);
-        w.put_u64(st.treetop_hits);
-        w.put_u64(st.pos1_paths);
-        w.put_u64(st.pos2_paths);
-        w.put_u64(st.data_paths);
-        w.put_u64(st.bg_evict_paths);
-        w.put_u64(st.dummy_paths);
-        w.put_usize(st.served_level.len());
-        for &v in &st.served_level {
-            w.put_u64(v);
-        }
-        w.put_u64(st.served_stash);
-        w.put_u64(st.blocks_from_memory);
-        w.put_u64(st.blocks_to_memory);
-        w.put_u64(st.sstash_rejects);
-        w.put_u64(st.delayed_inserts);
+        self.stats.save(w);
     }
 
     /// Restores the state written by [`PathOram::save_state`] into this
@@ -1171,29 +1171,11 @@ impl PathOram {
             *s = r.take_u64()?;
         }
         self.rng = SimRng::from_state(rng_state);
-        let st = &mut self.stats;
-        st.accesses = r.take_u64()?;
-        st.fstash_hits = r.take_u64()?;
-        st.sstash_hits = r.take_u64()?;
-        st.escrow_hits = r.take_u64()?;
-        st.treetop_hits = r.take_u64()?;
-        st.pos1_paths = r.take_u64()?;
-        st.pos2_paths = r.take_u64()?;
-        st.data_paths = r.take_u64()?;
-        st.bg_evict_paths = r.take_u64()?;
-        st.dummy_paths = r.take_u64()?;
-        let levels = r.take_seq_len(8)?;
-        if levels != st.served_level.len() {
+        let stats = ProtocolStats::restore(r)?;
+        if stats.served_level.len() != self.stats.served_level.len() {
             return Err(SnapError::Corrupt("served-level counter count mismatch"));
         }
-        for v in st.served_level.iter_mut() {
-            *v = r.take_u64()?;
-        }
-        st.served_stash = r.take_u64()?;
-        st.blocks_from_memory = r.take_u64()?;
-        st.blocks_to_memory = r.take_u64()?;
-        st.sstash_rejects = r.take_u64()?;
-        st.delayed_inserts = r.take_u64()?;
+        self.stats = stats;
         Ok(())
     }
 

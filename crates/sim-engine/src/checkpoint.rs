@@ -31,12 +31,15 @@ pub const SNAP_VERSION: u32 = 4;
 /// Fixed header length: magic + version + fingerprint + slots + len + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
-/// FNV-1a offset basis.
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+/// FNV-1a offset basis: the state to start [`fnv1a`] from.
+pub const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into the 64-bit FNV-1a state `h`. The snapshot checksum
+/// and the cell fingerprint that names snapshot and journal entries both
+/// use it.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -278,6 +281,84 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// A counter field [`counter_codec!`](crate::counter_codec) can encode: a
+/// `u64`, or a length-prefixed `Vec<u64>` of per-level counters.
+pub trait Counter: Sized {
+    /// Writes the value.
+    fn put(&self, w: &mut SnapWriter);
+    /// Reads a value written by [`Counter::put`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] if the payload ends early.
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+impl Counter for u64 {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u64(*self);
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.take_u64()
+    }
+}
+
+impl Counter for Vec<u64> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        for &v in self {
+            w.put_u64(v);
+        }
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.take_seq_len(8)?;
+        (0..n).map(|_| r.take_u64()).collect()
+    }
+}
+
+/// Gives a struct of [`Counter`] fields its snapshot codec: `save` writes
+/// the listed fields in order and `restore` reads them back. `save`
+/// destructures the struct without `..`, so a field left off the list is
+/// a compile error.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// pub struct Hits {
+///     pub reads: u64,
+///     pub per_level: Vec<u64>,
+/// }
+/// iroram_sim_engine::counter_codec!(Hits { reads, per_level });
+///
+/// let hits = Hits { reads: 3, per_level: vec![1, 2] };
+/// let mut w = iroram_sim_engine::SnapWriter::new();
+/// hits.save(&mut w);
+/// let bytes = w.into_bytes();
+/// let mut r = iroram_sim_engine::SnapReader::new(&bytes);
+/// assert_eq!(Hits::restore(&mut r), Ok(hits));
+/// ```
+#[macro_export]
+macro_rules! counter_codec {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $ty {
+            /// Writes every counter, in the order its codec lists them, for
+            /// a snapshot or a journaled report.
+            pub fn save(&self, w: &mut $crate::SnapWriter) {
+                let $ty { $($field),+ } = self;
+                $($crate::checkpoint::Counter::put($field, w);)+
+            }
+
+            /// Reads the counters written by `save`.
+            ///
+            /// # Errors
+            ///
+            /// `SnapError::Truncated` if the payload ends early.
+            pub fn restore(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                Ok($ty { $($field: $crate::checkpoint::Counter::take(r)?),+ })
+            }
+        }
+    };
+}
+
 fn header_checksum(fingerprint: u64, slots_done: u64, payload: &[u8]) -> u64 {
     let mut h = fnv1a(FNV_BASIS, &SNAP_VERSION.to_le_bytes());
     h = fnv1a(h, &fingerprint.to_le_bytes());
@@ -337,7 +418,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), SnapErro
     ))
 }
 
-fn temp_path(path: &Path) -> PathBuf {
+/// The sibling a crash-consistent rewrite of `path` goes to first: the
+/// file name plus `.tmp`, renamed over `path` once synced.
+pub fn temp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map_or_else(
         || std::ffi::OsString::from("snapshot"),
         std::ffi::OsStr::to_os_string,
